@@ -265,6 +265,18 @@ class KIsomitBTSolver:
         """
         if self.use_kernel:
             return self._get_kernel().solve(k)
+        score = self.solve_score(k)
+        return TreeDPResult(k=k, score=score, initiators=self._reconstruct(k))
+
+    def solve_score(self, k: int) -> float:
+        """``OPT`` for exactly ``k`` initiators: ``solve(k).score`` without
+        reconstructing the placement.
+
+        Raises:
+            DynamicProgramError: when ``k`` is out of ``[0, num_real]``.
+        """
+        if self.use_kernel:
+            return self._get_kernel().solve_score(k)
         if k < 0 or k > self.tree.num_real:
             raise DynamicProgramError(
                 f"k must be in [0, {self.tree.num_real}], got {k}"
@@ -272,8 +284,7 @@ class KIsomitBTSolver:
         score = self._solve(self.tree.root, k, None)
         if score == _NEG_INF:
             raise DynamicProgramError(f"no feasible placement of {k} initiators")
-        initiators = self._reconstruct(k)
-        return TreeDPResult(k=k, score=score, initiators=initiators)
+        return score
 
     def solve_curve(self, k_max: int) -> List[TreeDPResult]:
         """The incremental curve ``[solve(1), …, solve(k_max)]``.

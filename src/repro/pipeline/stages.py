@@ -129,7 +129,8 @@ def greedy_tree_selection(
 
     Bit-identical to the pre-refactor ``RID.select_initiators_for_tree``:
     same scan order, same early-stop-on-non-improvement rule, same spans
-    and counters.
+    and counters. The scan compares root scores only and reconstructs
+    the placement once, for the winning k.
     """
     import repro.core.rid as rid_module
 
@@ -138,9 +139,9 @@ def greedy_tree_selection(
     solver = _make_solver(rid_module, binary, config)
     max_k = _tree_cap(config, binary)
 
-    best = None
+    curve = [0.0]  # curve[k] = OPT(k) for every scanned k
+    best_k = 0
     best_objective = float("-inf")
-    scanned = 0
     with rec.span(
         "rid.tree_dp",
         tree_nodes=binary.num_real,
@@ -148,20 +149,29 @@ def greedy_tree_selection(
         backend=getattr(solver, "backend_name", "python"),
     ):
         for k in range(1, max_k + 1):
-            scanned += 1
-            result = solver.solve(k)
-            objective = result.score - (k - 1) * config.beta
+            score = solver.solve_score(k)
+            curve.append(score)
+            objective = score - (k - 1) * config.beta
             if objective > best_objective:
-                best, best_objective = result, objective
+                best_k, best_objective = k, objective
             elif config.k_strategy == "greedy":
                 # Paper heuristic: stop at the first k that fails to
                 # improve the penalised objective.
                 break
+        assert best_k >= 1  # max_k >= 1 guarantees one iteration
+        best = solver.solve(best_k)
+    scanned = len(curve) - 1
     if rec.enabled:
         rec.gauge("rid.tree_nodes", binary.num_real)
         rec.incr("rid.k_iterations", scanned)
         _emit_memo_gauge(rec, solver)
-    assert best is not None  # max_k >= 1 guarantees one iteration
+        rec.gauge("rid.tree_dp.k_chosen", best_k)
+        if best_k < scanned:
+            # How close the scan came to adding another initiator.
+            rec.gauge(
+                "rid.tree_dp.stop_margin",
+                curve[best_k + 1] - curve[best_k] - config.beta,
+            )
     return rid_module.TreeSelection(
         tree_size=binary.num_real,
         k=best.k,

@@ -1,7 +1,8 @@
 """Streaming re-detection: snapshot deltas, event logs, incremental engine.
 
 See :mod:`repro.stream.engine` for the identity guarantee (streamed
-results are bit-identical to a cold run on the materialised snapshot)
+results give the same initiators and states as a cold run on the
+materialised snapshot)
 and :mod:`repro.stream.events` for the JSONL event-log format.
 """
 

@@ -28,15 +28,20 @@ object's ``version`` counter is unchanged) and therefore to
 ``ArtifactCache`` hits, so Arborescence/Binarize/TreeDP re-run only for
 dirty components and only the final Selection merge is global.
 
-**Identity guarantee.** After every applied delta, :meth:`detect` is
-bit-identical to a cold ``DetectionEngine`` run on
-:meth:`materialise`'s snapshot: the partition equals the cold
+**Identity guarantee.** After every applied delta, :meth:`detect`
+gives the same answer as a cold ``DetectionEngine`` run on
+:meth:`materialise`'s snapshot — the same initiators and states, and an
+objective equal up to float rounding. The partition equals the cold
 Prune+ComponentSplit output (same member sets, same live edges, same
-smallest-member ordering), node insertion order is not semantically
-meaningful anywhere in the pipeline (all consumers sort; the on-disk
-artifact store already round-trips graphs through repr-sorted JSON), and
-reused artifacts are keyed by full content digests, so a hit can only
-return what the cold stage would recompute. Two deliberate divergences:
+smallest-member ordering), and reused artifacts are keyed by full
+content digests, so a hit can only return what the cold stage would
+recompute on the same component graph. Node insertion order does differ
+from the cold snapshot's, and ``maximum_spanning_branching`` breaks
+weight ties by insertion order, so when co-optimal branchings exist the
+two runs can pick different cascade trees (``benchmarks/e2e/README.md``
+§ Findings): initiators and states still agree, but the objective's
+float sum is reordered. Without such ties the result is bit-identical
+(``tests/integration/test_stream_identity.py``). Two deliberate divergences:
 the ``rid.pruned_links`` counter is not emitted (the streaming layer
 never materialises pruned-away edges), and an *emptied* infection
 yields a well-formed empty result where the cold entry point raises

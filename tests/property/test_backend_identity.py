@@ -41,6 +41,7 @@ from repro.kernel.backends import resolve_backend
 from repro.kernel.cascade import check_seeds_compiled
 from repro.types import NodeState
 from repro.utils.rng import derive_seed, spawn_rng
+from tests.property.tree_strategies import saturated_trees
 
 
 def _seeds(graph, rng, count=3):
@@ -231,6 +232,25 @@ class TestTreeDPBitIdentity:
         reference.solve_curve(binary.num_real)
         vectorized.solve_curve(binary.num_real)
         assert vectorized.memo_size() == reference.memo_size()
+
+    @given(saturated_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_saturated_trees_bit_identical_across_cap_growth(self, world):
+        # Saturated links collapse ancestor classes; solving k = 0, 1, 2,
+        # ... on one solver per backend exercises every resumed sweep.
+        tree, alpha = world
+        binary = binarize_cascade_tree(tree, alpha=alpha)
+        oracle = KIsomitBTSolver(binary, use_kernel=False)
+        reference = KIsomitBTSolver(binary, backend="python")
+        vectorized = KIsomitBTSolver(binary, backend="numpy")
+        for k in range(0, binary.num_real + 1):
+            expected = oracle.solve(k)
+            for solver in (reference, vectorized):
+                assert solver.solve_score(k).hex() == expected.score.hex()
+                result = solver.solve(k)
+                assert result.score.hex() == expected.score.hex()
+                assert result.initiators == expected.initiators
+            assert vectorized.memo_size() == reference.memo_size()
 
 
 class TestSpreadDistribution:

@@ -6,8 +6,16 @@ floats, same ``initiators`` dicts, for every feasible budget. Brute
 force certifies optimality too, but only approximately — its objective
 sums per-node terms in a different order, so last-bit ULP differences
 are expected there.
+
+The kernel's anc axis indexes ancestor *classes* (ancestors joined by
+links with ``g == 1.0`` exactly share a column), and growing the budget
+cap resumes the tables instead of re-sweeping them. ``saturated_trees``
+draws the saturated links and deep chains that exercise both.
 """
 
+import importlib.util
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +25,11 @@ from repro.graphs.generators.trees import random_general_tree, star_graph
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.property.tree_strategies import saturated_trees
+
+BACKENDS = ["python"] + (
+    ["numpy"] if importlib.util.find_spec("numpy") is not None else []
+)
 
 
 @st.composite
@@ -75,6 +88,42 @@ class TestKernelIdentity:
         brute = brute_force_k_isomit(binary, budget, scoring="nearest")
         # Brute force sums in subset-enumeration order: approx only.
         assert abs(dp.score - brute.score) < 1e-9
+
+
+class TestSaturatedClassLayout:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(world=saturated_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_recursive_across_cap_growth(self, backend, world):
+        tree, alpha = world
+        binary = binarize_cascade_tree(tree, alpha=alpha)
+        reference = KIsomitBTSolver(binary, use_kernel=False)
+        # One solver for every k: solve(1), solve(2), ... grow the cap
+        # geometrically, so every growth step is a resumed sweep.
+        compiled = KIsomitBTSolver(binary, backend=backend)
+        for k in range(0, binary.num_real + 1):
+            ref = reference.solve(k)
+            assert compiled.solve_score(k).hex() == ref.score.hex()
+            ker = compiled.solve(k)
+            assert ker.score.hex() == ref.score.hex()
+            assert ker.initiators == ref.initiators
+
+    @given(world=saturated_trees())
+    @settings(max_examples=30, deadline=None)
+    def test_resumed_curve_equals_one_sweep(self, world):
+        tree, alpha = world
+        binary = binarize_cascade_tree(tree, alpha=alpha)
+        resumed = KIsomitBTSolver(binary)
+        for k in range(1, binary.num_real + 1):
+            resumed.solve_score(k)
+        fresh = KIsomitBTSolver(binary)
+        one_sweep = fresh.solve_curve(binary.num_real)
+        assert [
+            (r.score.hex(), r.initiators)
+            for r in resumed.solve_curve(binary.num_real)
+        ] == [(r.score.hex(), r.initiators) for r in one_sweep]
+        # Resuming fills each table entry exactly once.
+        assert resumed.memo_size() == fresh.memo_size()
 
 
 class TestKernelEdgeCases:

@@ -171,6 +171,9 @@ class TestGreedyKSearchTies:
             def __init__(self, binary):
                 self.binary = binary
 
+            def solve_score(self, k):
+                return scores[k]
+
             def solve(self, k):
                 return TreeDPResult(
                     k=k,
@@ -211,3 +214,60 @@ class TestGreedyKSearchTies:
         ).select_initiators_for_tree(SignedDiGraph())
         assert exhaustive.penalized_objective > greedy.penalized_objective
         assert greedy.k < exhaustive.k
+
+class TestTreeDiagnostics:
+    """β-mode per-tree diagnostics: ``rid.tree_dp.k_chosen`` and
+    ``rid.tree_dp.stop_margin`` come from the scan's root scores."""
+
+    def test_gauges_on_a_real_tree(self):
+        from repro.obs import MetricsRecorder
+
+        rec = MetricsRecorder()
+        detector = RID(RIDConfig(beta=0.1))
+        selection = detector.select_initiators_for_tree(
+            hand_built_infection(), recorder=rec
+        )
+        gauges = rec.metrics.gauges
+        assert selection.k == 2
+        assert gauges["rid.tree_dp.k_chosen"].total == 2
+        # OPT(3) == OPT(2) == 4 (every node explained), so the third
+        # initiator would have lost exactly beta.
+        assert gauges["rid.tree_dp.stop_margin"].total == pytest.approx(-0.1)
+
+    def test_cap_stop_has_no_margin_and_reconstructs_once(self, monkeypatch):
+        import repro.core.rid as rid_module
+        from repro.core.tree_dp import TreeDPResult
+        from repro.obs import MetricsRecorder
+
+        scores = {1: 1.0, 2: 1.5, 3: 2.0}
+        calls = []
+
+        class StubBinary:
+            num_real = 3
+
+        class ScoringStub:
+            def __init__(self, binary):
+                pass
+
+            def solve_score(self, k):
+                return scores[k]
+
+            def solve(self, k):
+                calls.append(k)
+                return TreeDPResult(k=k, score=scores[k], initiators={})
+
+        monkeypatch.setattr(
+            rid_module,
+            "binarize_cascade_tree",
+            lambda tree, alpha, inconsistent_value=0.0: StubBinary(),
+        )
+        monkeypatch.setattr(rid_module, "KIsomitBTSolver", ScoringStub)
+        rec = MetricsRecorder()
+        selection = RID(RIDConfig(beta=0.1)).select_initiators_for_tree(
+            SignedDiGraph(), recorder=rec
+        )
+        # The scan reaches the cap (k = 3): a chosen k but no margin, and
+        # the placement is reconstructed once, for the winner only.
+        assert (selection.k, selection.scanned_k, calls) == (3, 3, [3])
+        assert rec.metrics.gauges["rid.tree_dp.k_chosen"].total == 3
+        assert "rid.tree_dp.stop_margin" not in rec.metrics.gauges

@@ -65,20 +65,55 @@ class TestCompiledBinaryTree:
                     expected += ct.real_size[child]
             assert ct.real_size[pos] == expected
 
-    def test_gpath_rows_match_reference_path_product(self):
-        binary = _binary(12, seed=7, max_children=4)
-        ct = compile_binary_tree(binary)
-        solver = KIsomitBTSolver(binary, use_kernel=False)
-        for pos, uid in enumerate(ct.uids):
-            row = ct.gpath[pos]
-            assert len(row) == ct.depth[pos] + 1
-            assert row[ct.depth[pos]] == 1.0  # self product
-            # Walk the ancestor chain: slot a == ancestor at depth a.
-            anc = ct.parent[pos]
-            while anc >= 0:
-                expected = solver.path_product(ct.uids[anc], uid)
-                assert row[ct.depth[anc]] == expected  # bitwise
-                anc = ct.parent[anc]
+    def test_class_products_match_reference_path_product(self):
+        # weight 1.0 saturates every consistent positive link at alpha=3
+        # (long classes); 0.2 saturates none (one class per ancestor).
+        for weight in (0.2, 0.5, 1.0):
+            tree = _stated_tree(14, seed=7, max_children=4)
+            for u, v, _ in list(tree.iter_edges()):
+                tree.add_edge(u, v, 1, weight)
+            binary = binarize_cascade_tree(tree, alpha=3.0)
+            ct = compile_binary_tree(binary)
+            solver = KIsomitBTSolver(binary, use_kernel=False)
+            for pos, uid in enumerate(ct.uids):
+                row = ct.cprod[pos]
+                assert len(row) == ct.ncls[pos]
+                assert row[0] == 0.0  # no initiator ancestor
+                # Every strict ancestor q sits in class cinit[q] as seen
+                # from below; that class's product is q's path product.
+                anc = ct.parent[pos]
+                while anc >= 0:
+                    expected = solver.path_product(ct.uids[anc], uid)
+                    assert row[ct.cinit[anc]].hex() == expected.hex()
+                    anc = ct.parent[anc]
+
+    def test_classes_are_prefix_consistent(self):
+        ct = compile_binary_tree(_binary(15, seed=4, max_children=3))
+        for pos in range(ct.size):
+            par = ct.parent[pos]
+            if par < 0:
+                assert (ct.ncls[pos], ct.cinit[pos]) == (1, 1)
+                continue
+            opened = ct.cinit[par] == ct.ncls[par]
+            assert ct.ncls[pos] == ct.ncls[par] + opened
+            assert ct.cinit[par] < ct.ncls[pos]
+            assert list(ct.cprod[pos]) == [0.0] + [
+                x * ct.g_in[pos] for x in ct.cprod[par][1:]
+            ] + ([ct.g_in[pos]] if opened else [])
+
+    def test_saturated_chain_collapses_classes(self):
+        # A path whose links all saturate (alpha * w >= 1) has one class
+        # for its whole ancestor chain, however deep the node sits.
+        tree = SignedDiGraph()
+        for node in range(30):
+            tree.add_node(node, NodeState.POSITIVE)
+        for node in range(29):
+            tree.add_edge(node, node + 1, 1, 0.5)
+        ct = compile_binary_tree(binarize_cascade_tree(tree, alpha=3.0))
+        deepest = max(range(ct.size), key=lambda pos: ct.depth[pos])
+        assert ct.depth[deepest] == 29
+        assert ct.ncls[deepest] == 2 < ct.depth[deepest] + 1
+        assert all(ct.cinit[pos] == 1 for pos in range(ct.size))
 
 
 class TestTreeDPKernel:
