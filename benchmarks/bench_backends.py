@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark the numpy kernel backend against the interpreted loops.
 
-Two headline workloads (``docs/algorithms.md`` §12):
+The headline workload (``docs/algorithms.md`` §12):
 
 * **Cascades** on a 20k-node / 8M-edge signed digraph (average
   out-degree 400, low per-edge probabilities — an attempts-heavy
@@ -15,9 +15,9 @@ Two headline workloads (``docs/algorithms.md`` §12):
   ±20%). The numpy backend is statistical-tier, so the gate here is
   the exact-graph invariant suite (p=1 / p=0) plus a mean-spread
   comparison, not per-cascade equality.
-* **TreeDP sweep** on an n=10,000 general tree with budget cap 20.
-  The numpy level-batched sweep is bit-identical — scores *and*
-  initiator decisions are compared exactly.
+
+Backends select cascade execution only; the tree DP has one
+implementation and is benchmarked by ``bench_tree_dp.py``.
 
 Results are written as JSON (default ``BENCH_backends.json``).
 
@@ -40,13 +40,10 @@ import random
 import sys
 import time
 
-from repro.core.binarize import binarize_cascade_tree
-from repro.graphs.generators.trees import random_general_tree
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.kernel.backends import numpy_available, resolve_backend
 from repro.kernel.cascade import check_seeds_compiled, run_ic_compiled, run_mfc_compiled
 from repro.kernel.compile import compile_graph
-from repro.kernel.tree_dp import TreeDPKernel, compile_binary_tree
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
 
@@ -165,50 +162,6 @@ def bench_cascades(
     }
 
 
-def build_tree(n: int, seed: int):
-    tree = random_general_tree(n, max_children=3, rng=seed)
-    rng = spawn_rng(seed, "bench-backends-states")
-    for node in tree.nodes():
-        tree.set_state(
-            node, NodeState.POSITIVE if rng.random() < 0.6 else NodeState.NEGATIVE
-        )
-    return tree
-
-
-def bench_tree_dp(n: int, cap: int, repeats: int, seed: int) -> dict:
-    binary = binarize_cascade_tree(build_tree(n, seed), alpha=3.0)
-    compiled = compile_binary_tree(binary)
-    cap = min(cap, binary.num_real)
-
-    def best_sweep(backend: str) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            kernel = TreeDPKernel(binary, backend=backend)  # fresh tables
-            start = time.perf_counter()
-            kernel._sweep(cap)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    python_curve = TreeDPKernel(binary, backend="python").solve_curve(cap)
-    numpy_curve = TreeDPKernel(binary, backend="numpy").solve_curve(cap)
-    mismatches = sum(
-        0 if (p.score == q.score and p.initiators == q.initiators) else 1
-        for p, q in zip(python_curve, numpy_curve)
-    )
-    python_seconds = best_sweep("python")
-    numpy_seconds = best_sweep("numpy")
-    return {
-        "nodes": n,
-        "binary_size": compiled.size,
-        "cap": cap,
-        "repeats": repeats,
-        "identity_mismatches": mismatches,
-        "python": {"sweep_seconds": python_seconds},
-        "numpy": {"sweep_seconds": numpy_seconds},
-        "speedup": python_seconds / numpy_seconds,
-    }
-
-
 def identity_gate(seed: int) -> list:
     """Exact-graph invariant suite; returns a list of failure strings."""
     failures = []
@@ -242,16 +195,6 @@ def identity_gate(seed: int) -> list:
     rn, attempts = nx.mfc_cascade(compiled, validated, random.Random(3), 3.0, True, 10**9)
     check("mfc p=0 seeds-only spread", rn.final_states == validated)
     check("mfc p=0 attempt counts equal", attempts == sum(tried))
-
-    # TreeDP: full bit-identity, decisions included.
-    binary = binarize_cascade_tree(build_tree(300, seed), alpha=3.0)
-    cap = min(15, binary.num_real)
-    pc = TreeDPKernel(binary, backend="python").solve_curve(cap)
-    qc = TreeDPKernel(binary, backend="numpy").solve_curve(cap)
-    check(
-        "tree_dp curve bit-identical",
-        all(p.score == q.score and p.initiators == q.initiators for p, q in zip(pc, qc)),
-    )
     return failures
 
 
@@ -264,7 +207,7 @@ def main() -> int:
         "--repeats",
         type=int,
         default=3,
-        help="timing repeats (cascade blocks per backend; TreeDP sweeps)",
+        help="timing repeats (cascade blocks per backend)",
     )
     parser.add_argument("--alpha", type=float, default=1.5)
     parser.add_argument("--seed", type=int, default=7)
@@ -321,20 +264,6 @@ def main() -> int:
         "  spread-estimation suite speedup (geometric mean): %.2fx"
         % entry["speedup"]
     )
-    print("tree_dp sweep (n=10000, cap 20):")
-    entry = bench_tree_dp(10_000, 20, args.repeats, args.seed)
-    report["tree_dp"] = entry
-    print(
-        "  python %6.3fs  numpy %6.3fs  speedup %.2fx  identity %s"
-        % (
-            entry["python"]["sweep_seconds"],
-            entry["numpy"]["sweep_seconds"],
-            entry["speedup"],
-            "OK" if entry["identity_mismatches"] == 0 else "MISMATCH",
-        )
-    )
-    if entry["identity_mismatches"]:
-        failures.append("tree_dp full-size curve")
 
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)

@@ -2,8 +2,10 @@
 """Benchmark the CSR cascade kernel against the reference simulator.
 
 For each graph size, runs the same MFC cascade workload through the
-reference dict-of-dict simulator (``use_kernel=False``) and the
-CSR-compiled kernel (``use_kernel=True``), verifies the two are
+reference dict-of-dict simulator (the oracle in
+``tests/oracles/cascades.py``; the script puts the repository root on
+``sys.path`` to import it) and the CSR-compiled kernel behind
+:class:`~repro.diffusion.mfc.MFCModel`, verifies the two are
 bit-identical (same events, final states, rounds — they consume the
 RNG in the same order), and reports cascades/sec and ns/attempt for
 both paths. Results are written as JSON (default ``BENCH_kernel.json``
@@ -26,13 +28,17 @@ import os
 import random
 import sys
 import time
+from pathlib import Path
 
-from repro.diffusion.mfc import MFCModel
-from repro.graphs.signed_digraph import SignedDiGraph
-from repro.kernel.cascade import run_mfc_compiled
-from repro.kernel.compile import compile_graph
-from repro.types import NodeState
-from repro.utils.rng import spawn_rng
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.diffusion.mfc import MFCModel  # noqa: E402
+from repro.graphs.signed_digraph import SignedDiGraph  # noqa: E402
+from repro.kernel.cascade import run_mfc_compiled  # noqa: E402
+from repro.kernel.compile import compile_graph  # noqa: E402
+from repro.types import NodeState  # noqa: E402
+from repro.utils.rng import spawn_rng  # noqa: E402
+from tests.oracles.cascades import ReferenceMFCModel  # noqa: E402
 
 
 class CountingRandom(random.Random):
@@ -84,8 +90,8 @@ def bench_size(
         node: (NodeState.POSITIVE if i % 3 else NodeState.NEGATIVE)
         for i, node in enumerate(sorted(spawn_rng(seed, "bench-seeds").sample(range(n), 10)))
     }
-    reference = MFCModel(alpha=alpha, use_kernel=False)
-    kernel = MFCModel(alpha=alpha, use_kernel=True)
+    reference = ReferenceMFCModel(alpha=alpha)
+    kernel = MFCModel(alpha=alpha)
 
     compile_start = time.perf_counter()
     compiled = compile_graph(graph)

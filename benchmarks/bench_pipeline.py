@@ -7,7 +7,7 @@ then:
 
 1. **identity** — asserts the engine (serial, ``workers=4`` parallel,
    and cache-warm) is bit-identical to the frozen pre-refactor
-   implementation in :mod:`repro.core.rid_reference`, in both β mode
+   implementation in ``tests/oracles/rid_reference.py``, in both β mode
    and budget mode, exiting non-zero on any mismatch;
 2. **timing** — measures a single β-mode detection and a budget sweep.
    The sweep is the headline: the reference recomputes every tree's
@@ -30,16 +30,20 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
-from repro.core.rid import RID, RIDConfig
-from repro.core.rid_reference import (
+# The reference oracle lives with the tests, under the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.core.rid import RID, RIDConfig  # noqa: E402
+from repro.graphs.signed_digraph import SignedDiGraph  # noqa: E402
+from repro.runtime.config import RuntimeConfig  # noqa: E402
+from repro.types import NodeState  # noqa: E402
+from repro.utils.rng import spawn_rng  # noqa: E402
+from tests.oracles.rid_reference import (  # noqa: E402
     reference_detect,
     reference_detect_with_budget,
 )
-from repro.graphs.signed_digraph import SignedDiGraph
-from repro.runtime.config import RuntimeConfig
-from repro.types import NodeState
-from repro.utils.rng import spawn_rng
 
 
 def build_snapshot(components: int, size: int, seed: int) -> SignedDiGraph:

@@ -1,6 +1,10 @@
 #!/usr/bin/env python
 """Benchmark the compiled TreeDP kernel against the recursive solver.
 
+The recursive dict-memo solver is the reference oracle in
+``tests/oracles/tree_dp.py``; the script puts the repository root on
+``sys.path`` to import it.
+
 Builds paper-scale random cascade trees in two families, binarises
 each, and runs the Sec. III-D k-ISOMIT-BT budget sweep (``k = 1..cap``)
 two ways:
@@ -38,13 +42,17 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
-from repro.core.binarize import binarize_cascade_tree
-from repro.core.tree_dp import KIsomitBTSolver
-from repro.graphs.generators.trees import random_general_tree
-from repro.graphs.signed_digraph import SignedDiGraph
-from repro.types import NodeState
-from repro.utils.rng import spawn_rng
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.core.binarize import binarize_cascade_tree  # noqa: E402
+from repro.graphs.generators.trees import random_general_tree  # noqa: E402
+from repro.graphs.signed_digraph import SignedDiGraph  # noqa: E402
+from repro.kernel.tree_dp import TreeDPKernel, compile_binary_tree  # noqa: E402
+from repro.types import NodeState  # noqa: E402
+from repro.utils.rng import spawn_rng  # noqa: E402
+from tests.oracles.tree_dp import RecursiveTreeDP  # noqa: E402
 
 ALPHA = 3.0
 #: Share of exactly-saturated links in the ``saturated`` family.
@@ -96,18 +104,18 @@ FAMILIES = {"random": build_tree, "saturated": build_saturated_tree}
 
 def reference_curve(binary, cap):
     """The recursive solver's incremental budget sweep (shared memo)."""
-    solver = KIsomitBTSolver(binary, use_kernel=False)
+    solver = RecursiveTreeDP(binary)
     return [solver.solve(k) for k in range(1, cap + 1)]
 
 
 def compiled_curve(binary, cap):
     """The kernel's single-sweep curve (includes tree compilation)."""
-    return KIsomitBTSolver(binary).solve_curve(cap)
+    return TreeDPKernel(binary).solve_curve(cap)
 
 
 def resumed_curve(binary, cap):
     """The kernel's curve from incremental solves (resumed sweeps)."""
-    solver = KIsomitBTSolver(binary)
+    solver = TreeDPKernel(binary)
     return [solver.solve(k) for k in range(1, cap + 1)]
 
 
@@ -178,7 +186,7 @@ def main(argv=None) -> int:
         tree = FAMILIES[family](n, args.seed)
         binary = binarize_cascade_tree(tree, alpha=ALPHA)
         cap = min(args.max_k, binary.num_real)
-        ct = KIsomitBTSolver(binary)._get_kernel().tree
+        ct = compile_binary_tree(binary)
         entry = {
             "family": family,
             "n": n,

@@ -12,15 +12,18 @@ detect at most one initiator per component by construction.
 """
 
 from benchmarks.conftest import BENCH_SEED
-from repro.core.baselines import RIDPositiveDetector, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
+from repro.detectors import (
+    DistanceCenterDetector,
+    JordanCenterDetector,
+    RIDPositiveDetector,
+    RIDTreeDetector,
+)
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.reporting import format_table, save_json
 from repro.experiments.workload import build_workload
 from repro.extensions import (
     CertaintyCoverDetector,
-    DistanceCenterDetector,
-    JordanCenterDetector,
     KEffectorsDetector,
     SimulationMatchingDetector,
 )

@@ -13,8 +13,8 @@ trade. A negative but informative generality result.
 """
 
 from benchmarks.conftest import BENCH_SEED
-from repro.core.baselines import RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
+from repro.detectors import RIDTreeDetector
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.reporting import format_table, save_json
 from repro.experiments.workload import build_workload

@@ -12,13 +12,10 @@ Run:  python examples/rumor_forensics.py
 """
 
 from repro import RID, RIDConfig, RIDPositiveDetector, RIDTreeDetector
+from repro.detectors import DistanceCenterDetector, JordanCenterDetector
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.reporting import format_table
 from repro.experiments.workload import build_workload
-from repro.extensions import (
-    DistanceCenterDetector,
-    JordanCenterDetector,
-)
 from repro.metrics.identity import identity_metrics
 from repro.metrics.state import state_metrics
 

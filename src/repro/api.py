@@ -31,7 +31,6 @@ that cycle — pass ``budget=``).
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -156,11 +155,9 @@ def _invoke(method, *args, runtime, recorder):
 
 
 def _resolve_api_detector(
-    detector: Union[str, Detector, None],
-    config,
-    backend: Optional[str],
+    detector: Union[str, Detector, None], config
 ) -> Tuple[Detector, str]:
-    """Resolve :func:`detect`'s ``detector=``/``config=``/``backend=`` trio.
+    """Resolve :func:`detect`'s ``detector=``/``config=`` pair.
 
     Returns the detector instance and its registry (or instance) name.
     ``detector=None`` is the RID default path — kept structurally
@@ -174,31 +171,15 @@ def _resolve_api_detector(
                 "RIDConfig; pass detector='<name>' to configure another "
                 "registry entry"
             )
-        if backend is not None:
-            config = dataclasses.replace(config, backend=backend)
         return RID(config), "rid"
     if isinstance(detector, str):
         name = canonical_detector_name(detector)
-        resolved_config = coerce_detector_config(name, config)
-        if backend is not None:
-            if name != "rid":
-                raise ConfigError(
-                    "backend= selects RID's kernel backend; detector "
-                    f"{name!r} has no kernel stage"
-                )
-            resolved_config = dataclasses.replace(
-                resolved_config, backend=backend
-            )
-        return resolve_detector(name, resolved_config), name
+        return resolve_detector(name, coerce_detector_config(name, config)), name
     if isinstance(detector, Detector):
         if config is not None:
             raise ConfigError(
                 "pass config= or a pre-built detector instance, not both; "
                 "the instance already carries its configuration"
-            )
-        if backend is not None:
-            raise ConfigError(
-                "backend= configures RID; pass it to your detector instead"
             )
         return detector, getattr(detector, "name", "detector")
     raise ConfigError(
@@ -214,7 +195,6 @@ def detect(
     config=None,
     detector: Union[str, Detector, None] = None,
     budget: Optional[int] = None,
-    backend: Optional[str] = None,
     runtime: Optional[RuntimeConfig] = None,
     recorder: Optional[Recorder] = None,
 ) -> DetectionResult:
@@ -238,11 +218,6 @@ def detect(
         budget: when given, detect exactly this many initiators via
             ``detect_with_budget`` (RID's exact knapsack; score-ranked
             selection for the centrality family).
-        backend: kernel execution backend for RID's TreeDP stage
-            (``'python'``, ``'numpy'``, ``'auto'``; see
-            :mod:`repro.kernel.backends`). Shorthand for
-            ``RIDConfig(backend=...)``; only valid when the resolved
-            detector is RID.
         runtime: execution configuration. RID honours it (per-component
             fan-out, artifact persistence under ``cache_dir``); every
             other detector rejects a non-inert runtime with
@@ -257,7 +232,7 @@ def detect(
     """
     rec = resolve_recorder(recorder)
     with using_recorder(rec):
-        resolved, name = _resolve_api_detector(detector, config, backend)
+        resolved, name = _resolve_api_detector(detector, config)
         if rec.enabled:
             rec.incr("detector.requests")
             rec.incr(f"detector.{name}.requests")
@@ -283,7 +258,6 @@ def detect_stream(
     config=None,
     detector: Union[str, Detector, None] = None,
     budget: Optional[int] = None,
-    backend: Optional[str] = None,
     runtime: Optional[RuntimeConfig] = None,
     recorder: Optional[Recorder] = None,
 ):
@@ -313,8 +287,6 @@ def detect_stream(
             instance re-detects on the materialised snapshot per step.
         budget: when given, every re-detection runs budgeted detection
             with this budget instead of the detector's open-ended rule.
-        backend: kernel backend shorthand, as in :func:`detect` (RID
-            path only).
         runtime: execution configuration (worker fan-out applies to the
             dirty components of each step).
         recorder: observability sink for the whole replay (the
@@ -347,7 +319,7 @@ def detect_stream(
         )
     rec = resolve_recorder(recorder)
     with using_recorder(rec):
-        resolved, name = _resolve_api_detector(detector, config, backend)
+        resolved, name = _resolve_api_detector(detector, config)
         if rec.enabled:
             rec.incr("detector.requests")
             rec.incr(f"detector.{name}.requests")

@@ -10,19 +10,19 @@ Pipeline stages (Sec. III-E), each its own module:
    (Algorithm 4);
 4. :mod:`~repro.core.binarize` — general-tree -> binary-tree transform
    with non-participating dummy nodes (Fig. 3);
-5. :mod:`~repro.core.tree_dp` — the ``OPT(u, I, S, k)`` dynamic program
-   for k-ISOMIT-BT (Sec. III-D);
+5. :mod:`repro.kernel.tree_dp` — the ``OPT(u, I, S, k)`` dynamic program
+   for k-ISOMIT-BT (Sec. III-D), compiled to flat arrays;
 6. :mod:`~repro.core.rid` — β-penalised model selection tying it all
    together (Sec. III-E3);
-7. :mod:`repro.detectors` — the detector protocol and the paper's
-   comparison methods RID-Tree and RID-Positive (re-exported here; the
-   old :mod:`repro.core.baselines` location remains as a shim);
-8. :mod:`~repro.core.likelihood` — the MFC likelihood machinery
+7. :mod:`~repro.core.likelihood` — the MFC likelihood machinery
    (Sec. III-B) shared by the DP and by exact brute-force solvers;
-9. :mod:`~repro.core.exact` — exhaustive ISOMIT solvers certifying the
+8. :mod:`~repro.core.exact` — exhaustive ISOMIT solvers certifying the
    pipeline on small instances;
-10. :mod:`~repro.core.imputation` — unknown-state ('?') masking and
-    MFC-rule completion.
+9. :mod:`~repro.core.imputation` — unknown-state ('?') masking and
+   MFC-rule completion.
+
+The detector protocol and the paper's comparison methods (RID-Tree,
+RID-Positive) live in :mod:`repro.detectors`.
 """
 
 from repro.core.cascade_forest import extract_cascade_forest
@@ -37,31 +37,9 @@ from repro.core.likelihood import (
 )
 from repro.core.rid import RID, RIDConfig
 
-#: Detector names re-exported lazily (PEP 562): the detectors package
-#: imports core's pipeline-stage modules, so an eager import here would
-#: be circular. ``from repro.core import Detector`` still works.
-_DETECTOR_EXPORTS = (
-    "DetectionResult",
-    "Detector",
-    "RIDPositiveDetector",
-    "RIDTreeDetector",
-)
-
-
-def __getattr__(name: str):
-    if name in _DETECTOR_EXPORTS:
-        import repro.detectors
-
-        return getattr(repro.detectors, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "RID",
     "RIDConfig",
-    "Detector",
-    "DetectionResult",
-    "RIDTreeDetector",
-    "RIDPositiveDetector",
     "extract_cascade_forest",
     "infected_components",
     "weakly_connected_components",

@@ -136,7 +136,7 @@ def exact_isomit_additive(
     noisy-or per-node probabilities (so this upper-bounds what the
     tree-restricted DP can reach on the same snapshot). Initiator states
     are fixed to the observed states (the dominant choice, see
-    ``repro.core.tree_dp``).
+    ``repro.kernel.tree_dp``).
 
     Raises:
         DetectionError: on oversized or non-infected inputs.

@@ -27,7 +27,7 @@ lets callers flip to the prose reading for sensitivity checks.
 Path enumeration is exponential on general graphs; :func:`node_infection_probability`
 bounds the number of enumerated paths and is exact on trees (where paths
 are unique). The tree DP uses the specialised fast path in
-:mod:`repro.core.tree_dp`.
+:mod:`repro.kernel.tree_dp`.
 """
 
 from __future__ import annotations

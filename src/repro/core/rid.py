@@ -21,16 +21,14 @@ content-addressed across calls. :class:`RID` is the detector-protocol
 wrapper — each instance owns one engine (and therefore one artifact
 cache), so repeated detections on the same instance (budget sweeps,
 robustness re-runs) skip work already done. The pre-refactor sequential
-implementation is preserved verbatim in :mod:`repro.core.rid_reference`
-and pinned bit-identical by the pipeline-identity gate.
+implementation is preserved verbatim as a test oracle under
+``tests/oracles/`` and pinned bit-identical by the pipeline-identity
+gate.
 
-``binarize_cascade_tree`` and ``KIsomitBTSolver`` are re-exported here
-and looked up dynamically by the pipeline stages — monkeypatching them
-on this module (as the DP stub tests do) affects every entry point.
-``KIsomitBTSolver`` defaults to the compiled flat-array TreeDP kernel
-(:mod:`repro.kernel.tree_dp`, bit-identical to the recursive program;
-``use_kernel=False`` opts out), so every RID entry point runs the
-iterative, recursion-free DP by default.
+``binarize_cascade_tree`` and ``TreeDPKernel`` (the iterative,
+recursion-free DP of :mod:`repro.kernel.tree_dp`) are imported here and
+looked up dynamically by the pipeline stages — monkeypatching them on
+this module (as the DP stub tests do) affects every entry point.
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ from typing import Dict, List, Optional
 
 from repro.detectors.base import DetectionResult, Detector, resolve_budget_kwargs
 from repro.core.binarize import binarize_cascade_tree  # noqa: F401  (pipeline seam)
-from repro.core.tree_dp import KIsomitBTSolver, TreeDPResult  # noqa: F401  (pipeline seam)
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
+from repro.kernel.tree_dp import TreeDPKernel  # noqa: F401  (pipeline seam)
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.runtime.config import RuntimeConfig
 from repro.types import Node, NodeState
@@ -67,12 +65,6 @@ class RIDConfig:
         prune_inconsistent: drop sign-inconsistent links before component
             detection and tree extraction (Sec. III-E1's "pruned"
             network; such links cannot be activation links).
-        backend: kernel execution backend for the TreeDP stage
-            (``'python'``, ``'numpy'``, ``'auto'``, or ``None`` for the
-            ``REPRO_KERNEL_BACKEND`` environment default; see
-            :mod:`repro.kernel.backends`). Both TreeDP backends are
-            bit-identical, but cached stage artifacts are still keyed by
-            the resolved backend.
     """
 
     alpha: float = 3.0
@@ -82,18 +74,9 @@ class RIDConfig:
     max_k_per_tree: Optional[int] = None
     inconsistent_value: float = 0.0
     prune_inconsistent: bool = True
-    backend: Optional[str] = None
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on out-of-range settings."""
-        if self.backend is not None:
-            from repro.kernel.backends import VALID_BACKENDS
-
-            if self.backend not in VALID_BACKENDS:
-                raise ConfigError(
-                    f"backend must be one of {list(VALID_BACKENDS)} or None, "
-                    f"got {self.backend!r}"
-                )
         if self.alpha < 1.0:
             raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta < 0.0:

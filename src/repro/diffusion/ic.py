@@ -9,15 +9,9 @@ the activation probabilities and there is no flipping.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Set, Tuple
+from typing import TYPE_CHECKING, Dict
 
-from repro.diffusion.base import (
-    ActivationEvent,
-    DiffusionModel,
-    DiffusionResult,
-    check_seeds,
-    sorted_nodes,
-)
+from repro.diffusion.base import DiffusionModel, DiffusionResult, check_seeds
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import Node, NodeState
 from repro.utils.rng import RandomSource, spawn_rng
@@ -29,14 +23,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ICModel(DiffusionModel):
     """Independent Cascade over the diffusion network's weights.
 
+    Cascades run on the CSR-compiled kernel of :mod:`repro.kernel`; the
+    original dict-of-dict loop is the test oracle in
+    ``tests/oracles/cascades.py``.
+
     Args:
         propagate_signs: when True (default), an activated node takes
             state ``s(u)·s_D(u,v)`` so the outcome is comparable with
             signed models; when False everyone simply takes the
             activator's state (pure unsigned IC).
-        use_kernel: run cascades through the CSR-compiled fast path of
-            :mod:`repro.kernel` (the default); bit-identical to the
-            reference loop, kept only as a debugging escape hatch.
         backend: kernel execution backend (``'python'``, ``'numpy'``,
             ``'auto'``; see :mod:`repro.kernel.backends`). ``None``
             defers to the ``REPRO_KERNEL_BACKEND`` environment default.
@@ -47,20 +42,12 @@ class ICModel(DiffusionModel):
     def __init__(
         self,
         propagate_signs: bool = True,
-        use_kernel: bool = True,
         backend: "str | None" = None,
     ) -> None:
         self.propagate_signs = propagate_signs
-        # Underscored so model_digest ignores it (paths share cache keys).
-        self._use_kernel = bool(use_kernel)
-        # Underscored too, but special-cased by model_digest: statistical
+        # Underscored, but special-cased by model_digest: statistical
         # backends fork cache keys (see repro.kernel.backends).
         self._backend = backend
-
-    @property
-    def use_kernel(self) -> bool:
-        """True when ``run`` dispatches to the CSR kernel."""
-        return self._use_kernel
 
     @property
     def backend(self) -> "str | None":
@@ -73,52 +60,18 @@ class ICModel(DiffusionModel):
         seeds: Dict[Node, NodeState],
         rng: RandomSource = None,
     ) -> DiffusionResult:
-        if self._use_kernel:
-            # Lazy import to avoid a module-level cycle with repro.kernel.
-            from repro.kernel.cascade import run_ic_compiled
-            from repro.kernel.compile import compile_graph
+        # Lazy import to avoid a module-level cycle with repro.kernel.
+        from repro.kernel.cascade import run_ic_compiled
+        from repro.kernel.compile import compile_graph
 
-            validated = check_seeds(diffusion, seeds)
-            random = spawn_rng(rng, self.name)
-            return run_ic_compiled(
-                compile_graph(diffusion),
-                validated,
-                random,
-                self.propagate_signs,
-                backend=self._backend,
-            )
-        validated, random, states, events = self._prepare(diffusion, seeds, rng)
-        frontier = sorted_nodes(validated)
-        attempted: Set[Tuple[Node, Node]] = set()
-        round_index = 0
-
-        while frontier:
-            round_index += 1
-            fresh: Set[Node] = set()
-            for u in frontier:
-                s_u = states[u]
-                for v in sorted_nodes(diffusion.successors(u)):
-                    if (u, v) in attempted:
-                        continue
-                    if states.get(v, NodeState.INACTIVE).is_active:
-                        continue  # IC never re-activates
-                    attempted.add((u, v))
-                    if random.random() < diffusion.weight(u, v):
-                        if self.propagate_signs:
-                            new_state = s_u.times(diffusion.sign(u, v))
-                        else:
-                            new_state = s_u
-                        states[v] = new_state
-                        events.append(
-                            ActivationEvent(
-                                round=round_index, source=u, target=v, state=new_state
-                            )
-                        )
-                        fresh.add(v)
-            frontier = sorted_nodes(fresh)
-
-        return DiffusionResult(
-            seeds=validated, final_states=states, events=events, rounds=round_index
+        validated = check_seeds(diffusion, seeds)
+        random = spawn_rng(rng, self.name)
+        return run_ic_compiled(
+            compile_graph(diffusion),
+            validated,
+            random,
+            self.propagate_signs,
+            backend=self._backend,
         )
 
     def run_compiled(

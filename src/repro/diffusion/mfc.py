@@ -23,15 +23,9 @@ inherits.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Set, Tuple
+from typing import TYPE_CHECKING, Dict
 
-from repro.diffusion.base import (
-    ActivationEvent,
-    DiffusionModel,
-    DiffusionResult,
-    check_seeds,
-    sorted_nodes,
-)
+from repro.diffusion.base import DiffusionModel, DiffusionResult, check_seeds
 from repro.errors import InvalidModelParameterError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import Node, NodeState, Sign
@@ -54,6 +48,11 @@ def boosted_probability(weight: float, sign: Sign, alpha: float) -> float:
 class MFCModel(DiffusionModel):
     """Asymmetric Flipping Cascade simulator.
 
+    Cascades run on the CSR-compiled kernel of :mod:`repro.kernel`; the
+    original dict-of-dict loop is the test oracle in
+    ``tests/oracles/cascades.py``, and the kernel matches it event for
+    event.
+
     Args:
         alpha: asymmetric boosting coefficient ``α > 1`` (paper default 3
             in the experiments). ``α = 1`` degrades gracefully to
@@ -63,11 +62,6 @@ class MFCModel(DiffusionModel):
         max_rounds: safety valve for pathological inputs; the paper's
             process always terminates because each (u, v) pair is tried
             at most once.
-        use_kernel: run cascades through the CSR-compiled fast path of
-            :mod:`repro.kernel` (the default). The kernel is
-            bit-identical to the reference loop — same events, states,
-            rounds, RNG consumption — so this is an escape hatch for
-            debugging and cross-validation, not a behaviour switch.
         backend: kernel execution backend (``'python'``, ``'numpy'``,
             ``'auto'``; see :mod:`repro.kernel.backends`). ``None``
             defers to the ``REPRO_KERNEL_BACKEND`` environment default.
@@ -86,7 +80,6 @@ class MFCModel(DiffusionModel):
         alpha: float = 3.0,
         allow_flips: bool = True,
         max_rounds: int = 1_000_000,
-        use_kernel: bool = True,
         backend: "str | None" = None,
     ) -> None:
         if not alpha >= 1.0:
@@ -98,17 +91,9 @@ class MFCModel(DiffusionModel):
         self.alpha = float(alpha)
         self.allow_flips = allow_flips
         self.max_rounds = max_rounds
-        # Underscored so model_digest ignores it: both paths produce
-        # bit-identical results and must share trial-cache entries.
-        self._use_kernel = bool(use_kernel)
-        # Also underscored, but model_digest special-cases it: a backend
-        # resolving to the statistical tier *does* fork cache keys.
+        # Underscored, and special-cased by model_digest: only a backend
+        # resolving to the statistical tier forks trial-cache keys.
         self._backend = backend
-
-    @property
-    def use_kernel(self) -> bool:
-        """True when ``run`` dispatches to the CSR kernel."""
-        return self._use_kernel
 
     @property
     def backend(self) -> "str | None":
@@ -130,83 +115,23 @@ class MFCModel(DiffusionModel):
 
         Frontier processing is deterministic given the RNG: nodes within a
         round, and the targets of each node, are visited in sorted order.
-        Dispatches to the CSR kernel unless ``use_kernel=False``; both
-        paths are bit-identical.
         """
-        if self._use_kernel:
-            # Imported lazily: repro.kernel imports repro.diffusion.base,
-            # so a module-level import here would close a cycle.
-            from repro.kernel.cascade import run_mfc_compiled
-            from repro.kernel.compile import compile_graph
+        # Imported lazily: repro.kernel imports repro.diffusion.base,
+        # so a module-level import here would close a cycle.
+        from repro.kernel.cascade import run_mfc_compiled
+        from repro.kernel.compile import compile_graph
 
-            # Same order as _prepare: validate seeds, then spawn the RNG.
-            validated = check_seeds(diffusion, seeds)
-            random = spawn_rng(rng, self.name)
-            return run_mfc_compiled(
-                compile_graph(diffusion),
-                validated,
-                random,
-                alpha=self.alpha,
-                allow_flips=self.allow_flips,
-                max_rounds=self.max_rounds,
-                backend=self._backend,
-            )
-        validated, random, states, events = self._prepare(diffusion, seeds, rng)
-        recently_infected = sorted_nodes(validated)
-        attempted: Set[Tuple[Node, Node]] = set()
-        round_index = 0
-
-        while recently_infected and round_index < self.max_rounds:
-            round_index += 1
-            newly_infected = []
-            newly_infected_set: Set[Node] = set()
-            for u in recently_infected:
-                s_u = states[u]
-                if not s_u.is_active:
-                    # u was flipped to a state and then further flipped by a
-                    # different activator within the same bookkeeping round;
-                    # states are always active here, but guard regardless.
-                    continue
-                for v in sorted_nodes(diffusion.successors(u)):
-                    if (u, v) in attempted:
-                        continue
-                    s_v = states.get(v, NodeState.INACTIVE)
-                    link_sign = diffusion.sign(u, v)
-                    is_fresh = not s_v.is_active
-                    is_flip = (
-                        self.allow_flips
-                        and s_v.is_active
-                        and link_sign is Sign.POSITIVE
-                        and s_u != s_v
-                    )
-                    if not (is_fresh or is_flip):
-                        continue
-                    attempted.add((u, v))
-                    probability = boosted_probability(
-                        diffusion.weight(u, v), link_sign, self.alpha
-                    )
-                    if random.random() < probability:
-                        new_state = s_u.times(link_sign)
-                        states[v] = new_state
-                        events.append(
-                            ActivationEvent(
-                                round=round_index,
-                                source=u,
-                                target=v,
-                                state=new_state,
-                                was_flip=not is_fresh,
-                            )
-                        )
-                        if v not in newly_infected_set:
-                            newly_infected.append(v)
-                            newly_infected_set.add(v)
-            recently_infected = sorted_nodes(newly_infected_set)
-
-        return DiffusionResult(
-            seeds=validated,
-            final_states=states,
-            events=events,
-            rounds=round_index,
+        # Same order as _prepare: validate seeds, then spawn the RNG.
+        validated = check_seeds(diffusion, seeds)
+        random = spawn_rng(rng, self.name)
+        return run_mfc_compiled(
+            compile_graph(diffusion),
+            validated,
+            random,
+            alpha=self.alpha,
+            allow_flips=self.allow_flips,
+            max_rounds=self.max_rounds,
+            backend=self._backend,
         )
 
     def run_compiled(
@@ -220,8 +145,7 @@ class MFCModel(DiffusionModel):
         Lets callers that hold a :class:`~repro.kernel.compile.CompiledGraph`
         — notably worker processes, which receive the compact compiled
         form instead of the dict-of-dict graph — skip re-compilation
-        entirely. Ignores ``use_kernel``: a compiled graph *is* the
-        kernel input.
+        entirely.
         """
         from repro.kernel.cascade import check_seeds_compiled, run_mfc_compiled
 

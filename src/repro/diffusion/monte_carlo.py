@@ -20,6 +20,8 @@ from statistics import mean, pstdev
 from typing import Dict, List, Optional
 
 from repro.diffusion.base import DiffusionModel, DiffusionResult
+from repro.diffusion.ic import ICModel
+from repro.diffusion.mfc import MFCModel
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.kernel.batch import CascadeBatchSummary, run_ic_batch, run_mfc_batch
 from repro.kernel.cascade import check_seeds_compiled
@@ -116,8 +118,8 @@ def simulate_many_outcome(
             base_seed,
         )
         key_fn = lambda trial: stable_digest(world, trial)  # noqa: E731
-    if getattr(model, "use_kernel", False):
-        # Kernel-capable model: compile once in the parent and ship the
+    if isinstance(model, (MFCModel, ICModel)):
+        # Kernel-backed model: compile once in the parent and ship the
         # flat CSR form to workers instead of the dict-of-dict graph.
         fn = _simulate_trial_compiled
         payload = (model, compile_graph(diffusion), seeds, base_seed)
@@ -158,13 +160,11 @@ def simulate_many(
 def _batchable(model: DiffusionModel) -> bool:
     """Can ``model`` run through the batched kernel tier?
 
-    Only the two kernel-capable cascade models qualify, and only when
-    their kernel path is enabled; anything else (SIR, ``use_kernel=False``
-    opts-out, third-party models) takes the per-trial fallback.
+    Only the two kernel-backed cascade models qualify; anything else
+    (SIR, third-party models, the reference loops the identity tests
+    use) takes the per-trial fallback.
     """
-    return getattr(model, "name", None) in ("mfc", "ic") and bool(
-        getattr(model, "use_kernel", False)
-    )
+    return isinstance(model, (MFCModel, ICModel))
 
 
 def _run_batch_kernel(

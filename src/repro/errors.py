@@ -109,7 +109,7 @@ class DynamicProgramError(DetectionError):
 class ResultFormatError(ReproError, ValueError):
     """A serialised result payload is malformed or carries an unknown
     format/version tag (the ``to_json``/``from_json`` codecs of
-    :class:`~repro.core.baselines.DetectionResult` and
+    :class:`~repro.detectors.base.DetectionResult` and
     :class:`~repro.diffusion.base.DiffusionResult`, shared with the
     ``repro.serve/v1`` wire schema)."""
 

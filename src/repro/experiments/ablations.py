@@ -16,7 +16,6 @@ from typing import List, Sequence
 
 from repro.core.binarize import binarize_cascade_tree
 from repro.core.rid import RID, RIDConfig
-from repro.core.tree_dp import KIsomitBTSolver
 from repro.diffusion.mfc import MFCModel
 from repro.diffusion.monte_carlo import SpreadEstimate, estimate_spread
 from repro.experiments.config import WorkloadConfig
@@ -25,6 +24,7 @@ from repro.experiments.workload import build_network, build_workload
 from repro.diffusion.seeds import plant_random_initiators
 from repro.graphs.generators.trees import random_general_tree
 from repro.graphs.transforms import to_diffusion_network
+from repro.kernel.tree_dp import TreeDPKernel
 from repro.types import NodeState
 from repro.utils.rng import derive_seed
 from repro.weights.jaccard import assign_jaccard_weights
@@ -207,10 +207,9 @@ def run_dp_scaling(
         start = time.perf_counter()
         binary = binarize_cascade_tree(tree, alpha=3.0)
         binarize_seconds = time.perf_counter() - start
-        solver = KIsomitBTSolver(binary)
         budget = min(k, binary.num_real)
         start = time.perf_counter()
-        solver.solve(budget)
+        TreeDPKernel(binary).solve(budget)  # compile + sweep
         solve_seconds = time.perf_counter() - start
         points.append(
             DPScalingPoint(

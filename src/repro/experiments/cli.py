@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("python", "numpy", "auto"),
         default=None,
-        help="kernel execution backend for cascades and the TreeDP stage "
+        help="kernel execution backend for cascades and Monte-Carlo "
+        "batches; detection has one implementation and ignores it "
         "(sets REPRO_KERNEL_BACKEND for this run; default: env or "
         "bit-identical python)",
     )

@@ -1,28 +1,24 @@
-"""Classic single-source detectors from the related work (Sec. V).
+"""Detectors and scores beyond the paper, kept outside the detector registry.
 
-These unsigned source-detection methods — rumor centrality (Shah &
-Zaman), the Jordan center, and distance centrality — predate the paper
-and are implemented as additional comparison points. They pick the top
-candidates of a centrality score over the infected subgraph and, being
-sign-blind, serve as extra baselines in the ablation benches.
+* :class:`KEffectorsDetector` — the unsigned k-effectors baseline
+  (Lappas et al., KDD 2010);
+* :class:`SimulationMatchingDetector` — candidates scored by forward
+  MFC simulation;
+* :class:`CertaintyCoverDetector` — greedy set cover over the Lemma 3.1
+  certainty closures;
+* :func:`rumor_centrality` / :func:`rumor_centralities` — the Shah &
+  Zaman tree score.
+
+The registered single-source classics (rumor centrality, Jordan center,
+distance center) live in :mod:`repro.detectors`.
 """
 
-from repro.extensions.centrality_detectors import (
-    CentralityDetector,
-    DistanceCenterDetector,
-    JordanCenterDetector,
-    RumorCentralityDetector,
-)
 from repro.extensions.certainty_cover import CertaintyCoverDetector
 from repro.extensions.effectors import KEffectorsDetector
 from repro.extensions.rumor_centrality import rumor_centralities, rumor_centrality
 from repro.extensions.simulation_matching import SimulationMatchingDetector
 
 __all__ = [
-    "CentralityDetector",
-    "RumorCentralityDetector",
-    "JordanCenterDetector",
-    "DistanceCenterDetector",
     "KEffectorsDetector",
     "SimulationMatchingDetector",
     "CertaintyCoverDetector",

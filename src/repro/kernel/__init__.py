@@ -1,12 +1,13 @@
 """CSR-compiled cascade kernel.
 
-The reference simulators in :mod:`repro.diffusion` walk the
-dict-of-dict :class:`~repro.graphs.signed_digraph.SignedDiGraph`
-directly: every frontier visit re-sorts the successor list by ``repr``,
-every attempt does two dict-chain lookups (sign, weight) plus a
-``(u, v)`` tuple-set membership test for the one-attempt-per-pair rule.
-That is the per-attempt cost every Monte-Carlo pipeline in the library
-pays thousands of times over.
+A cascade simulator that walks the dict-of-dict
+:class:`~repro.graphs.signed_digraph.SignedDiGraph` directly (the
+reference loops in ``tests/oracles/cascades.py``) re-sorts the successor
+list by ``repr`` on every frontier visit, and every attempt does two
+dict-chain lookups (sign, weight) plus a ``(u, v)`` tuple-set membership
+test for the one-attempt-per-pair rule. That is the per-attempt cost
+every Monte-Carlo pipeline in the library would pay thousands of times
+over.
 
 This package compiles a graph once into a flat int-indexed CSR form
 (:func:`compile_graph` → :class:`CompiledGraph`) — contiguous stdlib
@@ -30,15 +31,14 @@ The same playbook applies to detection's per-tree hot path:
 post-order arrays (:func:`compile_binary_tree` →
 :class:`CompiledBinaryTree`) and runs the Sec. III-D k-ISOMIT-BT
 dynamic program as a single iterative sweep
-(:class:`TreeDPKernel` / :func:`solve_k_isomit_bt_compiled`),
-bit-identical to the recursive reference solver.
+(:class:`TreeDPKernel`), bit-identical to the recursive reference
+solver in ``tests/oracles/tree_dp.py``.
 
-*How* the compiled arrays are swept is selectable:
+*How* cascades are swept over the compiled graph is selectable:
 :mod:`repro.kernel.backends` dispatches between the interpreted
 ``python`` loops (bit-identical tier, zero dependencies, the default)
-and an optional vectorized ``numpy`` backend (statistical-identity tier
-for cascades, bit-identical TreeDP sweeps). See that package's
-docstring and ``docs/algorithms.md`` §12.
+and an optional vectorized ``numpy`` backend (statistical-identity
+tier). See that package's docstring and ``docs/algorithms.md`` §12.
 """
 
 from repro.kernel.backends import (
@@ -62,8 +62,6 @@ from repro.kernel.tree_dp import (
     CompiledBinaryTree,
     TreeDPKernel,
     compile_binary_tree,
-    solve_curve_compiled,
-    solve_k_isomit_bt_compiled,
 )
 
 __all__ = [
@@ -78,8 +76,6 @@ __all__ = [
     "CompiledBinaryTree",
     "TreeDPKernel",
     "compile_binary_tree",
-    "solve_curve_compiled",
-    "solve_k_isomit_bt_compiled",
     "available_backends",
     "default_backend_name",
     "numpy_available",

@@ -1,26 +1,28 @@
-"""Selectable execution backends for the compiled kernels.
+"""Selectable execution backends for the compiled cascade kernel.
 
-The compiled kernels of :mod:`repro.kernel` store flat CSR / post-order
-arrays, but *how* those arrays are swept is an execution detail. This
-package makes it a selectable one:
+The cascade kernel of :mod:`repro.kernel` stores a flat CSR graph, but
+*how* cascades are swept over it is an execution detail. This package
+makes it a selectable one:
 
-* ``python`` — the interpreted loops that shipped with the kernels.
+* ``python`` — the interpreted loops that shipped with the kernel.
   **Bit-identical tier**: same RNG stream, same event order, same floats
-  as the reference simulators/solver. This is the default; every
-  existing identity gate pins it.
-* ``numpy`` — frontier-batched vectorized cascade rounds and per-level
-  vectorized TreeDP sweeps (:mod:`repro.kernel.backends.numpy_backend`).
-  **Statistical-identity tier** for cascades: batching necessarily
-  consumes the RNG in a different order than the reference stream, so
-  individual cascades differ draw-for-draw while exact-graph invariants
-  (reachable set under ``p = 1``, attempt accounting, per-attempt
-  success probabilities and conflict-resolution distribution) and
-  therefore every Monte-Carlo estimate's distribution are preserved.
-  The TreeDP sweep has no RNG and keeps bit-identical scores and
-  decisions. numpy is an *optional* dependency — the core library stays
-  zero-dependency, and requesting ``numpy`` without it installed falls
-  back to ``python`` with a one-time warning (and a
-  ``kernel.backend.fallback`` counter when observability is on).
+  as the reference simulators (``tests/oracles/cascades.py``). This is
+  the default; every existing identity gate pins it.
+* ``numpy`` — frontier-batched vectorized cascade rounds
+  (:mod:`repro.kernel.backends.numpy_backend`).
+  **Statistical-identity tier**: batching necessarily consumes the RNG
+  in a different order than the reference stream, so individual
+  cascades differ draw-for-draw while exact-graph invariants (reachable
+  set under ``p = 1``, attempt accounting, per-attempt success
+  probabilities and conflict-resolution distribution) and therefore
+  every Monte-Carlo estimate's distribution are preserved. numpy is an
+  *optional* dependency — the core library stays zero-dependency, and
+  requesting ``numpy`` without it installed falls back to ``python``
+  with a one-time warning (and a ``kernel.backend.fallback`` counter
+  when observability is on).
+
+Detection does not go through this package: the tree DP has one
+implementation, :class:`repro.kernel.tree_dp.TreeDPKernel`.
 
 Both backends also implement the **batched-trial** protocol
 (``mfc_batch`` / ``ic_batch``): T cascades in one call, returning
@@ -33,9 +35,9 @@ bit-identical to ``simulate_many``; the numpy tier sweeps all trials as
 Selection order: an explicit ``backend=`` argument wins, else the
 ``REPRO_KERNEL_BACKEND`` environment variable, else ``python``. The
 value ``auto`` picks ``numpy`` when available. Cache keys split by
-tier: :func:`repro.runtime.cache.model_digest` and the ``tree_dp``
-pipeline stage fold the backend name in only when the resolved backend
-is not bit-identical, so the default path's keys are unchanged.
+tier: :func:`repro.runtime.cache.model_digest` folds the backend name
+in only when the resolved backend is not bit-identical, so the default
+path's trial-cache keys are unchanged.
 
 See ``docs/algorithms.md`` §12 for the identity-contract tiers.
 """
@@ -128,10 +130,6 @@ class PythonBackend:
             compiled, validated, trial_seeds, namespace, propagate_signs, record_states
         )
 
-    def tree_sweep(self, kernel, cap: int) -> None:
-        """Fill ``kernel``'s DP tables with the interpreted sweep."""
-        kernel._sweep_python(cap)
-
 
 class NumpyBackend:
     """Vectorized sweeps over the same compiled arrays (numpy required)."""
@@ -196,10 +194,6 @@ class NumpyBackend:
         return self._impl.ic_batch(
             compiled, validated, trial_seeds, namespace, propagate_signs, record_states
         )
-
-    def tree_sweep(self, kernel, cap: int) -> None:
-        """Fill ``kernel``'s DP tables with the per-level vectorized sweep."""
-        self._impl.tree_sweep(kernel, cap)
 
 
 _NUMPY_OK: Optional[bool] = None

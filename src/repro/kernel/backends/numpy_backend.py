@@ -38,24 +38,12 @@ The RNG contract: the caller's :class:`random.Random` seeds a
 ``numpy.random.Generator`` (one ``getrandbits`` draw per cascade), so
 runs remain deterministic given the seed — just under a different
 stream than the reference.
-
-TreeDP — per-level vectorized sweeps (bit-identical)
-----------------------------------------------------
-
-:func:`tree_sweep` fills the same ``[ancestor-class][budget]`` tables
-as ``TreeDPKernel._sweep_python``, but each depth level's tables are one
-``(node, budget, class)`` float tensor and the split scan becomes
-``m``-many level-batched ``maximum`` updates. The DP draws no randomness and every
-float is produced by the same left-to-right additions
-(``(own + left) + right``) with the same strict-improvement,
-ascending-``m`` tie-breaking, so scores *and* decisions stay
-bit-identical to the interpreted sweep.
 """
 
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -63,8 +51,6 @@ from repro.diffusion.base import ActivationEvent, DiffusionResult
 from repro.kernel.cascade import _DECODE, _materialise
 from repro.kernel.compile import CompiledGraph
 from repro.types import Node, NodeState
-
-_NEG_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -800,229 +786,3 @@ def ic_batch(
         compiled, validated, states, flips, rounds, attempts, record_states
     )
 
-
-# ---------------------------------------------------------------------------
-# TreeDP sweep
-# ---------------------------------------------------------------------------
-
-
-class _Level:
-    """One depth of the tree in the level-batched sweep (see :func:`tree_sweep`).
-
-    Static layout (built once per kernel) plus the growing tables:
-    ``stack`` is ``(P + 1, K, width)`` scores with the parent level's
-    missing-child sentinel as the last row, ``D`` is ``(P, K, W)``
-    packed decisions, and ``K`` is the number of budget rows filled.
-    """
-
-    __slots__ = (
-        "members", "W", "width", "own", "real", "ci", "l_idx", "r_idx",
-        "lcaps", "prefix_rcap", "maxsize", "K", "stack", "D",
-    )
-
-
-def _level_plan(ct) -> List[_Level]:
-    """Bucket positions by depth and precompute each level's gathers.
-
-    Within a level (where nodes are mutually independent) members are
-    ordered by descending left-child capacity: the split scan over ``m``
-    can then stop at the prefix of nodes whose left subtree can still
-    supply ``m`` initiators, instead of padding every node to the full
-    split range. Every level is padded to its widest ``ncls``; a level's
-    stack is also wide enough for its parents' reads (their columns and
-    ``cinit``), so a missing child's sentinel row covers them.
-    """
-    n = ct.size
-    depth = np.asarray(ct.depth, dtype=np.int64)
-    left = np.asarray(ct.left, dtype=np.int64)
-    right = np.asarray(ct.right, dtype=np.int64)
-    real_size = np.asarray(ct.real_size, dtype=np.int64)
-    ncls = np.asarray(ct.ncls, dtype=np.int64)
-    cinit = np.asarray(ct.cinit, dtype=np.int64)
-    is_dummy = np.frombuffer(bytes(ct.is_dummy), dtype=np.uint8) != 0
-
-    lcaps_all = np.where(left >= 0, real_size[np.where(left >= 0, left, 0)], 0)
-    rcaps_all = np.where(right >= 0, real_size[np.where(right >= 0, right, 0)], 0)
-    max_depth = int(depth.max())
-    order = np.lexsort((-lcaps_all, depth))
-    bounds = np.searchsorted(depth[order], np.arange(max_depth + 2))
-    groups = [order[bounds[d] : bounds[d + 1]] for d in range(max_depth + 1)]
-    level_slot = np.empty(n, dtype=np.int64)
-    for members in groups:
-        level_slot[members] = np.arange(members.size)
-    widths = [int(ncls[members].max()) for members in groups]
-
-    plan: List[_Level] = []
-    for d, members in enumerate(groups):
-        lv = _Level()
-        P = members.size
-        lv.members = members
-        lv.W = W = widths[d]
-        lv.width = max(W, widths[d - 1] + 1) if d > 0 else W
-        lv.real = ~is_dummy[members]
-        own = np.zeros((P, W))
-        for i, p in enumerate(members.tolist()):
-            if not ct.is_dummy[p]:
-                own[i, : ct.ncls[p]] = ct.cprod[p]
-        lv.own = own
-        lv.ci = cinit[members]
-        # Children live one level down; the missing-child sentinel is
-        # the row after that level's members.
-        sentinel = groups[d + 1].size if d < max_depth else 0
-        l, r = left[members], right[members]
-        lv.l_idx = np.where(l >= 0, level_slot[np.where(l >= 0, l, 0)], sentinel)
-        lv.r_idx = np.where(r >= 0, level_slot[np.where(r >= 0, r, 0)], sentinel)
-        lv.lcaps = lcaps_all[members]
-        lv.prefix_rcap = np.maximum.accumulate(rcaps_all[members])
-        lv.maxsize = int(real_size[members].max())
-        lv.K = 0
-        lv.stack = np.empty((P + 1, 0, lv.width))
-        lv.D = np.empty((P, 0, W), dtype=np.int32)
-        plan.append(lv)
-    return plan
-
-
-def tree_sweep(kernel, cap: int) -> None:
-    """Level-batched twin of ``TreeDPKernel._sweep_python`` (bit-identical).
-
-    Every node at depth ``d`` has both children at depth ``d + 1``, so
-    one bottom-up pass over *levels* fills a whole level's tables as a
-    single stacked ``(nodes, budget, anc-class)`` tensor, turning the
-    split scan into ``cap + 1`` tensor updates per level instead of per
-    node. The anc axis is padded to the level's widest ``ncls``; a
-    node's padded columns hold finite or ``-inf`` junk that no valid
-    column ever reads (a child has every class its parent has), and the
-    initiator case gathers each node's own ``cinit`` column.
-
-    Like the python sweep it *resumes*: each level keeps its tables, and
-    a sweep to a larger cap fills only the budget rows above the level's
-    previous ``K`` (a level stops growing once it holds every budget its
-    largest subtree can take). As on the python sweep, a level's score
-    stack is dropped once its parent level is complete; only the
-    decision tables stay for reconstruction.
-
-    Per-node budget feasibility is encoded by padding: infeasible rows
-    (``k`` above the subtree's real size, or beyond a child's capacity)
-    are held at ``-inf``. Real scores are finite (sums of products of
-    non-negative ``g`` factors plus initiator units), so under the
-    strict-``>`` ascending-``m`` scan a padded candidate can never win,
-    never seed a row, and never steal a tie — the surviving score *and*
-    decision per feasible ``(k, class)`` slot are exactly the
-    interpreted sweep's, and every float is produced by the same
-    left-to-right additions (``(own + left) + right``). A missing child
-    is one shared sentinel row (``0.0`` at ``k = 0``, ``-inf`` above):
-    the same ``+ 0.0`` / infeasible terms the interpreted code
-    special-cases.
-
-    Fills ``kernel._root_scores`` / ``kernel._dec`` / ``kernel._cap`` /
-    ``kernel.memo_states``. Decision tables are ``int32`` with the same
-    ``(m << 1) | initiator`` packing, exposed per node as the
-    ``[class][budget - 1]`` view the shared reconstruction walks;
-    ``int32`` holds any split of a ``2**30``-node tree, far beyond the
-    guarded interpreted typecodes.
-    """
-    ct = kernel.tree
-    plan = kernel._sweep_state
-    if plan is None:
-        plan = _level_plan(ct)
-    dec = kernel._dec
-
-    # Deepest level's children: one sentinel row, as wide as its reads.
-    child = np.full((1, 1, plan[-1].W + 1), 0.0)
-    child_lv = None
-    for lv in reversed(plan):
-        K0 = lv.K
-        K = min(cap, lv.maxsize) + 1
-        if K > K0:
-            _grow_level(lv, child, K0, K)
-            for i, p in enumerate(lv.members.tolist()):
-                dec[p] = lv.D[i, 1:].T
-        if child_lv is not None and lv.K == lv.maxsize + 1:
-            # lv's tables are complete (and so are its children's): no
-            # later resume reads the children's scores.
-            child_lv.stack = None
-        child_lv, child = lv, lv.stack
-
-    root = plan[0]
-    kroot = min(cap, ct.num_real)
-    kernel._root_scores = [float(x) for x in root.stack[0, : kroot + 1, 0]]
-    kernel._sweep_state = None if cap >= ct.num_real else plan
-    kernel._cap = cap
-    real_size = np.asarray(ct.real_size, dtype=np.int64)
-    ncls = np.asarray(ct.ncls, dtype=np.int64)
-    kernel.memo_states = int(((np.minimum(real_size, cap) + 1) * ncls).sum())
-
-
-def _grow_level(lv: _Level, child: np.ndarray, K0: int, K: int) -> None:
-    """Extend one level's tables from ``K0`` to ``K`` budget rows."""
-    P, W = lv.members.size, lv.W
-    stack = np.full((P + 1, K, lv.width), _NEG_INF)
-    stack[:, :K0] = lv.stack
-    stack[-1, 0, :] = 0.0  # the parent level's missing-child sentinel
-    D = np.zeros((P, K, W), dtype=np.int32)
-    D[:, :K0] = lv.D
-    lv.stack, lv.D, lv.K = stack, D, K
-
-    S = stack[:P, :, :W]
-    SL = child[lv.l_idx]  # (P, Kc, child width)
-    SR = child[lv.r_idx]
-    SLw, SRw = SL[:, :, :W], SR[:, :, :W]
-    own = lv.own
-
-    # Split-scan extents. Members are lcap-descending, so for each m
-    # only the prefix with lcap >= m is live; the j extent is capped by
-    # that prefix's largest right capacity. Nodes inside a slice whose
-    # own rcap is smaller are harmless: their padded child rows are
-    # -inf and can never win or tie. Only rows k = m + j >= K0 are new.
-    lcaps = np.minimum(lv.lcaps, K - 1)
-    counts = np.bincount(lcaps, minlength=K)
-    live = counts[::-1].cumsum()[::-1]  # live[m]: nodes with lcap >= m
-    prefix_rcap = lv.prefix_rcap
-
-    # Case 1: not an initiator; split k = m + j over the children.
-    # Ascending m with strict improvement — the reference order.
-    for m in range(K):
-        cnt = int(live[m])
-        if cnt == 0:
-            break
-        jext = min(K - m, int(prefix_rcap[cnt - 1]) + 1)
-        jlo = max(0, K0 - m)
-        if jlo >= jext:
-            continue
-        cand = (own[:cnt] + SLw[:cnt, m])[:, None, :] + SRw[:cnt, jlo:jext]
-        rows = S[:cnt, m + jlo : m + jext]
-        drows = D[:cnt, m + jlo : m + jext]
-        better = cand > rows
-        np.copyto(rows, cand, where=better)
-        np.copyto(drows, np.int32(m + m), where=better)
-
-    # Cases 2-3: u is an initiator (real nodes, k >= 1). The children's
-    # nearest initiator ancestor is u itself — their cinit[u] column —
-    # so the value is one scalar per (node, k), broadcast over the anc
-    # axis under the same strict comparison. rem = k - 1 >= R0.
-    R0 = max(K0 - 1, 0)
-    if K - 1 > R0:
-        ar = np.arange(P)
-        lsv, rsv = SL[ar, :, lv.ci], SR[ar, :, lv.ci]  # (P, Kc)
-        best2 = np.full((P, K - 1 - R0), _NEG_INF)  # [rem - R0]
-        m2 = np.zeros((P, K - 1 - R0), dtype=np.int64)
-        for m in range(K - 1):
-            cnt = int(live[m])
-            if cnt == 0:
-                break
-            jext = min(K - 1 - m, int(prefix_rcap[cnt - 1]) + 1)
-            jlo = max(0, R0 - m)
-            if jlo >= jext:
-                continue
-            cand2 = (1.0 + lsv[:cnt, m])[:, None] + rsv[:cnt, jlo:jext]
-            seg = best2[:cnt, m + jlo - R0 : m + jext - R0]
-            mseg = m2[:cnt, m + jlo - R0 : m + jext - R0]
-            better2 = cand2 > seg
-            np.copyto(seg, cand2, where=better2)
-            np.copyto(mseg, np.int64(m), where=better2)
-        d2 = ((m2 + m2) | 1).astype(np.int32)
-        rows = S[:, R0 + 1 :]
-        drows = D[:, R0 + 1 :]
-        beat = (best2[:, :, None] > rows) & lv.real[:, None, None]
-        np.copyto(drows, np.broadcast_to(d2[:, :, None], drows.shape), where=beat)
-        np.copyto(rows, np.broadcast_to(best2[:, :, None], rows.shape), where=beat)

@@ -1,8 +1,9 @@
 """Flat-array MFC and IC cascade fast paths.
 
-Both functions replay the corresponding reference simulator
-(:class:`repro.diffusion.mfc.MFCModel` / :class:`repro.diffusion.ic.ICModel`
-with ``use_kernel=False``) instruction-for-instruction where it matters:
+Both functions replay the corresponding reference simulator (the
+dict-of-dict MFC / IC loops kept as test oracles in
+``tests/oracles/cascades.py``) instruction-for-instruction where it
+matters:
 
 * node visit order — seeds, per-round frontiers, and each node's
   successor row are walked in ascending node index, which equals the

@@ -1,17 +1,37 @@
-"""Compiled flat-array kernel for the k-ISOMIT-BT dynamic program.
+"""The ``OPT(u, I, S, k)`` dynamic program for k-ISOMIT-BT (Sec. III-D).
 
-The reference solver in :mod:`repro.core.tree_dp` is a recursive,
-dict-memoised program: every subproblem lookup hashes a ``(uid, k, anc)``
-tuple, every ``g``-path product walks parent pointers through Python
-call frames, and deep (path-like) cascade trees used to force a
-process-wide recursion-limit bump that was never restored. The
-arithmetic itself is tiny — the overhead is all interpreter
-bookkeeping.
+Given a binarised cascade tree and a budget of ``k`` initiators, find the
+placement (identities + initial states) maximising the paper's additive
+objective — the sum over tree nodes of ``P(u, s(u) | I, S)``:
 
-This module compiles a :class:`~repro.core.binarize.BinaryCascadeTree`
-once into flat post-order arrays (:func:`compile_binary_tree` →
-:class:`CompiledBinaryTree`) and runs the DP as an explicit post-order
-sweep (:class:`TreeDPKernel`):
+* a node chosen as initiator whose hypothesised state matches its
+  observed snapshot state contributes 1 (the paper's single-node special
+  case); a mismatched hypothesis contributes 0 and is never optimal, so
+  the inferred initial state of a selected initiator is its observed
+  state;
+* any other node contributes the ``g``-product along the path from its
+  nearest initiator ancestor (0 when it has none) — on a directed tree
+  only ancestors can reach a node, and the nearest ancestor's path
+  product dominates the noisy-or combination, so the DP collapses the
+  paper's ``(I, S)`` argument to *nearest initiator ancestor*, which is
+  what keeps the program polynomial (the paper asserts polynomiality but
+  omits the construction "due to the limited space"; this collapse is
+  the standard one, cf. Lappas et al.'s effectors DP).
+
+Reproduction note: the paper's recursion takes ``min`` over the child
+budget split ``m`` inside an outer ``max``; since ``OPT`` is maximised by
+the final objective ``argmin −OPT + (k−1)β``, the inner ``min`` is read
+as a typo for ``max`` (a genuine min over splits would just pick the
+worst split of an otherwise maximised quantity).
+
+Dummy nodes from the binarisation are transparent: they contribute
+nothing to the objective, cannot be initiators, and their incoming edge
+has ``g = 1``.
+
+Execution: the tree is compiled once into flat post-order arrays
+(:func:`compile_binary_tree` → :class:`CompiledBinaryTree`) and the DP
+runs as an explicit post-order sweep (:class:`TreeDPKernel`) — no
+recursion, no dict memo, no per-lookup tuple hashing:
 
 * **memo → list indexing over ancestor classes.** Per node ``u`` the
   kernel fills one table indexed ``[ancestor-class][budget]``. The
@@ -44,31 +64,49 @@ sweep (:class:`TreeDPKernel`):
   ``OPT(k)`` off the root table without reconstructing the placement;
   RID's β-penalised k scan compares scores and reconstructs once.
 
-Bit-identity contract: same float expressions in the same order, same
+Bit-identity contract: the kernel's :class:`TreeDPResult` equals the
+recursive dict-memo program's (``tests/oracles/tree_dp.py``; score *and*
+initiators) bit for bit — same float expressions in the same order, same
 strict-improvement tie-breaking (not-an-initiator splits scanned in
 ascending ``m`` first, then initiator splits), same reconstruction
-traversal — the kernel's ``TreeDPResult`` equals the reference solver's
-(score *and* initiators) bit for bit. ``tests/property/
-test_tree_dp_kernel_identity.py`` and the ``bench_tree_dp.py --tiny``
-CI gate pin this.
+traversal. ``tests/property/test_tree_dp_kernel_identity.py`` and the
+``bench_tree_dp.py --tiny`` CI gate pin this.
 
 One deliberate asymmetry: the initiator case of the recurrence does not
 depend on the ancestor argument (the children's nearest initiator is
 ``u`` itself), so the kernel evaluates it once per ``(u, k)`` and
-broadcasts, where the reference recomputes the identical floats per
-memo entry. Values and decisions are unchanged; work is not.
+broadcasts, where the recursive oracle recomputes the identical floats
+per memo entry. Values and decisions are unchanged; work is not.
 ``rid.tree_dp.memo_states`` counts class columns accordingly.
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import DynamicProgramError
 from repro.types import Node, NodeState
 
 _NEG_INF = float("-inf")
+
+
+@dataclass
+class TreeDPResult:
+    """Outcome of one k-ISOMIT-BT solve.
+
+    Attributes:
+        k: the initiator budget that was solved for.
+        score: optimal objective value ``OPT`` (sum of per-node
+            explanation probabilities).
+        initiators: inferred initiator identities mapped to their
+            inferred initial states (observed snapshot states).
+    """
+
+    k: int
+    score: float
+    initiators: Dict[Node, NodeState]
 
 
 def _decision_typecode(cap: int) -> str:
@@ -282,11 +320,10 @@ class TreeDPKernel:
 
     Attributes:
         memo_states: table entries (budget rows × ancestor classes) filled
-            so far — the compiled analogue of the reference solver's memo
-            size, exported as the ``rid.tree_dp.memo_states`` gauge.
+            so far, exported as the ``rid.tree_dp.memo_states`` gauge.
     """
 
-    def __init__(self, tree, backend: Optional[str] = None) -> None:
+    def __init__(self, tree) -> None:
         if isinstance(tree, CompiledBinaryTree):
             self.tree = tree
         else:
@@ -296,13 +333,9 @@ class TreeDPKernel:
         self._typecode = _decision_typecode(self.tree.num_real)
         self._dec: List[object] = [[] for _ in range(self.tree.size)]
         self._root_scores: List[float] = []
-        #: backend-owned resume state (per-node score columns on python,
-        #: per-level tables on numpy).
-        self._sweep_state: object = None
+        #: per-node score columns a resumed sweep still reads.
+        self._sweep_state: Optional[List[Optional[List[array]]]] = None
         self.memo_states = 0
-        self._engine = _backends.resolve_backend(backend)
-        #: resolved backend executing the sweeps (``python`` / ``numpy``).
-        self.backend_name = self._engine.name
 
     # ------------------------------------------------------------------
 
@@ -318,18 +351,6 @@ class TreeDPKernel:
         self._sweep(target)
 
     def _sweep(self, cap: int) -> None:
-        """Fill budgets ``self._cap + 1 .. cap`` via the selected backend.
-
-        Both backends produce bit-identical scores and decisions (the DP
-        draws no randomness and the vectorized sweep preserves every
-        float expression's evaluation order).
-        """
-        if self._engine.name == "python":
-            self._sweep_python(cap)
-        else:
-            self._engine.tree_sweep(self, cap)
-
-    def _sweep_python(self, cap: int) -> None:
         """Extend every per-node ``[ancestor-class][budget]`` table to ``cap``.
 
         Tables are column-major: ``scores[u][c][k]`` and
@@ -352,7 +373,7 @@ class TreeDPKernel:
         typecode = self._typecode
         neg_inf = _NEG_INF
         old = self._cap
-        scores: List[Optional[List[array]]] = self._sweep_state
+        scores = self._sweep_state
         if scores is None:
             scores = [[] for _ in range(n)]
         dec = self._dec
@@ -484,14 +505,12 @@ class TreeDPKernel:
 
     # ------------------------------------------------------------------
 
-    def solve(self, k: int) -> "TreeDPResult":
+    def solve(self, k: int) -> TreeDPResult:
         """Optimal placement of exactly ``k`` initiators (iterative).
 
         Raises:
             DynamicProgramError: when ``k`` is out of ``[0, num_real]``.
         """
-        from repro.core.tree_dp import TreeDPResult
-
         score = self.solve_score(k)
         return TreeDPResult(k=k, score=score, initiators=self._reconstruct(k))
 
@@ -512,7 +531,7 @@ class TreeDPKernel:
         self._ensure(k)
         return self._root_scores[k]
 
-    def solve_curve(self, k_max: int) -> List["TreeDPResult"]:
+    def solve_curve(self, k_max: int) -> List[TreeDPResult]:
         """The full incremental curve ``[solve(1), …, solve(k_max)]`` in one sweep."""
         num_real = self.tree.num_real
         if k_max < 0 or k_max > num_real:
@@ -524,9 +543,9 @@ class TreeDPKernel:
     def _reconstruct(self, k: int) -> Dict[Node, NodeState]:
         """Walk the decision tables to recover the chosen initiators.
 
-        Mirrors the reference reconstruction stack order; subtrees with
-        zero remaining budget are pruned outright (every decision there
-        is trivially "no initiator, empty split").
+        Mirrors the recursive oracle's reconstruction stack order;
+        subtrees with zero remaining budget are pruned outright (every
+        decision there is trivially "no initiator, empty split").
         """
         ct = self.tree
         left, right, cinit = ct.left, ct.right, ct.cinit
@@ -550,17 +569,3 @@ class TreeDPKernel:
                 stack.append((right[u], budget - m, a))
         return chosen
 
-
-def solve_k_isomit_bt_compiled(tree, k: int) -> "TreeDPResult":
-    """One-shot compiled solve; ``tree`` may be binarised or pre-compiled."""
-    return TreeDPKernel(tree).solve(k)
-
-
-def solve_curve_compiled(tree, k_max: int) -> List["TreeDPResult"]:
-    """One-shot compiled curve solve over budgets ``1..k_max``."""
-    return TreeDPKernel(tree).solve_curve(k_max)
-
-
-# Bottom import, matching repro.kernel.cascade (no cycle: the backends
-# package never imports kernel modules at import time).
-from repro.kernel import backends as _backends  # noqa: E402

@@ -283,7 +283,7 @@ def encode_curve(curve: "Any") -> dict:
 
 def decode_curve(payload: dict) -> "Any":
     """Inverse of :func:`encode_curve`."""
-    from repro.core.tree_dp import TreeDPResult
+    from repro.kernel.tree_dp import TreeDPResult
     from repro.pipeline.stages import CurveArtifact
 
     return CurveArtifact(

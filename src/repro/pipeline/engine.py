@@ -11,9 +11,9 @@ independent work units by construction (Sec. III-E1), so the engine fans
 them out through :func:`repro.runtime.executor.run_trials` when the
 caller passes a ``RuntimeConfig(workers > 1)``. Results are
 **bit-identical** to serial execution (and to the pre-refactor
-sequential implementation preserved in :mod:`repro.core.rid_reference`):
-work units carry no shared state and the engine reassembles outputs in
-input order.
+sequential implementation, kept as a test oracle under
+``tests/oracles/``): work units carry no shared state and the engine
+reassembles outputs in input order.
 
 Stage outputs are content-addressed (see :mod:`repro.pipeline.cache`)
 and cached in the engine's in-process :class:`ArtifactCache`, plus

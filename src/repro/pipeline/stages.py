@@ -13,7 +13,7 @@ runs three ways:
 
 The binarize/DP seam is looked up **dynamically** on
 :mod:`repro.core.rid` (``rid_module.binarize_cascade_tree`` /
-``rid_module.KIsomitBTSolver``) rather than imported by value. That
+``rid_module.TreeDPKernel``) rather than imported by value. That
 module attribute is the library's long-standing monkeypatch point for
 stubbing the DP in tests; the pipeline must honour it exactly like the
 pre-refactor sequential implementation did.
@@ -99,29 +99,6 @@ def _tree_cap(config: "Any", binary: "Any") -> int:
     return cap
 
 
-def _emit_memo_gauge(rec: Recorder, solver: "Any") -> None:
-    """DP memo-size gauge, feature-detected (stub solvers lack it)."""
-    memo_size = getattr(solver, "memo_size", None)
-    if memo_size is not None:
-        rec.gauge("rid.tree_dp.memo_states", memo_size())
-
-
-def _make_solver(rid_module: "Any", binary: "Any", config: "Any") -> "Any":
-    """Build the per-tree DP solver through the ``rid_module`` seam.
-
-    The config's ``backend`` is forwarded when the (possibly
-    monkeypatched) solver class accepts it; minimal DP stubs predate the
-    keyword and are constructed the old way.
-    """
-    backend = getattr(config, "backend", None)
-    if backend is not None:
-        try:
-            return rid_module.KIsomitBTSolver(binary, backend=backend)
-        except TypeError:
-            pass
-    return rid_module.KIsomitBTSolver(binary)
-
-
 def greedy_tree_selection(
     config: "Any", tree: SignedDiGraph, recorder: Optional[Recorder] = None
 ) -> "Any":
@@ -136,18 +113,13 @@ def greedy_tree_selection(
 
     rec = resolve_recorder(recorder)
     binary = binarize_tree(config, tree, rec)
-    solver = _make_solver(rid_module, binary, config)
     max_k = _tree_cap(config, binary)
 
     curve = [0.0]  # curve[k] = OPT(k) for every scanned k
     best_k = 0
     best_objective = float("-inf")
-    with rec.span(
-        "rid.tree_dp",
-        tree_nodes=binary.num_real,
-        compiled=bool(getattr(solver, "use_kernel", False)),
-        backend=getattr(solver, "backend_name", "python"),
-    ):
+    with rec.span("rid.tree_dp", tree_nodes=binary.num_real):
+        solver = rid_module.TreeDPKernel(binary)
         for k in range(1, max_k + 1):
             score = solver.solve_score(k)
             curve.append(score)
@@ -164,7 +136,7 @@ def greedy_tree_selection(
     if rec.enabled:
         rec.gauge("rid.tree_nodes", binary.num_real)
         rec.incr("rid.k_iterations", scanned)
-        _emit_memo_gauge(rec, solver)
+        rec.gauge("rid.tree_dp.memo_states", solver.memo_states)
         rec.gauge("rid.tree_dp.k_chosen", best_k)
         if best_k < scanned:
             # How close the scan came to adding another initiator.
@@ -190,26 +162,15 @@ def tree_curve(
 
     rec = resolve_recorder(recorder)
     binary = binarize_tree(config, tree, rec)
-    solver = _make_solver(rid_module, binary, config)
     cap = _tree_cap(config, binary)
-    # The compiled solver produces the whole incremental curve from one
-    # post-order sweep; fall back to a per-k loop for solvers without
-    # solve_curve (the DP stub tests monkeypatch minimal solvers in).
-    solve_curve = getattr(solver, "solve_curve", None)
-    with rec.span(
-        "rid.tree_dp",
-        tree_nodes=binary.num_real,
-        compiled=bool(getattr(solver, "use_kernel", False)),
-        backend=getattr(solver, "backend_name", "python"),
-    ):
-        if solve_curve is not None:
-            per_k = solve_curve(cap)
-        else:
-            per_k = [solver.solve(k) for k in range(1, cap + 1)]
+    with rec.span("rid.tree_dp", tree_nodes=binary.num_real):
+        solver = rid_module.TreeDPKernel(binary)
+        # One post-order sweep produces the whole incremental curve.
+        per_k = solver.solve_curve(cap)
     if rec.enabled:
         rec.gauge("rid.tree_nodes", binary.num_real)
         rec.incr("rid.k_iterations", cap)
-        _emit_memo_gauge(rec, solver)
+        rec.gauge("rid.tree_dp.memo_states", solver.memo_states)
     return CurveArtifact(tree_size=binary.num_real, results=per_k)
 
 
@@ -291,15 +252,13 @@ class TreeDPStage(Stage):
     (bit-identical output, but the bump keeps cache keys disjoint from
     artifacts computed by the recursive pre-kernel code).
 
-    Version 3: the kernel sweep is backend-dispatched
-    (:mod:`repro.kernel.backends`) and the *resolved* backend name is
-    folded into the config digest, so artifacts computed by different
-    backends never share a key even though both sweeps are
-    bit-identical — conservative, and it keeps cache forensics honest.
+    Version 3 folded the resolved kernel backend into the config digest;
+    version 4 drops it again (the DP has one implementation). Each bump
+    keeps new keys disjoint from artifacts computed by older code.
     """
 
     persist = True
-    version = 3
+    version = 4
 
     def __init__(self, mode: str) -> None:
         if mode not in ("greedy", "curve"):
@@ -308,15 +267,7 @@ class TreeDPStage(Stage):
         self.name = f"tree_dp[{mode}]"
 
     def config_digest(self, config: "Any") -> str:
-        from repro.kernel.backends import resolve_backend
-
-        backend = resolve_backend(getattr(config, "backend", None)).name
-        common = (
-            config.alpha,
-            config.inconsistent_value,
-            config.max_k_per_tree,
-            backend,
-        )
+        common = (config.alpha, config.inconsistent_value, config.max_k_per_tree)
         if self.mode == "greedy":
             return stable_digest(self.name, *common, config.beta, config.k_strategy)
         return stable_digest(self.name, *common)

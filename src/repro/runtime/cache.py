@@ -102,9 +102,8 @@ def graph_digest(graph: SignedDiGraph) -> str:
 def model_digest(model: object) -> str:
     """Digest of a diffusion model's identity and parameters.
 
-    Underscored attributes are excluded: they hold execution details —
-    e.g. the models' ``_use_kernel`` dispatch flag, whose two settings
-    produce bit-identical cascades — that must not fork cache keys.
+    Underscored attributes are excluded: they hold execution details
+    that must not fork cache keys.
 
     One exception: a kernel ``_backend`` selection that resolves to a
     backend outside the bit-identical tier (the numpy cascade backend

@@ -2,7 +2,7 @@
 
 :class:`ServeClient` speaks the same codecs the library does, so remote
 calls return the same types as local ones — ``detect`` gives a
-:class:`~repro.core.baselines.DetectionResult`, ``simulate`` a
+:class:`~repro.detectors.base.DetectionResult`, ``simulate`` a
 :class:`~repro.diffusion.base.DiffusionResult` — and server-side errors
 re-raise as their original :mod:`repro.errors` types
 (:func:`repro.serve.wire.raise_from_envelope`).

@@ -185,23 +185,52 @@ class DetectionServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         while True:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            parts = request_line.decode("latin-1").strip().split()
-            if len(parts) != 3:
+            try:
+                request_line = await reader.readline()
+                if not request_line:
+                    return
+                parts = request_line.decode("latin-1").strip().split()
+                if len(parts) != 3:
+                    await self._respond(
+                        writer, *wire.route_error(400, "malformed request line"), close=True
+                    )
+                    return
+                method, target, _version = parts
+                headers: Dict[str, str] = {}
+                # Up to _MAX_HEADERS header lines, then the blank line.
+                for _ in range(_MAX_HEADERS + 1):
+                    line = await reader.readline()
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                else:
+                    await self._respond(
+                        writer,
+                        *wire.route_error(431, f"more than {_MAX_HEADERS} header lines"),
+                        close=True,
+                    )
+                    return
+            except ValueError:
+                # StreamReader.readline raises ValueError on a line longer
+                # than the reader's limit (asyncio's default: 64 KiB).
                 await self._respond(
-                    writer, *wire.route_error(400, "malformed request line"), close=True
+                    writer,
+                    *wire.route_error(431, "request line or header line too long"),
+                    close=True,
                 )
                 return
-            method, target, _version = parts
-            headers: Dict[str, str] = {}
-            for _ in range(_MAX_HEADERS):
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
+            if "transfer-encoding" in headers:
+                # Only Content-Length framing is implemented; reading a
+                # chunked body as empty would desynchronise the connection.
+                await self._respond(
+                    writer,
+                    *wire.route_error(
+                        501, "Transfer-Encoding is not supported; send Content-Length"
+                    ),
+                    close=True,
+                )
+                return
             try:
                 length = int(headers.get("content-length", "0"))
             except ValueError:

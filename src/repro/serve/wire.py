@@ -69,7 +69,9 @@ _REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -281,8 +283,8 @@ def error_envelope(
 
 
 def route_error(status: int, message: str) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-    """An envelope for routing-level failures (404/405/413) that never
-    reach the worker pool."""
+    """An envelope for routing- and framing-level failures (404/405/413/
+    431/501) that never reach the worker pool."""
     body = envelope(
         {"error": {"type": "RouteError", "message": message, "status": status}}
     )

@@ -13,8 +13,8 @@ import pytest
 
 from repro.core.binarize import binarize_cascade_tree
 from repro.core.rid import RID, RIDConfig
-from repro.core.tree_dp import KIsomitBTSolver
 from repro.graphs.generators.trees import path_graph
+from repro.kernel.tree_dp import TreeDPKernel
 from repro.types import NodeState
 
 DEPTH = 5001
@@ -48,7 +48,7 @@ class TestDeepPathTree:
         assert binary.size() == DEPTH  # a path needs no dummies
         assert binary.depth() == DEPTH
 
-        result = KIsomitBTSolver(binary).solve(1)
+        result = TreeDPKernel(binary).solve(1)
         assert result.initiators == {0: NodeState.POSITIVE}
         assert result.score > 1.0  # root explains descendants, not just itself
         assert sys.getrecursionlimit() == limit_before

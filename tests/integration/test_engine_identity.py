@@ -2,7 +2,7 @@
 
 The staged :class:`~repro.pipeline.engine.DetectionEngine` must be
 **bit-identical** to the pre-refactor sequential implementation frozen
-in :mod:`repro.core.rid_reference` — initiators, inferred states,
+in ``tests/oracles/rid_reference.py`` — initiators, inferred states,
 objective, cascade-tree contents and ordering, per-tree selections —
 on the golden regression workload and across execution modes (serial,
 parallel, cache-warm). CI runs this gate on every push; see also
@@ -13,13 +13,13 @@ randomised multi-component snapshots.
 import pytest
 
 from repro.core.rid import RID, RIDConfig
-from repro.core.rid_reference import (
-    reference_detect,
-    reference_detect_with_budget,
-)
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.workload import build_workload
 from repro.runtime.config import RuntimeConfig
+from tests.oracles.rid_reference import (
+    reference_detect,
+    reference_detect_with_budget,
+)
 
 
 @pytest.fixture(scope="module")

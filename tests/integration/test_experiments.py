@@ -14,7 +14,7 @@ from repro.experiments.reporting import (
     save_json,
 )
 from repro.experiments.runner import run_detection_trials
-from repro.core.baselines import RIDTreeDetector
+from repro.detectors import RIDTreeDetector
 from repro.errors import ConfigError
 
 

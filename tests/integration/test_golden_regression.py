@@ -7,7 +7,7 @@ behaviour — intentionally or not — must show up here and be
 acknowledged by updating the pinned values.
 """
 
-from repro.core.baselines import RIDTreeDetector
+from repro.detectors import RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.workload import build_workload

@@ -8,7 +8,7 @@ the detection-trial runner, and the Figure 2 driver.
 
 import dataclasses
 
-from repro.core.baselines import RIDTreeDetector
+from repro.detectors import RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.diffusion.mfc import MFCModel
 from repro.diffusion.monte_carlo import estimate_spread, simulate_many

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.baselines import RIDPositiveDetector, RIDTreeDetector
+from repro.detectors import RIDPositiveDetector, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.workload import build_workload

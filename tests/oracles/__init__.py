@@ -1,0 +1,17 @@
+"""Reference oracles the identity gates run the production code against.
+
+Each module keeps the original, deliberately plain implementation of one
+layer that has a faster production twin in :mod:`repro`:
+
+* :mod:`tests.oracles.cascades` — the dict-of-dict MFC and IC cascade
+  loops (production: the CSR kernel in :mod:`repro.kernel.cascade`);
+* :mod:`tests.oracles.tree_dp` — the recursive dict-memo k-ISOMIT-BT
+  solver and the exhaustive brute force (production:
+  :class:`repro.kernel.tree_dp.TreeDPKernel`);
+* :mod:`tests.oracles.rid_reference` — the sequential pre-pipeline RID
+  (production: :class:`repro.pipeline.engine.DetectionEngine`).
+
+Nothing under ``src/repro`` imports this package
+(``tests/unit/test_oracle_boundary.py`` pins that). The benchmark
+scripts that gate against it put the repository root on ``sys.path``.
+"""

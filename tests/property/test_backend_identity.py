@@ -14,11 +14,6 @@ that do not depend on the draw order:
 * Monte-Carlo spread estimates must agree in distribution; the mean
   infected count over a trial batch is compared within a tolerance far
   wider than the standard error of the batch.
-
-The numpy TreeDP sweep, by contrast, consumes no randomness and
-preserves the interpreted sweep's float-expression order, so it is held
-to the full **bit**-identity bar: same score floats, same initiator
-decisions, for every budget.
 """
 
 import random
@@ -29,19 +24,15 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.core.binarize import binarize_cascade_tree
-from repro.core.tree_dp import KIsomitBTSolver
 from repro.graphs.generators.random_graphs import (
     signed_erdos_renyi,
     signed_preferential_attachment,
 )
-from repro.graphs.generators.trees import random_general_tree
 from repro.kernel import compile_graph, run_ic_compiled, run_mfc_compiled
 from repro.kernel.backends import resolve_backend
 from repro.kernel.cascade import check_seeds_compiled
 from repro.types import NodeState
 from repro.utils.rng import derive_seed, spawn_rng
-from tests.property.tree_strategies import saturated_trees
 
 
 def _seeds(graph, rng, count=3):
@@ -186,71 +177,6 @@ class TestExactGraphInvariants:
             assert bare_ic.events == []
             assert bare_ic.final_states == recorded_ic.final_states
             assert bare_ic.rounds == recorded_ic.rounds
-
-
-@st.composite
-def stated_trees(draw):
-    """Random general trees with deterministic states and weights."""
-    size = draw(st.integers(min_value=1, max_value=40))
-    max_children = draw(st.integers(min_value=2, max_value=5))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    tree = random_general_tree(size, max_children=max_children, rng=seed)
-    rng = spawn_rng(seed, "backend-identity-states")
-    for node in tree.nodes():
-        tree.set_state(
-            node, NodeState.POSITIVE if rng.random() < 0.6 else NodeState.NEGATIVE
-        )
-    alpha = draw(st.floats(min_value=1.0, max_value=4.0, allow_nan=False))
-    return tree, alpha
-
-
-class TestTreeDPBitIdentity:
-    """The numpy sweep has no RNG: full bit-identity, decisions included."""
-
-    @given(stated_trees())
-    @settings(max_examples=40, deadline=None)
-    def test_scores_and_decisions_bit_identical(self, world):
-        tree, alpha = world
-        binary = binarize_cascade_tree(tree, alpha=alpha)
-        reference = KIsomitBTSolver(binary, backend="python")
-        vectorized = KIsomitBTSolver(binary, backend="numpy")
-        ref_curve = reference.solve_curve(binary.num_real)
-        vec_curve = vectorized.solve_curve(binary.num_real)
-        assert len(vec_curve) == len(ref_curve)
-        for ref, vec in zip(ref_curve, vec_curve):
-            assert vec.k == ref.k
-            assert vec.score == ref.score  # bitwise, no tolerance
-            assert vec.initiators == ref.initiators  # same argmax decisions
-
-    @given(stated_trees())
-    @settings(max_examples=20, deadline=None)
-    def test_memo_accounting_matches(self, world):
-        tree, alpha = world
-        binary = binarize_cascade_tree(tree, alpha=alpha)
-        reference = KIsomitBTSolver(binary, backend="python")
-        vectorized = KIsomitBTSolver(binary, backend="numpy")
-        reference.solve_curve(binary.num_real)
-        vectorized.solve_curve(binary.num_real)
-        assert vectorized.memo_size() == reference.memo_size()
-
-    @given(saturated_trees())
-    @settings(max_examples=60, deadline=None)
-    def test_saturated_trees_bit_identical_across_cap_growth(self, world):
-        # Saturated links collapse ancestor classes; solving k = 0, 1, 2,
-        # ... on one solver per backend exercises every resumed sweep.
-        tree, alpha = world
-        binary = binarize_cascade_tree(tree, alpha=alpha)
-        oracle = KIsomitBTSolver(binary, use_kernel=False)
-        reference = KIsomitBTSolver(binary, backend="python")
-        vectorized = KIsomitBTSolver(binary, backend="numpy")
-        for k in range(0, binary.num_real + 1):
-            expected = oracle.solve(k)
-            for solver in (reference, vectorized):
-                assert solver.solve_score(k).hex() == expected.score.hex()
-                result = solver.solve(k)
-                assert result.score.hex() == expected.score.hex()
-                assert result.initiators == expected.initiators
-            assert vectorized.memo_size() == reference.memo_size()
 
 
 class TestSpreadDistribution:

@@ -7,7 +7,7 @@ every snapshot regardless of topology, weights or seeds.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baselines import RIDPositiveDetector, RIDTreeDetector
+from repro.detectors import RIDPositiveDetector, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.diffusion.mfc import MFCModel
 from repro.graphs.signed_digraph import SignedDiGraph

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.binarize import binarize_cascade_tree
-from repro.core.tree_dp import KIsomitBTSolver, brute_force_k_isomit
 from repro.graphs.generators.trees import random_general_tree
+from repro.kernel.tree_dp import TreeDPKernel
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.tree_dp import brute_force_k_isomit
 
 
 @st.composite
@@ -61,7 +62,7 @@ class TestDPProperties:
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
         budget = min(k, binary.num_real)
-        solver = KIsomitBTSolver(binary)
+        solver = TreeDPKernel(binary)
         dp = solver.solve(budget)
         brute = brute_force_k_isomit(binary, budget, scoring="nearest")
         assert abs(dp.score - brute.score) < 1e-9
@@ -71,7 +72,7 @@ class TestDPProperties:
     def test_score_monotone_in_k(self, world):
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
-        solver = KIsomitBTSolver(binary)
+        solver = TreeDPKernel(binary)
         previous = float("-inf")
         for k in range(1, binary.num_real + 1):
             score = solver.solve(k).score
@@ -84,7 +85,7 @@ class TestDPProperties:
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
         budget = min(k, binary.num_real)
-        result = KIsomitBTSolver(binary).solve(budget)
+        result = TreeDPKernel(binary).solve(budget)
         # Exactly `budget` initiators, all real tree nodes, states match
         # the observed snapshot states.
         assert len(result.initiators) == budget
@@ -97,5 +98,5 @@ class TestDPProperties:
     def test_full_budget_score_equals_real_size(self, world):
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
-        result = KIsomitBTSolver(binary).solve(binary.num_real)
+        result = TreeDPKernel(binary).solve(binary.num_real)
         assert abs(result.score - binary.num_real) < 1e-9

@@ -1,10 +1,10 @@
 """Randomized cross-validation: CSR kernel == reference simulator.
 
 The kernel's whole contract is *bit*-identity with the reference
-dict-of-dict simulators — same activation events (order included), same
-final states (dict insertion order included), same round count, same
-RNG consumption — over random signed graphs × α ∈ {1, 3} × flips
-on/off × seeds. Any divergence here means the kernel changed model
+dict-of-dict simulators (``tests/oracles/cascades.py``) — same
+activation events (order included), same final states (dict insertion
+order included), same round count, same RNG consumption — over random
+signed graphs × α ∈ {1, 3} × flips on/off × seeds. Any divergence here means the kernel changed model
 semantics, not just speed.
 """
 
@@ -21,6 +21,7 @@ from repro.graphs.generators.random_graphs import (
 )
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.cascades import ReferenceICModel, ReferenceMFCModel
 
 
 def random_graphs():
@@ -68,8 +69,8 @@ class TestMFCKernelIdentity:
                 fast = MFCModel(alpha=alpha, allow_flips=allow_flips).run(
                     graph, seeds, rng=trial
                 )
-                slow = MFCModel(
-                    alpha=alpha, allow_flips=allow_flips, use_kernel=False
+                slow = ReferenceMFCModel(
+                    alpha=alpha, allow_flips=allow_flips
                 ).run(graph, seeds, rng=trial)
                 assert_identical(fast, slow)
 
@@ -79,7 +80,7 @@ class TestMFCKernelIdentity:
         seeds = plant_seeds(graph, 9)
         fast_rng, slow_rng = random.Random(123), random.Random(123)
         fast = MFCModel(alpha=3.0).run(graph, seeds, rng=fast_rng)
-        slow = MFCModel(alpha=3.0, use_kernel=False).run(graph, seeds, rng=slow_rng)
+        slow = ReferenceMFCModel(alpha=3.0).run(graph, seeds, rng=slow_rng)
         assert_identical(fast, slow)
         assert fast_rng.getstate() == slow_rng.getstate()
 
@@ -87,9 +88,7 @@ class TestMFCKernelIdentity:
         graph = signed_erdos_renyi(25, 0.2, positive_probability=1.0, rng=5)
         seeds = plant_seeds(graph, 5)
         fast = MFCModel(alpha=3.0, max_rounds=2).run(graph, seeds, rng=0)
-        slow = MFCModel(alpha=3.0, max_rounds=2, use_kernel=False).run(
-            graph, seeds, rng=0
-        )
+        slow = ReferenceMFCModel(alpha=3.0, max_rounds=2).run(graph, seeds, rng=0)
         assert_identical(fast, slow)
         assert fast.rounds <= 2
 
@@ -105,7 +104,7 @@ class TestMFCKernelIdentity:
         g.add_edge("a", "b", 1, 0.5)
         for trial in range(10):
             fast = MFCModel(alpha=2.0).run(g, {"b": NodeState.POSITIVE}, rng=trial)
-            slow = MFCModel(alpha=2.0, use_kernel=False).run(
+            slow = ReferenceMFCModel(alpha=2.0).run(
                 g, {"b": NodeState.POSITIVE}, rng=trial
             )
             assert_identical(fast, slow)
@@ -120,9 +119,9 @@ class TestICKernelIdentity:
                 fast = ICModel(propagate_signs=propagate_signs).run(
                     graph, seeds, rng=trial
                 )
-                slow = ICModel(
-                    propagate_signs=propagate_signs, use_kernel=False
-                ).run(graph, seeds, rng=trial)
+                slow = ReferenceICModel(propagate_signs=propagate_signs).run(
+                    graph, seeds, rng=trial
+                )
                 assert_identical(fast, slow)
 
     def test_parent_generator_left_in_identical_state(self):
@@ -131,6 +130,6 @@ class TestICKernelIdentity:
         fast_rng, slow_rng = random.Random(77), random.Random(77)
         assert_identical(
             ICModel().run(graph, seeds, rng=fast_rng),
-            ICModel(use_kernel=False).run(graph, seeds, rng=slow_rng),
+            ReferenceICModel().run(graph, seeds, rng=slow_rng),
         )
         assert fast_rng.getstate() == slow_rng.getstate()

@@ -1,11 +1,12 @@
 """Compiled TreeDP kernel ≡ recursive solver ≡ brute force.
 
 The compiled flat-array kernel (:mod:`repro.kernel.tree_dp`) promises
-**bit-identity** with the recursive dict-memo solver: same ``score``
-floats, same ``initiators`` dicts, for every feasible budget. Brute
-force certifies optimality too, but only approximately — its objective
-sums per-node terms in a different order, so last-bit ULP differences
-are expected there.
+**bit-identity** with the recursive dict-memo solver
+(``tests/oracles/tree_dp.py``): same ``score`` floats, same
+``initiators`` dicts, for every feasible budget. Brute force certifies
+optimality too, but only approximately — its objective sums per-node
+terms in a different order, so last-bit ULP differences are expected
+there.
 
 The kernel's anc axis indexes ancestor *classes* (ancestors joined by
 links with ``g == 1.0`` exactly share a column), and growing the budget
@@ -13,23 +14,17 @@ cap resumes the tables instead of re-sweeping them. ``saturated_trees``
 draws the saturated links and deep chains that exercise both.
 """
 
-import importlib.util
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.binarize import binarize_cascade_tree
-from repro.core.tree_dp import KIsomitBTSolver, brute_force_k_isomit
 from repro.graphs.generators.trees import random_general_tree, star_graph
 from repro.graphs.signed_digraph import SignedDiGraph
+from repro.kernel.tree_dp import TreeDPKernel
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.tree_dp import RecursiveTreeDP, brute_force_k_isomit
 from tests.property.tree_strategies import saturated_trees
-
-BACKENDS = ["python"] + (
-    ["numpy"] if importlib.util.find_spec("numpy") is not None else []
-)
 
 
 @st.composite
@@ -54,8 +49,8 @@ class TestKernelIdentity:
     def test_kernel_bit_identical_to_recursive_all_k(self, world):
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
-        reference = KIsomitBTSolver(binary, use_kernel=False)
-        compiled = KIsomitBTSolver(binary)
+        reference = RecursiveTreeDP(binary)
+        compiled = TreeDPKernel(binary)
         # Every feasible budget, including k=0 and k=num_real.
         for k in range(0, binary.num_real + 1):
             ref = reference.solve(k)
@@ -69,8 +64,8 @@ class TestKernelIdentity:
     def test_curve_matches_per_k_solves(self, world):
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
-        reference = KIsomitBTSolver(binary, use_kernel=False)
-        curve = KIsomitBTSolver(binary).solve_curve(binary.num_real)
+        reference = RecursiveTreeDP(binary)
+        curve = TreeDPKernel(binary).solve_curve(binary.num_real)
         assert len(curve) == binary.num_real
         for k, result in enumerate(curve, start=1):
             ref = reference.solve(k)
@@ -84,23 +79,22 @@ class TestKernelIdentity:
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
         budget = min(k, binary.num_real)
-        dp = KIsomitBTSolver(binary).solve(budget)
+        dp = TreeDPKernel(binary).solve(budget)
         brute = brute_force_k_isomit(binary, budget, scoring="nearest")
         # Brute force sums in subset-enumeration order: approx only.
         assert abs(dp.score - brute.score) < 1e-9
 
 
 class TestSaturatedClassLayout:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(world=saturated_trees())
     @settings(max_examples=60, deadline=None)
-    def test_bit_identical_to_recursive_across_cap_growth(self, backend, world):
+    def test_bit_identical_to_recursive_across_cap_growth(self, world):
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
-        reference = KIsomitBTSolver(binary, use_kernel=False)
+        reference = RecursiveTreeDP(binary)
         # One solver for every k: solve(1), solve(2), ... grow the cap
         # geometrically, so every growth step is a resumed sweep.
-        compiled = KIsomitBTSolver(binary, backend=backend)
+        compiled = TreeDPKernel(binary)
         for k in range(0, binary.num_real + 1):
             ref = reference.solve(k)
             assert compiled.solve_score(k).hex() == ref.score.hex()
@@ -113,23 +107,23 @@ class TestSaturatedClassLayout:
     def test_resumed_curve_equals_one_sweep(self, world):
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
-        resumed = KIsomitBTSolver(binary)
+        resumed = TreeDPKernel(binary)
         for k in range(1, binary.num_real + 1):
             resumed.solve_score(k)
-        fresh = KIsomitBTSolver(binary)
+        fresh = TreeDPKernel(binary)
         one_sweep = fresh.solve_curve(binary.num_real)
         assert [
             (r.score.hex(), r.initiators)
             for r in resumed.solve_curve(binary.num_real)
         ] == [(r.score.hex(), r.initiators) for r in one_sweep]
         # Resuming fills each table entry exactly once.
-        assert resumed.memo_size() == fresh.memo_size()
+        assert resumed.memo_states == fresh.memo_states
 
 
 class TestKernelEdgeCases:
     def _identical(self, binary, k):
-        ref = KIsomitBTSolver(binary, use_kernel=False).solve(k)
-        ker = KIsomitBTSolver(binary).solve(k)
+        ref = RecursiveTreeDP(binary).solve(k)
+        ker = TreeDPKernel(binary).solve(k)
         assert ker.score == ref.score
         assert ker.initiators == ref.initiators
         return ker

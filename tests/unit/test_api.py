@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro import api
 from repro.core.rid import RID, RIDConfig
-from repro.core.baselines import resolve_budget_kwargs
+from repro.detectors import resolve_budget_kwargs
 from repro.diffusion.mfc import MFCModel
 from repro.errors import ConfigError
 from repro.experiments.config import WorkloadConfig
@@ -180,12 +180,6 @@ class TestNamedDetectors:
         with pytest.raises(ConfigError, match="unknown detector"):
             repro.detect(network, cascade, detector="page_rank")
 
-    def test_backend_is_rid_only(self, network, cascade):
-        with pytest.raises(ConfigError, match="backend"):
-            repro.detect(
-                network, cascade, detector="jordan_center", backend="numpy"
-            )
-
     def test_runtime_rejected_by_in_process_detector(self, network, cascade):
         from repro.runtime.config import RuntimeConfig
 
@@ -278,12 +272,6 @@ class TestEvaluate:
 
 class TestApiErrorPaths:
     """The facade's rejection branches, each pinned to its message."""
-
-    def test_backend_with_detector_conflicts(self, network, cascade):
-        with pytest.raises(ConfigError, match="backend= configures RID"):
-            repro.detect(
-                network, cascade, detector=CertaintyCoverDetector(), backend="python"
-            )
 
     def test_backend_with_model_instance_conflicts(self, network):
         with pytest.raises(ConfigError, match="pass backend= to the model"):

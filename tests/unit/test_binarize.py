@@ -109,13 +109,13 @@ class TestDummySemantics:
 
     def test_root_to_node_g_product_preserved(self):
         """Binarisation must not distort path products (Fig. 3 requirement)."""
-        from repro.core.tree_dp import KIsomitBTSolver
+        from tests.oracles.tree_dp import RecursiveTreeDP
 
         tree = random_general_tree(25, max_children=6, rng=3)
         for node in tree.nodes():
             tree.set_state(node, NodeState.POSITIVE)
         binary = binarize_cascade_tree(tree, alpha=2.0)
-        solver = KIsomitBTSolver(binary)
+        solver = RecursiveTreeDP(binary)
 
         # Expected: direct product of g factors along the original tree.
         from repro.core.likelihood import g_link

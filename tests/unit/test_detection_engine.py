@@ -8,7 +8,6 @@ parity on the awkward component shapes.
 import pytest
 
 from repro.core.rid import RID, RIDConfig
-from repro.core.rid_reference import reference_detect, reference_detect_with_budget
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs import MetricsRecorder
@@ -16,6 +15,7 @@ from repro.pipeline import ArtifactCache, DetectionEngine
 from repro.pipeline.cache import MISS
 from repro.runtime.config import RuntimeConfig
 from repro.types import NodeState
+from tests.oracles.rid_reference import reference_detect, reference_detect_with_budget
 
 
 def multi_component_snapshot() -> SignedDiGraph:

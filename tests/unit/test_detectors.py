@@ -446,33 +446,6 @@ class TestMultiSource:
             MultiSourceConfig(**kwargs).validate()
 
 
-class TestDeprecationShims:
-    def test_core_baselines_reexports_same_objects(self):
-        from repro.core import baselines as shim
-        from repro.detectors import base, baselines
-
-        assert shim.Detector is base.Detector
-        assert shim.DetectionResult is base.DetectionResult
-        assert shim.RIDTreeDetector is baselines.RIDTreeDetector
-        assert shim.RIDPositiveDetector is baselines.RIDPositiveDetector
-
-    def test_extensions_centrality_reexports_same_objects(self):
-        from repro.detectors import centrality
-        from repro.extensions import centrality_detectors as shim
-
-        assert shim.JordanCenterDetector is centrality.JordanCenterDetector
-        assert shim.RumorCentralityDetector is centrality.RumorCentralityDetector
-        assert shim.DistanceCenterDetector is centrality.DistanceCenterDetector
-        assert shim.undirected_distances is centrality.undirected_distances
-
-    def test_core_package_lazy_reexport(self):
-        import repro.core as core
-
-        assert core.DetectionResult is DetectionResult
-        with pytest.raises(AttributeError, match="no attribute"):
-            core.not_a_detector_name
-
-
 class TestResultContract:
     @pytest.mark.parametrize("name", ["jordan_center", "multi_source"])
     def test_results_round_trip_through_json(self, name):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import NotATreeError
-from repro.extensions.centrality_detectors import (
+from repro.detectors import (
     DistanceCenterDetector,
     JordanCenterDetector,
     RumorCentralityDetector,

@@ -14,6 +14,7 @@ from repro.kernel.compile import compile_graph
 from repro.runtime import RuntimeConfig
 from repro.runtime.cache import graph_digest, model_digest
 from repro.types import NodeState
+from tests.oracles.cascades import ReferenceICModel, ReferenceMFCModel
 
 
 def diamond() -> SignedDiGraph:
@@ -189,13 +190,14 @@ class TestGraphDigestMemoization:
 
 
 class TestModelDigest:
-    def test_kernel_flag_does_not_fork_cache_keys(self):
-        # Both paths are bit-identical, so they must share trial caches.
-        assert model_digest(MFCModel(use_kernel=True)) == model_digest(
-            MFCModel(use_kernel=False)
+    def test_oracle_shares_production_digest(self):
+        # Same name and public parameters: the reference loops and the
+        # kernel-backed models read and write the same trial-cache keys.
+        assert model_digest(ReferenceMFCModel(alpha=2.0)) == model_digest(
+            MFCModel(alpha=2.0)
         )
-        assert model_digest(ICModel(use_kernel=True)) == model_digest(
-            ICModel(use_kernel=False)
+        assert model_digest(ReferenceICModel(propagate_signs=False)) == model_digest(
+            ICModel(propagate_signs=False)
         )
 
     def test_real_parameters_still_fork(self):
@@ -218,7 +220,7 @@ class TestCompiledShipping:
             MFCModel(alpha=2.0), ladder(), seeds, trials=6, base_seed=11
         )
         slow = simulate_many(
-            MFCModel(alpha=2.0, use_kernel=False), ladder(), seeds, trials=6, base_seed=11
+            ReferenceMFCModel(alpha=2.0), ladder(), seeds, trials=6, base_seed=11
         )
         for a, b in zip(fast, slow):
             assert a.events == b.events

@@ -32,6 +32,7 @@ from repro.obs import MetricsRecorder, using_recorder
 from repro.runtime.config import RuntimeConfig
 from repro.types import NodeState
 from repro.utils.rng import derive_seed
+from tests.oracles.cascades import ReferenceICModel, ReferenceMFCModel
 
 
 @pytest.fixture(autouse=True)
@@ -151,20 +152,24 @@ class TestFallbackPath:
                 1 for event in result.events if event.was_flip
             )
 
-    def test_use_kernel_false_summarised(self):
+    def test_reference_model_summarised(self):
         graph = _graph()
         seeds = _seeds(graph)
         reference = simulate_batch(
             MFCModel(alpha=2.0), graph, seeds, 6, base_seed=4, record_states=True
         )
+        # The oracle is not an MFCModel: it takes the per-trial fallback.
+        recorder = MetricsRecorder()
         fallback = simulate_batch(
-            MFCModel(alpha=2.0, use_kernel=False),
+            ReferenceMFCModel(alpha=2.0),
             graph,
             seeds,
             6,
             base_seed=4,
             record_states=True,
+            recorder=recorder,
         )
+        assert recorder.metrics.counters.get("mc.batch.fallback.model") == 1
         # The reference simulator and the kernel are bit-identical, so
         # both routes must report the same counts and states.
         assert fallback.infected == reference.infected
@@ -202,7 +207,7 @@ class TestEstimateSpread:
         seeds = _seeds(graph)
         fast = estimate_spread(MFCModel(alpha=2.2), graph, seeds, trials=10, base_seed=7)
         legacy = estimate_spread(
-            MFCModel(alpha=2.2, use_kernel=False), graph, seeds, trials=10, base_seed=7
+            ReferenceMFCModel(alpha=2.2), graph, seeds, trials=10, base_seed=7
         )
         # Dataclass equality pins every field to the float: sizes,
         # non-empty-cascade state fractions, flips, rounds.
@@ -213,7 +218,7 @@ class TestEstimateSpread:
         seeds = _seeds(graph)
         fast = estimate_spread(ICModel(), graph, seeds, trials=12, base_seed=5)
         legacy = estimate_spread(
-            ICModel(use_kernel=False), graph, seeds, trials=12, base_seed=5
+            ReferenceICModel(), graph, seeds, trials=12, base_seed=5
         )
         assert fast == legacy
 

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core.baselines import DetectionResult
+from repro.detectors import DetectionResult
 from repro.diffusion.base import DiffusionResult
 from repro.diffusion.mfc import MFCModel
 from repro.errors import ResultFormatError

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.baselines import RIDPositiveDetector, RIDTreeDetector
+from repro.detectors import RIDPositiveDetector, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
@@ -160,7 +160,7 @@ class TestGreedyKSearchTies:
 
     def _stub_dp(self, monkeypatch):
         import repro.core.rid as rid_module
-        from repro.core.tree_dp import TreeDPResult
+        from repro.kernel.tree_dp import TreeDPResult
 
         scores = self.SCORES
 
@@ -168,6 +168,8 @@ class TestGreedyKSearchTies:
             num_real = 3
 
         class StubSolver:
+            memo_states = 0
+
             def __init__(self, binary):
                 self.binary = binary
 
@@ -184,7 +186,7 @@ class TestGreedyKSearchTies:
         monkeypatch.setattr(
             rid_module, "binarize_cascade_tree", lambda tree, alpha, inconsistent_value=0.0: StubBinary()
         )
-        monkeypatch.setattr(rid_module, "KIsomitBTSolver", StubSolver)
+        monkeypatch.setattr(rid_module, "TreeDPKernel", StubSolver)
 
     def test_tie_at_k_plus_one_stops_greedy(self, monkeypatch):
         self._stub_dp(monkeypatch)
@@ -236,7 +238,7 @@ class TestTreeDiagnostics:
 
     def test_cap_stop_has_no_margin_and_reconstructs_once(self, monkeypatch):
         import repro.core.rid as rid_module
-        from repro.core.tree_dp import TreeDPResult
+        from repro.kernel.tree_dp import TreeDPResult
         from repro.obs import MetricsRecorder
 
         scores = {1: 1.0, 2: 1.5, 3: 2.0}
@@ -246,6 +248,8 @@ class TestTreeDiagnostics:
             num_real = 3
 
         class ScoringStub:
+            memo_states = 0
+
             def __init__(self, binary):
                 pass
 
@@ -261,7 +265,7 @@ class TestTreeDiagnostics:
             "binarize_cascade_tree",
             lambda tree, alpha, inconsistent_value=0.0: StubBinary(),
         )
-        monkeypatch.setattr(rid_module, "KIsomitBTSolver", ScoringStub)
+        monkeypatch.setattr(rid_module, "TreeDPKernel", ScoringStub)
         rec = MetricsRecorder()
         selection = RID(RIDConfig(beta=0.1)).select_initiators_for_tree(
             SignedDiGraph(), recorder=rec

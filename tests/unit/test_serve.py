@@ -1,12 +1,14 @@
 """Unit tests for the serve worker pool: affinity, admission, batching.
 
-Socket-free — these drive :class:`repro.serve.pool.WorkerPool` directly
-(the HTTP layer is covered by ``tests/integration/test_serve_identity``).
+Most of these drive :class:`repro.serve.pool.WorkerPool` directly (the
+HTTP layer is covered by ``tests/integration/test_serve_identity``).
 Controlled-latency handlers are injected through the HANDLERS registry
 so queue pressure and coalescing windows are deterministic, not
-timing-dependent.
+timing-dependent. :class:`TestHttpFraming` speaks raw bytes to an
+in-process server, for requests no well-behaved client would send.
 """
 
+import socket
 import threading
 import time
 
@@ -16,7 +18,7 @@ from repro.core.rid import RIDConfig
 from repro.errors import ConfigError, ServerOverloadedError, WireFormatError
 from repro.serve import wire
 from repro.serve.pool import HANDLERS, WorkerPool
-from repro.serve.server import ServeConfig
+from repro.serve.server import _MAX_HEADERS, ServeConfig, start_in_thread
 from repro.stream.synthetic import synthetic_snapshot
 
 
@@ -465,3 +467,63 @@ class TestCacheTTL:
             assert pool.metrics().counters["serve.cache_expired"] == 2.0
         finally:
             pool.shutdown()
+
+
+@pytest.fixture(scope="class")
+def server():
+    with start_in_thread(ServeConfig(workers=1)) as handle:
+        yield handle
+
+
+def exchange(port, request):
+    """Send raw request bytes; read until the server closes the socket."""
+    received = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(request)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            received += chunk
+    return received
+
+
+class TestHttpFraming:
+    """Requests the Content-Length framing cannot read: one error, then close."""
+
+    def assert_single_closing_response(self, response, status):
+        assert response.startswith(f"HTTP/1.1 {status} ".encode())
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in response
+
+    def test_line_longer_than_reader_limit_is_431(self, server):
+        request = b"GET /v1/health?pad=" + b"x" * (70 * 1024) + b" HTTP/1.1\r\n\r\n"
+        self.assert_single_closing_response(exchange(server.port, request), 431)
+
+    def test_header_longer_than_reader_limit_is_431(self, server):
+        request = (
+            b"GET /v1/health HTTP/1.1\r\nX-Pad: " + b"x" * (70 * 1024) + b"\r\n\r\n"
+        )
+        self.assert_single_closing_response(exchange(server.port, request), 431)
+
+    def test_too_many_header_lines_is_431(self, server):
+        def request(lines):
+            headers = b"".join(b"X-H%d: v\r\n" % i for i in range(lines))
+            return b"GET /v1/health HTTP/1.1\r\n" + headers + b"Connection: close\r\n\r\n"
+
+        # _MAX_HEADERS lines (the Connection header included) still parse.
+        ok = exchange(server.port, request(_MAX_HEADERS - 1))
+        assert ok.startswith(b"HTTP/1.1 200 ")
+        assert ok.count(b"HTTP/1.1 ") == 1
+        self.assert_single_closing_response(exchange(server.port, request(_MAX_HEADERS)), 431)
+
+    def test_chunked_body_is_501(self, server):
+        body = b'{"graph": {}}'
+        request = (
+            b"POST /v1/detect HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+        )
+        self.assert_single_closing_response(exchange(server.port, request), 501)

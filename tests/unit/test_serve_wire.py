@@ -96,6 +96,13 @@ class TestConfigCodec:
         with pytest.raises(ConfigError, match=r"\['betaa'\].*valid fields"):
             wire.config_from_json({"betaa": 0.1})
 
+    def test_backend_is_not_a_config_field(self):
+        # The DP has one implementation; a served config naming a kernel
+        # backend is an unknown field like any other (HTTP 400).
+        with pytest.raises(ConfigError, match=r"\['backend'\]") as excinfo:
+            wire.config_from_json({"backend": "numpy"})
+        assert wire.status_for(excinfo.value) == 400
+
     def test_values_are_validated(self):
         with pytest.raises(ConfigError, match="alpha must be >= 1"):
             wire.config_from_json({"alpha": 0.5})
@@ -193,5 +200,7 @@ class TestRaiseFromEnvelope:
 class TestReason:
     def test_known_and_unknown_statuses(self):
         assert wire.reason(200) == "OK"
+        assert wire.reason(431) == "Request Header Fields Too Large"
+        assert wire.reason(501) == "Not Implemented"
         assert wire.reason(503) == "Service Unavailable"
         assert wire.reason(599) == "Error"

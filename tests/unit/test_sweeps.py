@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.baselines import RIDTreeDetector
+from repro.detectors import RIDTreeDetector
 from repro.errors import ConfigError
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.sweeps import (

@@ -3,20 +3,22 @@
 import pytest
 
 from repro.core.binarize import binarize_cascade_tree
-from repro.core.tree_dp import (
-    KIsomitBTSolver,
-    brute_force_k_isomit,
-    solve_k_isomit_bt,
-)
 from repro.errors import DynamicProgramError
 from repro.graphs.generators.trees import random_general_tree
 from repro.graphs.signed_digraph import SignedDiGraph
+from repro.kernel.tree_dp import TreeDPKernel
 from repro.types import NodeState
 from repro.utils.rng import derive_seed
+from tests.oracles.tree_dp import RecursiveTreeDP, brute_force_k_isomit
 
 
 def binarized(tree, alpha=3.0):
     return binarize_cascade_tree(tree, alpha=alpha)
+
+
+def solve_once(tree, k):
+    """One solve on a fresh kernel."""
+    return TreeDPKernel(tree).solve(k)
 
 
 def consistent_chain(weights, alpha=3.0):
@@ -33,14 +35,14 @@ class TestSingleNode:
     def test_k1_selects_the_node(self):
         g = SignedDiGraph()
         g.add_node("x", NodeState.NEGATIVE)
-        result = solve_k_isomit_bt(binarized(g), 1)
+        result = solve_once(binarized(g), 1)
         assert result.score == 1.0
         assert result.initiators == {"x": NodeState.NEGATIVE}
 
     def test_k0_scores_zero(self):
         g = SignedDiGraph()
         g.add_node("x", NodeState.POSITIVE)
-        result = solve_k_isomit_bt(binarized(g), 0)
+        result = solve_once(binarized(g), 0)
         assert result.score == 0.0
         assert result.initiators == {}
 
@@ -48,34 +50,34 @@ class TestSingleNode:
         g = SignedDiGraph()
         g.add_node("x", NodeState.POSITIVE)
         with pytest.raises(DynamicProgramError):
-            solve_k_isomit_bt(binarized(g), 2)
+            solve_once(binarized(g), 2)
         with pytest.raises(DynamicProgramError):
-            solve_k_isomit_bt(binarized(g), -1)
+            solve_once(binarized(g), -1)
 
 
 class TestChain:
     def test_k1_root_scores_one_plus_products(self):
         # weights 0.2 at alpha 3 -> g = 0.6 per hop.
         binary = consistent_chain([0.2, 0.2])
-        result = solve_k_isomit_bt(binary, 1)
+        result = solve_once(binary, 1)
         assert result.score == pytest.approx(1.0 + 0.6 + 0.36)
         assert set(result.initiators) == {0}
 
     def test_k2_places_second_initiator_at_weakest_link(self):
         # Hop 1 strong (g=1), hop 2 weak (g=0.15): second initiator at node 2.
         binary = consistent_chain([0.5, 0.05])
-        result = solve_k_isomit_bt(binary, 2)
+        result = solve_once(binary, 2)
         assert set(result.initiators) == {0, 2}
         assert result.score == pytest.approx(1.0 + 1.0 + 1.0)
 
     def test_scores_monotone_in_k(self):
         binary = consistent_chain([0.1, 0.2, 0.3, 0.05])
-        scores = [solve_k_isomit_bt(binary, k).score for k in range(1, 6)]
+        scores = [solve_once(binary, k).score for k in range(1, 6)]
         assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
 
     def test_full_budget_explains_everything(self):
         binary = consistent_chain([0.1, 0.1, 0.1])
-        result = solve_k_isomit_bt(binary, 4)
+        result = solve_once(binary, 4)
         assert result.score == pytest.approx(4.0)
         assert len(result.initiators) == 4
 
@@ -86,7 +88,7 @@ class TestInferredStates:
         g.add_node("r", NodeState.POSITIVE)
         g.add_edge("r", "c", -1, 1.0)
         g.set_state("c", NodeState.NEGATIVE)
-        result = solve_k_isomit_bt(binarized(g), 2)
+        result = solve_once(binarized(g), 2)
         assert result.initiators == {
             "r": NodeState.POSITIVE,
             "c": NodeState.NEGATIVE,
@@ -102,7 +104,7 @@ class TestDummyHandling:
             g.set_state(f"c{i}", NodeState.POSITIVE)
         binary = binarized(g)
         assert binary.size() > binary.num_real  # dummies exist
-        result = solve_k_isomit_bt(binary, binary.num_real)
+        result = solve_once(binary, binary.num_real)
         assert set(result.initiators) == {"r"} | {f"c{i}" for i in range(6)}
 
     def test_dummy_transparency_in_scoring(self):
@@ -113,7 +115,7 @@ class TestDummyHandling:
         for i in range(5):
             g.add_edge("r", f"c{i}", 1, 0.2)
             g.set_state(f"c{i}", NodeState.POSITIVE)
-        result = solve_k_isomit_bt(binarized(g), 1)
+        result = solve_once(binarized(g), 1)
         assert result.score == pytest.approx(1.0 + 5 * 0.6)
 
 
@@ -135,7 +137,7 @@ class TestAgainstBruteForce:
                     NodeState.POSITIVE if rng.random() < 0.6 else NodeState.NEGATIVE,
                 )
             binary = binarized(tree)
-            dp = solve_k_isomit_bt(binary, k)
+            dp = solve_once(binary, k)
             brute = brute_force_k_isomit(binary, k, scoring="nearest")
             assert dp.score == pytest.approx(brute.score), (
                 f"DP {dp.score} vs brute {brute.score} "
@@ -160,16 +162,18 @@ class TestAgainstBruteForce:
 class TestSolverReuse:
     def test_memo_shared_across_k(self):
         binary = consistent_chain([0.3, 0.2, 0.4])
-        solver = KIsomitBTSolver(binary)
+        solver = TreeDPKernel(binary)
         first = solver.solve(1)
         second = solver.solve(2)
         assert second.score >= first.score
-        # Re-solving k=1 hits the memo and reproduces the result.
+        # Re-solving k=1 reads the swept tables and reproduces the result.
+        states = solver.memo_states
         assert solver.solve(1).score == first.score
+        assert solver.memo_states == states
 
     def test_path_product_memoised(self):
         binary = consistent_chain([0.2, 0.2])
-        solver = KIsomitBTSolver(binary)
+        solver = RecursiveTreeDP(binary)
         root = binary.root
         leaf = [n.uid for n in binary.nodes if n.left is None and n.right is None][0]
         assert solver.path_product(root, leaf) == pytest.approx(0.36)

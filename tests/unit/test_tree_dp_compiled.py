@@ -3,19 +3,13 @@
 import pytest
 
 from repro.core.binarize import binarize_cascade_tree
-from repro.core.tree_dp import KIsomitBTSolver
 from repro.errors import DynamicProgramError
 from repro.graphs.generators.trees import random_general_tree
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.kernel import (
-    CompiledBinaryTree,
-    TreeDPKernel,
-    compile_binary_tree,
-    solve_curve_compiled,
-    solve_k_isomit_bt_compiled,
-)
+from repro.kernel import TreeDPKernel, compile_binary_tree
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.tree_dp import RecursiveTreeDP
 
 
 def _stated_tree(n, seed=0, max_children=3):
@@ -74,7 +68,7 @@ class TestCompiledBinaryTree:
                 tree.add_edge(u, v, 1, weight)
             binary = binarize_cascade_tree(tree, alpha=3.0)
             ct = compile_binary_tree(binary)
-            solver = KIsomitBTSolver(binary, use_kernel=False)
+            solver = RecursiveTreeDP(binary)
             for pos, uid in enumerate(ct.uids):
                 row = ct.cprod[pos]
                 assert len(row) == ct.ncls[pos]
@@ -161,55 +155,56 @@ class TestTreeDPKernel:
         kernel.solve(kernel.tree.num_real)
         assert kernel.memo_states > after_one
 
-    def test_module_level_wrappers(self):
+    def test_fresh_kernel_matches_oracle(self):
         binary = _binary(7, seed=2)
-        ref = KIsomitBTSolver(binary, use_kernel=False)
-        one = solve_k_isomit_bt_compiled(binary, 2)
+        ref = RecursiveTreeDP(binary)
+        one = TreeDPKernel(binary).solve(2)
         assert one.score == ref.solve(2).score
-        curve = solve_curve_compiled(binary, 3)
+        curve = TreeDPKernel(binary).solve_curve(3)
         assert [r.k for r in curve] == [1, 2, 3]
         assert all(r.score == ref.solve(r.k).score for r in curve)
 
 
 class TestSolverKernelWiring:
-    def test_kernel_is_default(self):
-        solver = KIsomitBTSolver(_binary(6))
-        assert solver.use_kernel is True
-        solver.solve(1)
-        assert isinstance(solver._kernel, TreeDPKernel)
+    """The RID seam builds the kernel; the recursive oracle stays consistent."""
 
-    def test_escape_hatch_uses_recursive_memo(self):
-        solver = KIsomitBTSolver(_binary(6), use_kernel=False)
-        solver.solve(1)
-        assert solver._kernel is None
-        assert len(solver._memo) > 0
-        assert solver.memo_size() == len(solver._memo)
+    def test_kernel_is_default(self):
+        import repro.core.rid as rid_module
+
+        # The pipeline stages build every per-tree DP through this seam.
+        assert rid_module.TreeDPKernel is TreeDPKernel
+
+    def test_oracle_uses_recursive_memo(self):
+        oracle = RecursiveTreeDP(_binary(6))
+        oracle.solve(1)
+        assert len(oracle._memo) > 0
+        assert oracle.memo_size() == len(oracle._memo)
 
     def test_memo_size_lazy_kernel(self):
-        solver = KIsomitBTSolver(_binary(6))
-        assert solver.memo_size() == 0  # nothing solved, kernel not built
-        solver.solve(2)
-        assert solver.memo_size() > 0
+        kernel = TreeDPKernel(_binary(6))
+        assert kernel.memo_states == 0  # compiled, nothing swept yet
+        kernel.solve(2)
+        assert kernel.memo_states > 0
 
     def test_solver_curve_matches_kernel_curve(self):
         binary = _binary(9, seed=4)
-        via_solver = KIsomitBTSolver(binary).solve_curve(4)
+        via_oracle = RecursiveTreeDP(binary).solve_curve(4)
         via_kernel = TreeDPKernel(binary).solve_curve(4)
-        assert [(r.k, r.score, r.initiators) for r in via_solver] == [
-            (r.k, r.score, r.initiators) for r in via_kernel
+        assert [(r.k, r.score.hex(), r.initiators) for r in via_oracle] == [
+            (r.k, r.score.hex(), r.initiators) for r in via_kernel
         ]
 
     def test_recursive_curve_fallback(self):
         binary = _binary(7, seed=9)
-        curve = KIsomitBTSolver(binary, use_kernel=False).solve_curve(3)
-        reference = KIsomitBTSolver(binary, use_kernel=False)
+        curve = RecursiveTreeDP(binary).solve_curve(3)
+        reference = RecursiveTreeDP(binary)
         assert [(r.k, r.score) for r in curve] == [
             (k, reference.solve(k).score) for k in (1, 2, 3)
         ]
 
     def test_path_product_iterative_matches_and_caches(self):
         binary = _binary(10, seed=6)
-        solver = KIsomitBTSolver(binary)
+        solver = RecursiveTreeDP(binary)
         # Deepest slot: exercise a multi-hop upward walk.
         deepest = max(
             range(binary.size()),
@@ -231,7 +226,7 @@ class TestSolverKernelWiring:
         tree.add_edge(0, 1, 1, 0.5)
         tree.add_edge(0, 2, 1, 0.5)
         binary = binarize_cascade_tree(tree, alpha=3.0)
-        solver = KIsomitBTSolver(binary)
+        solver = RecursiveTreeDP(binary)
         leaves = [n.uid for n in binary.nodes if n.left is None and n.right is None]
         with pytest.raises(DynamicProgramError, match="is not an ancestor"):
             solver.path_product(leaves[0], leaves[1])
