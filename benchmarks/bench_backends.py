@@ -5,16 +5,14 @@ The headline workload (``docs/algorithms.md`` §12):
 
 * **Cascades** on a 20k-node / 8M-edge signed digraph (average
   out-degree 400, low per-edge probabilities — an attempts-heavy
-  Monte-Carlo regime). The spread-estimation workloads (MFC with and
-  without flips, IC; ``record_events=False``, which is what
-  Monte-Carlo spread estimation consumes) form the headline suite
-  speedup (geometric mean of the per-workload speedups); the MFC
-  full-event-trace workload is reported as its own row. Every workload row is the best of ``--repeats`` per-backend
-  blocks of ``--trials`` cascades (block-min timing — single-core
-  hosts under memory-subsystem contention swing individual blocks by
-  ±20%). The numpy backend is statistical-tier, so the gate here is
-  the exact-graph invariant suite (p=1 / p=0) plus a mean-spread
-  comparison, not per-cascade equality.
+  regime). Three single-cascade workloads (MFC with and without flips,
+  IC), each returning the full event trace, form the headline suite
+  speedup (geometric mean of the per-workload speedups). Every
+  workload row is the best of ``--repeats`` per-backend blocks of
+  ``--trials`` cascades (block-min timing — single-core hosts under
+  memory-subsystem contention swing individual blocks by ±20%). The
+  numpy backend is statistical-tier, so the gate here is the
+  exact-graph invariant suite (p=1 / p=0), not per-cascade equality.
 
 Backends select cascade execution only; the tree DP has one
 implementation and is benchmarked by ``bench_tree_dp.py``.
@@ -76,12 +74,8 @@ def bench_seeds(n: int, seed: int) -> dict:
     }
 
 
-#: Cascade workload rows. The spread-estimation rows (no event traces —
-#: what Monte-Carlo spread estimation actually consumes) make up the
-#: headline aggregate; the event-trace row shows the cost of full
-#: ``DiffusionResult.events`` reconstruction on both backends.
-SPREAD_WORKLOADS = ("mfc_spread", "mfc_no_flips", "ic_spread")
-CASCADE_WORKLOADS = SPREAD_WORKLOADS + ("mfc_event_trace",)
+#: Cascade workload rows; all three make up the headline aggregate.
+WORKLOADS = ("mfc_spread", "mfc_no_flips", "ic_spread")
 
 
 def bench_cascades(
@@ -91,7 +85,7 @@ def bench_cascades(
     compiled = compile_graph(graph)
     validated = check_seeds_compiled(compiled, bench_seeds(n, seed))
 
-    def mfc(backend, trial, allow_flips, record_events):
+    def mfc(backend, trial, allow_flips):
         return run_mfc_compiled(
             compiled,
             validated,
@@ -100,24 +94,21 @@ def bench_cascades(
             allow_flips=allow_flips,
             max_rounds=1_000_000,
             backend=backend,
-            record_events=record_events,
         )
 
-    def ic(backend, trial, record_events):
+    def ic(backend, trial):
         return run_ic_compiled(
             compiled,
             validated,
             spawn_rng(trial, "ic"),
             propagate_signs=True,
             backend=backend,
-            record_events=record_events,
         )
 
     runners = {
-        "mfc_spread": lambda b, t: mfc(b, t, True, False),
-        "mfc_no_flips": lambda b, t: mfc(b, t, False, False),
-        "ic_spread": lambda b, t: ic(b, t, False),
-        "mfc_event_trace": lambda b, t: mfc(b, t, True, True),
+        "mfc_spread": lambda b, t: mfc(b, t, True),
+        "mfc_no_flips": lambda b, t: mfc(b, t, False),
+        "ic_spread": ic,
     }
 
     def block(runner, backend):
@@ -128,7 +119,7 @@ def bench_cascades(
         return time.perf_counter() - start, infected / trials
 
     workloads = {}
-    for name in CASCADE_WORKLOADS:
+    for name in WORKLOADS:
         runner = runners[name]
         for backend in ("numpy", "python"):  # warm both (α caches, views)
             runner(backend, 0)
@@ -144,12 +135,12 @@ def bench_cascades(
             "speedup": best["python"] / best["numpy"],
         }
 
-    # Headline: geometric mean of the per-workload speedups over the
-    # spread-estimation suite — the standard suite aggregate (each
-    # workload weighs equally; a time-total ratio would instead weight
-    # rows by their absolute duration).
+    # Headline: geometric mean of the per-workload speedups — the
+    # standard suite aggregate (each workload weighs equally; a
+    # time-total ratio would instead weight rows by their absolute
+    # duration).
     product = 1.0
-    for w in SPREAD_WORKLOADS:
+    for w in WORKLOADS:
         product *= workloads[w]["speedup"]
     return {
         "nodes": n,
@@ -158,7 +149,7 @@ def bench_cascades(
         "block_repeats": repeats,
         "alpha": alpha,
         "workloads": workloads,
-        "speedup": product ** (1.0 / len(SPREAD_WORKLOADS)),
+        "speedup": product ** (1.0 / len(WORKLOADS)),
     }
 
 
@@ -177,24 +168,32 @@ def identity_gate(seed: int) -> list:
     graph = build_cascade_graph(300, 3_000, seed, weight_low=1.0, weight_span=0.0)
     compiled = compile_graph(graph)
     validated = check_seeds_compiled(compiled, bench_seeds(300, seed))
-    rp, tried = py.mfc_cascade(compiled, validated, random.Random(1), 1.0, False, 10**9)
-    rn, attempts = nx.mfc_cascade(compiled, validated, random.Random(1), 1.0, False, 10**9)
+    rp, attempts_py = py.mfc_cascade(
+        compiled, validated, random.Random(1), 1.0, False, 10**9
+    )
+    rn, attempts_np = nx.mfc_cascade(
+        compiled, validated, random.Random(1), 1.0, False, 10**9
+    )
     check("mfc p=1 final states equal", rn.final_states == rp.final_states)
-    check("mfc p=1 attempt counts equal", attempts == sum(tried))
+    check("mfc p=1 attempt counts equal", attempts_np == attempts_py)
     check("mfc p=1 round counts equal", rn.rounds == rp.rounds)
-    rp, tried = py.ic_cascade(compiled, validated, random.Random(2), True)
-    rn, attempts = nx.ic_cascade(compiled, validated, random.Random(2), True)
+    rp, attempts_py = py.ic_cascade(compiled, validated, random.Random(2), True)
+    rn, attempts_np = nx.ic_cascade(compiled, validated, random.Random(2), True)
     check("ic p=1 final states equal", rn.final_states == rp.final_states)
-    check("ic p=1 attempt counts equal", attempts == sum(tried))
+    check("ic p=1 attempt counts equal", attempts_np == attempts_py)
 
     # p=0: nothing ever succeeds; seeds only, one round of failures.
     graph = build_cascade_graph(200, 1_000, seed, weight_low=0.0, weight_span=0.0)
     compiled = compile_graph(graph)
     validated = check_seeds_compiled(compiled, bench_seeds(200, seed))
-    rp, tried = py.mfc_cascade(compiled, validated, random.Random(3), 3.0, True, 10**9)
-    rn, attempts = nx.mfc_cascade(compiled, validated, random.Random(3), 3.0, True, 10**9)
+    rp, attempts_py = py.mfc_cascade(
+        compiled, validated, random.Random(3), 3.0, True, 10**9
+    )
+    rn, attempts_np = nx.mfc_cascade(
+        compiled, validated, random.Random(3), 3.0, True, 10**9
+    )
     check("mfc p=0 seeds-only spread", rn.final_states == validated)
-    check("mfc p=0 attempt counts equal", attempts == sum(tried))
+    check("mfc p=0 attempt counts equal", attempts_np == attempts_py)
     return failures
 
 
@@ -246,7 +245,7 @@ def main() -> int:
         20_000, 8_000_000, args.trials, args.repeats, args.seed, args.alpha
     )
     report["cascades"] = entry
-    for name in CASCADE_WORKLOADS:
+    for name in WORKLOADS:
         row = entry["workloads"][name]
         print(
             "  %-16s python %6.2fs  numpy %6.2fs  speedup %.2fx  "
@@ -260,10 +259,7 @@ def main() -> int:
                 row["numpy"]["mean_infected"],
             )
         )
-    print(
-        "  spread-estimation suite speedup (geometric mean): %.2fx"
-        % entry["speedup"]
-    )
+    print("  cascade suite speedup (geometric mean): %.2fx" % entry["speedup"])
 
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)

@@ -6,16 +6,17 @@ cascades from one seed assignment on a 20k-node / 200k-edge signed
 digraph (average out-degree 10, moderate per-edge probabilities). Two
 executions of the same T trials are timed per workload:
 
-* **per-trial** — T separate ``run_*_compiled`` calls on the numpy
-  backend with ``record_events=False`` (the pre-batch fast path: one
-  dispatch, one scratch-buffer warm-up, one RNG spin-up per trial);
+* **per-trial** — T separate one-trial ``run_*_batch`` calls on the
+  numpy backend (per-trial dispatch: one call, one state matrix and
+  one RNG spin-up per trial, no event trace);
 * **batched** — one ``run_*_batch`` call sweeping all T trials as
   ``(T, n)`` matrices with a single SFC64 stream per round.
 
 Every row is the best of ``--repeats`` per-execution blocks (block-min
 timing); the headline is the geometric mean of the per-workload
-speedups. The batched python tier is also timed for context — its win
-comes only from skipping per-trial result materialisation.
+speedups, recorded but not asserted. The batched python tier is also
+timed for context — it runs the single cascade's loop per trial and
+skips only the event decoding.
 
 Results are written as JSON (default ``BENCH_mc_batch.json``).
 
@@ -47,11 +48,7 @@ from repro.diffusion.monte_carlo import simulate_batch, simulate_many
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.kernel.backends import numpy_available, resolve_backend
 from repro.kernel.batch import run_ic_batch, run_mfc_batch
-from repro.kernel.cascade import (
-    check_seeds_compiled,
-    run_ic_compiled,
-    run_mfc_compiled,
-)
+from repro.kernel.cascade import check_seeds_compiled
 from repro.kernel.compile import compile_graph
 from repro.types import NodeState
 from repro.utils.rng import derive_seed, spawn_rng
@@ -100,31 +97,25 @@ def bench_batched(
     def per_trial_mfc(backend, allow_flips):
         infected = 0
         for trial_seed in mfc_seeds:
-            result = run_mfc_compiled(
+            summary = run_mfc_batch(
                 compiled,
                 validated,
-                spawn_rng(trial_seed, "mfc"),
+                [trial_seed],
                 alpha=alpha,
                 allow_flips=allow_flips,
                 max_rounds=1_000_000,
                 backend=backend,
-                record_events=False,
             )
-            infected += len(result.final_states)
+            infected += summary.infected[0]
         return infected / trials
 
     def per_trial_ic(backend):
         infected = 0
         for trial_seed in ic_seeds:
-            result = run_ic_compiled(
-                compiled,
-                validated,
-                spawn_rng(trial_seed, "ic"),
-                propagate_signs=True,
-                backend=backend,
-                record_events=False,
+            summary = run_ic_batch(
+                compiled, validated, [trial_seed], propagate_signs=True, backend=backend
             )
-            infected += len(result.final_states)
+            infected += summary.infected[0]
         return infected / trials
 
     def batched_mfc(backend, allow_flips):

@@ -7,8 +7,8 @@ branch; all counters are derived post-run only when a recorder is
 enabled. This benchmark times three configurations over the exact same
 cascade workload (same compiled graph, same per-cascade seeds):
 
-* **baseline** — ``_mfc_cascade`` called directly, the uninstrumented
-  loop exactly as it ran before the observability layer existed;
+* **baseline** — ``_mfc_cascade`` called directly, the kernel cascade
+  with no recorder resolution or calls;
 * **null** — ``run_mfc_compiled`` with the default
   :class:`~repro.obs.recorder.NullRecorder` (the production default);
 * **metrics** — ``run_mfc_compiled`` under an enabled

@@ -24,13 +24,15 @@ makes it a selectable one:
 Detection does not go through this package: the tree DP has one
 implementation, :class:`repro.kernel.tree_dp.TreeDPKernel`.
 
-Both backends also implement the **batched-trial** protocol
-(``mfc_batch`` / ``ic_batch``): T cascades in one call, returning
-compact per-trial summaries (:class:`repro.kernel.batch.
-CascadeBatchSummary`). The python tier loops per trial and is
-bit-identical to ``simulate_many``; the numpy tier sweeps all trials as
-``(T, n)`` matrices and joins the statistical tier. See
-``docs/algorithms.md`` §13.
+:func:`resolve_backend` returns a :class:`Backend` record: the name,
+the identity tier and four functions. ``mfc_cascade`` / ``ic_cascade``
+run one cascade and return ``(result, attempts)``, the result always
+carrying the full event trace. ``mfc_batch`` / ``ic_batch`` run T
+cascades in one call and return compact per-trial summaries
+(:class:`repro.kernel.batch.CascadeBatchSummary`): the python tier runs
+the single cascade's loop once per trial and is bit-identical to
+``simulate_many``; the numpy tier sweeps all trials as ``(T, n)``
+matrices and joins the statistical tier. See ``docs/algorithms.md`` §13.
 
 Selection order: an explicit ``backend=`` argument wins, else the
 ``REPRO_KERNEL_BACKEND`` environment variable, else ``python``. The
@@ -46,7 +48,9 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.recorder import current_recorder
@@ -62,142 +66,59 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 VALID_BACKENDS = ("python", "numpy", "auto")
 
 
-class PythonBackend:
-    """The interpreted kernel loops — the bit-identical reference tier."""
+@dataclass(frozen=True)
+class Backend:
+    """One execution engine: its name, identity tier and kernel entry points.
 
-    name = "python"
-    tier = BIT_IDENTICAL
+    ``mfc_cascade(compiled, validated, random, alpha, allow_flips,
+    max_rounds)`` and ``ic_cascade(compiled, validated, random,
+    propagate_signs)`` run one cascade and return ``(DiffusionResult,
+    attempts)``. ``mfc_batch(compiled, validated, trial_seeds, namespace,
+    alpha, allow_flips, max_rounds, record_states=False)`` and
+    ``ic_batch(compiled, validated, trial_seeds, namespace,
+    propagate_signs, record_states=False)`` run T cascades and return a
+    :class:`~repro.kernel.batch.CascadeBatchSummary`; pass
+    ``record_states`` by keyword.
+    """
 
-    def __init__(self) -> None:
-        # Bound lazily so importing this package never drags the kernel
-        # modules in (they import us back at module bottom).
-        from repro.kernel import batch as _batch
-        from repro.kernel import cascade as _cascade
+    name: str
+    tier: str
+    mfc_cascade: Callable[..., Any]
+    ic_cascade: Callable[..., Any]
+    mfc_batch: Callable[..., Any]
+    ic_batch: Callable[..., Any]
 
-        self._mfc = _cascade._mfc_cascade
-        self._ic = _cascade._ic_cascade
-        self._mfc_batch = _batch.python_mfc_batch
-        self._ic_batch = _batch.python_ic_batch
 
-    def mfc_cascade(
-        self,
-        compiled,
-        validated,
-        random,
-        alpha,
-        allow_flips,
-        max_rounds,
-        record_events=True,
-    ):
-        """One MFC cascade; returns ``(result, per-slot attempt flags)``."""
-        return self._mfc(
-            compiled, validated, random, alpha, allow_flips, max_rounds, record_events
+def _build(name: str) -> Backend:
+    """The backend record for a resolved ``name`` (``python``/``numpy``)."""
+    # Bound here rather than at import: the kernel modules import this
+    # package back (cascade.py at module bottom), and numpy must only be
+    # imported after the feature probe.
+    if name == "python":
+        from repro.kernel import batch, cascade
+
+        return Backend(
+            name="python",
+            tier=BIT_IDENTICAL,
+            mfc_cascade=cascade._mfc_cascade,
+            ic_cascade=cascade._ic_cascade,
+            mfc_batch=partial(batch.python_batch, cascade._mfc_sweep),
+            ic_batch=partial(batch.python_batch, cascade._ic_sweep),
         )
+    from repro.kernel.backends import numpy_backend as impl
 
-    def ic_cascade(self, compiled, validated, random, propagate_signs, record_events=True):
-        """One IC cascade; returns ``(result, per-slot attempt flags)``."""
-        return self._ic(compiled, validated, random, propagate_signs, record_events)
-
-    def mfc_batch(
-        self,
-        compiled,
-        validated,
-        trial_seeds,
-        namespace,
-        alpha,
-        allow_flips,
-        max_rounds,
-        record_states=False,
-    ):
-        """T MFC cascades, one reference loop per trial (bit-identical)."""
-        return self._mfc_batch(
-            compiled,
-            validated,
-            trial_seeds,
-            namespace,
-            alpha,
-            allow_flips,
-            max_rounds,
-            record_states,
-        )
-
-    def ic_batch(
-        self, compiled, validated, trial_seeds, namespace, propagate_signs,
-        record_states=False,
-    ):
-        """T IC cascades, one reference loop per trial (bit-identical)."""
-        return self._ic_batch(
-            compiled, validated, trial_seeds, namespace, propagate_signs, record_states
-        )
-
-
-class NumpyBackend:
-    """Vectorized sweeps over the same compiled arrays (numpy required)."""
-
-    name = "numpy"
-    tier = STATISTICAL
-
-    def __init__(self) -> None:
-        from repro.kernel.backends import numpy_backend as _impl
-
-        self._impl = _impl
-
-    def mfc_cascade(
-        self,
-        compiled,
-        validated,
-        random,
-        alpha,
-        allow_flips,
-        max_rounds,
-        record_events=True,
-    ):
-        """One frontier-batched MFC cascade; returns ``(result, attempts)``."""
-        return self._impl.mfc_cascade(
-            compiled, validated, random, alpha, allow_flips, max_rounds, record_events
-        )
-
-    def ic_cascade(self, compiled, validated, random, propagate_signs, record_events=True):
-        """One frontier-batched IC cascade; returns ``(result, attempts)``."""
-        return self._impl.ic_cascade(
-            compiled, validated, random, propagate_signs, record_events
-        )
-
-    def mfc_batch(
-        self,
-        compiled,
-        validated,
-        trial_seeds,
-        namespace,
-        alpha,
-        allow_flips,
-        max_rounds,
-        record_states=False,
-    ):
-        """T MFC cascades as one ``(T, n)`` matrix sweep (statistical tier)."""
-        return self._impl.mfc_batch(
-            compiled,
-            validated,
-            trial_seeds,
-            namespace,
-            alpha,
-            allow_flips,
-            max_rounds,
-            record_states,
-        )
-
-    def ic_batch(
-        self, compiled, validated, trial_seeds, namespace, propagate_signs,
-        record_states=False,
-    ):
-        """T IC cascades as one ``(T, n)`` matrix sweep (statistical tier)."""
-        return self._impl.ic_batch(
-            compiled, validated, trial_seeds, namespace, propagate_signs, record_states
-        )
+    return Backend(
+        name="numpy",
+        tier=STATISTICAL,
+        mfc_cascade=impl.mfc_cascade,
+        ic_cascade=impl.ic_cascade,
+        mfc_batch=impl.mfc_batch,
+        ic_batch=impl.ic_batch,
+    )
 
 
 _NUMPY_OK: Optional[bool] = None
-_INSTANCES: Dict[str, object] = {}
+_INSTANCES: Dict[str, Backend] = {}
 _FALLBACK_WARNED = False
 
 
@@ -238,8 +159,8 @@ def default_backend_name() -> str:
     return name
 
 
-def resolve_backend(name: Optional[str] = None):
-    """The backend instance for ``name`` (or the env/``python`` default).
+def resolve_backend(name: Optional[str] = None) -> Backend:
+    """The backend record for ``name`` (or the env/``python`` default).
 
     ``auto`` resolves to ``numpy`` when available, else ``python``.
     A ``numpy`` request without numpy installed degrades gracefully to
@@ -276,7 +197,7 @@ def resolve_backend(name: Optional[str] = None):
         name = "python"
     instance = _INSTANCES.get(name)
     if instance is None:
-        instance = PythonBackend() if name == "python" else NumpyBackend()
+        instance = _build(name)
         _INSTANCES[name] = instance
     return instance
 
@@ -294,8 +215,7 @@ __all__ = [
     "STATISTICAL",
     "ENV_VAR",
     "VALID_BACKENDS",
-    "PythonBackend",
-    "NumpyBackend",
+    "Backend",
     "available_backends",
     "default_backend_name",
     "numpy_available",

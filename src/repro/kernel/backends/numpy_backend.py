@@ -1,7 +1,11 @@
 """Vectorized (numpy) execution of the compiled kernels.
 
 Importing this module requires numpy; :mod:`repro.kernel.backends` only
-does so after a successful feature probe.
+does so after a successful feature probe. A single cascade
+(:func:`mfc_cascade`, :func:`ic_cascade`) returns the full event trace
+and its attempt count; Monte-Carlo work that needs only counts or final
+states runs all trials at once through :func:`mfc_batch` /
+:func:`ic_batch`.
 
 Cascades — frontier-batched rounds (statistical-identity tier)
 --------------------------------------------------------------
@@ -48,7 +52,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.diffusion.base import ActivationEvent, DiffusionResult
-from repro.kernel.cascade import _DECODE, _materialise
+from repro.kernel.cascade import _DECODE
 from repro.kernel.compile import CompiledGraph
 from repro.types import Node, NodeState
 
@@ -276,29 +280,6 @@ def _materialise_arrays(
     )
 
 
-def _finalise_arrays(
-    compiled: CompiledGraph,
-    validated: Dict[Node, NodeState],
-    states: np.ndarray,
-    rounds: int,
-) -> DiffusionResult:
-    """Trace-free twin of :func:`_materialise_arrays`.
-
-    Mirrors :func:`repro.kernel.cascade._finalise`: ``final_states``
-    scanned off the state array (dict-equal to the recorded run's, in
-    node-index order), empty ``events`` by contract.
-    """
-    nodes = compiled.nodes
-    decode = _DECODE
-    active = np.flatnonzero(states)
-    final_states = {
-        nodes[i]: decode[s] for i, s in zip(active.tolist(), states[active].tolist())
-    }
-    return DiffusionResult(
-        seeds=validated, final_states=final_states, events=[], rounds=rounds
-    )
-
-
 def mfc_cascade(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
@@ -306,7 +287,6 @@ def mfc_cascade(
     alpha: float,
     allow_flips: bool,
     max_rounds: int,
-    record_events: bool = True,
 ) -> Tuple[DiffusionResult, int]:
     """One frontier-batched MFC cascade; returns ``(result, attempts)``.
 
@@ -405,15 +385,12 @@ def mfc_cascade(
             np.uint8
         )
         was_flip = states[w_tgt] != 0  # pre-update: an active winner target flipped
-        if record_events:
-            log.append((rounds, w_src, w_tgt, s_new, was_flip))
+        log.append((rounds, w_src, w_tgt, s_new, was_flip))
         if allow_flips and not may_retry:
             may_retry = bool(was_flip.any())
         states[w_tgt] = s_new
         frontier = np.sort(w_tgt)
 
-    if not record_events:
-        return _finalise_arrays(compiled, validated, states, rounds), attempts
     return _materialise_arrays(compiled, validated, events, log, rounds), attempts
 
 
@@ -422,7 +399,6 @@ def ic_cascade(
     validated: Dict[Node, NodeState],
     random: _random.Random,
     propagate_signs: bool,
-    record_events: bool = True,
 ) -> Tuple[DiffusionResult, int]:
     """One frontier-batched IC cascade; returns ``(result, attempts)``.
 
@@ -491,12 +467,9 @@ def ic_cascade(
         else:
             s_new = states[w_src].astype(np.uint8)
         states[w_tgt] = s_new
-        if record_events:
-            log.append((rounds, w_src, w_tgt, s_new, np.zeros(win.size, dtype=bool)))
+        log.append((rounds, w_src, w_tgt, s_new, np.zeros(win.size, dtype=bool)))
         frontier = np.sort(w_tgt)
 
-    if not record_events:
-        return _finalise_arrays(compiled, validated, states, rounds), attempts
     return _materialise_arrays(compiled, validated, events, log, rounds), attempts
 
 

@@ -7,11 +7,12 @@ times over (per-round mask setup, RNG block slicing, result
 materialisation). The batch tier runs all T trials through **one**
 backend call:
 
-* the ``python`` backend loops a counter-only twin of the reference
-  cascade per trial (:func:`repro.kernel.cascade._mfc_cascade_summary`)
-  and is **bit-identical** to ``simulate_many`` — same per-trial RNG
-  streams (``spawn_rng(trial_seeds[t], namespace)``), same final
-  states, same round/flip/attempt counts;
+* the ``python`` backend runs the single cascade's own loop once per
+  trial (:func:`python_batch` over
+  :func:`repro.kernel.cascade._mfc_sweep` / ``_ic_sweep``) and is
+  **bit-identical** to ``simulate_many`` — same per-trial RNG streams
+  (``spawn_rng(trial_seeds[t], namespace)``), same final states, same
+  round/flip/attempt counts;
 * the ``numpy`` backend sweeps all trials as ``(T, n)`` state/frontier
   matrices with one SFC64 draw block per round sliced across trials
   (:func:`repro.kernel.backends.numpy_backend.mfc_batch`) — the
@@ -21,9 +22,8 @@ backend call:
 
 Results come back as a :class:`CascadeBatchSummary`: compact per-trial
 arrays (infected / positive / negative / flip / round counts — no
-per-event materialisation, generalising the ``record_events=False``
-fast path of PR 6) plus an optional final-state matrix for consumers
-that score states per node (the MAP detector, k-effectors,
+per-event materialisation) plus an optional final-state matrix for
+consumers that score states per node (the MAP detector, k-effectors,
 simulation matching).
 
 Callers derive ``trial_seeds`` exactly as ``simulate_many`` does —
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel import backends as _backends
 from repro.kernel.compile import CompiledGraph
@@ -206,23 +206,27 @@ class CascadeBatchSummary:
 
 
 # ---------------------------------------------------------------------------
-# python backend batch drivers (bit-identical tier)
+# python backend batch runner (bit-identical tier)
 # ---------------------------------------------------------------------------
 
 
-def python_mfc_batch(
+def python_batch(
+    sweep: Callable[..., Tuple[bytearray, int, list, int]],
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
     trial_seeds: Sequence[int],
     namespace: str,
-    alpha: float,
-    allow_flips: bool,
-    max_rounds: int,
+    *params: object,
     record_states: bool = False,
 ) -> CascadeBatchSummary:
-    """Per-trial reference loop; bit-identical to ``simulate_many``."""
-    from repro.kernel.cascade import _mfc_cascade_summary
+    """Run ``sweep`` once per trial; bit-identical to ``simulate_many``.
 
+    ``sweep`` is a model's python loop
+    (:func:`repro.kernel.cascade._mfc_sweep` or ``_ic_sweep``), called as
+    ``sweep(compiled, validated, spawn_rng(seed, namespace), *params)``
+    — the same loop, with the same per-trial stream, as the single
+    cascade ``simulate_many`` runs. Flips are counted off its event log.
+    """
     infected: List[int] = []
     positive: List[int] = []
     negative: List[int] = []
@@ -231,65 +235,14 @@ def python_mfc_batch(
     rows: Optional[List[bytearray]] = [] if record_states else None
     attempts = 0
     for seed in trial_seeds:
-        states, trial_rounds, trial_attempts, trial_flips = _mfc_cascade_summary(
-            compiled,
-            validated,
-            spawn_rng(seed, namespace),
-            alpha,
-            allow_flips,
-            max_rounds,
+        states, trial_rounds, log, trial_attempts = sweep(
+            compiled, validated, spawn_rng(seed, namespace), *params
         )
         pos, neg = states.count(1), states.count(2)
         positive.append(pos)
         negative.append(neg)
         infected.append(pos + neg)
-        flips.append(trial_flips)
-        rounds.append(trial_rounds)
-        attempts += trial_attempts
-        if rows is not None:
-            rows.append(states)
-    return CascadeBatchSummary(
-        nodes=compiled.nodes,
-        index=compiled.index,
-        seeds=dict(validated),
-        trials=len(infected),
-        infected=infected,
-        positive=positive,
-        negative=negative,
-        flips=flips,
-        rounds=rounds,
-        attempts=attempts,
-        states=rows,
-    )
-
-
-def python_ic_batch(
-    compiled: CompiledGraph,
-    validated: Dict[Node, NodeState],
-    trial_seeds: Sequence[int],
-    namespace: str,
-    propagate_signs: bool,
-    record_states: bool = False,
-) -> CascadeBatchSummary:
-    """Per-trial reference IC loop; bit-identical to ``simulate_many``."""
-    from repro.kernel.cascade import _ic_cascade_summary
-
-    infected: List[int] = []
-    positive: List[int] = []
-    negative: List[int] = []
-    flips: List[int] = []
-    rounds: List[int] = []
-    rows: Optional[List[bytearray]] = [] if record_states else None
-    attempts = 0
-    for seed in trial_seeds:
-        states, trial_rounds, trial_attempts, _ = _ic_cascade_summary(
-            compiled, validated, spawn_rng(seed, namespace), propagate_signs
-        )
-        pos, neg = states.count(1), states.count(2)
-        positive.append(pos)
-        negative.append(neg)
-        infected.append(pos + neg)
-        flips.append(0)
+        flips.append(sum(1 for entry in log if entry[4]))
         rounds.append(trial_rounds)
         attempts += trial_attempts
         if rows is not None:
@@ -426,8 +379,7 @@ def run_ic_batch(
 
 __all__ = [
     "CascadeBatchSummary",
-    "python_ic_batch",
-    "python_mfc_batch",
+    "python_batch",
     "run_ic_batch",
     "run_mfc_batch",
 ]

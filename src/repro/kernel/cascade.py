@@ -1,6 +1,7 @@
 """Flat-array MFC and IC cascade fast paths.
 
-Both functions replay the corresponding reference simulator (the
+Each model has one loop (:func:`_mfc_sweep`, :func:`_ic_sweep`), and it
+replays the corresponding reference simulator (the
 dict-of-dict MFC / IC loops kept as test oracles in
 ``tests/oracles/cascades.py``) instruction-for-instruction where it
 matters:
@@ -22,6 +23,12 @@ matters:
 Node states are bytes: ``0`` inactive, ``1`` state ``+1``, ``2`` state
 ``-1``. The MFC update ``s(v) = s(u)·s_D(u,v)`` becomes "copy on a
 positive link, swap ``1↔2`` (i.e. ``3 - s``) on a negative link".
+
+A loop returns its raw outputs — state bytes, round count, an int event
+log and the attempt count. The single cascade (:func:`_mfc_cascade`,
+:func:`_ic_cascade`) decodes the log into a
+:class:`~repro.diffusion.base.DiffusionResult`; the python batch tier
+(:mod:`repro.kernel.batch`) reads the counts off the same run.
 """
 
 from __future__ import annotations
@@ -64,36 +71,37 @@ def check_seeds_compiled(
     return validated
 
 
-def _plant(
+def _seeded(
     compiled: CompiledGraph, validated: Dict[Node, NodeState]
-) -> Tuple[bytearray, List[int], List[ActivationEvent]]:
-    """Seed the state array; return it with the round-0 frontier/events."""
-    states = bytearray(compiled.num_nodes)
+) -> List[Tuple[int, int]]:
+    """Seeds as ``(node index, state byte)`` pairs in ascending index order."""
     index = compiled.index
-    seeded = sorted(
+    return sorted(
         (index[node], 1 if int(state) > 0 else 2) for node, state in validated.items()
     )
-    nodes = compiled.nodes
-    events = []
+
+
+def _plant(
+    compiled: CompiledGraph, validated: Dict[Node, NodeState]
+) -> Tuple[bytearray, List[int]]:
+    """Seed the state array; return it with the round-0 frontier."""
+    states = bytearray(compiled.num_nodes)
     frontier = []
-    for i, s in seeded:
+    for i, s in _seeded(compiled, validated):
         states[i] = s
         frontier.append(i)
-        events.append(
-            ActivationEvent(round=0, source=None, target=nodes[i], state=_DECODE[s])
-        )
-    return states, frontier, events
+    return states, frontier
 
 
 def _materialise(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
-    events: List[ActivationEvent],
     log: List[Tuple[int, int, int, int, bool]],
     rounds: int,
 ) -> DiffusionResult:
     """Decode the int event log into the reference result structure.
 
+    Events open with the round-0 seed activations in node-index order.
     ``final_states`` is built seed-first then in first-activation order,
     reproducing the reference's dict insertion order exactly (flips
     re-assign and therefore keep the original position, as in a plain
@@ -102,6 +110,10 @@ def _materialise(
     nodes = compiled.nodes
     decode = _DECODE
     event = ActivationEvent
+    events = [
+        event(round=0, source=None, target=nodes[i], state=decode[s])
+        for i, s in _seeded(compiled, validated)
+    ]
     append = events.append
     final_states = dict(validated)
     for round_index, u, v, s, was_flip in log:
@@ -114,57 +126,32 @@ def _materialise(
     )
 
 
-def _finalise(
-    compiled: CompiledGraph,
-    validated: Dict[Node, NodeState],
-    states: bytearray,
-    rounds: int,
-) -> DiffusionResult:
-    """Trace-free result: final states scanned straight off the state array.
-
-    Used when the caller disabled event recording
-    (``record_events=False``). ``final_states`` compares equal to the
-    recorded run's dict (dict equality ignores insertion order, which
-    here is node-index order rather than the reference's activation
-    order); ``events`` is empty by contract.
-    """
-    nodes = compiled.nodes
-    decode = _DECODE
-    final_states = {}
-    for i, s in enumerate(states):
-        if s:
-            final_states[nodes[i]] = decode[s]
-    return DiffusionResult(
-        seeds=validated, final_states=final_states, events=[], rounds=rounds
-    )
-
-
-def _mfc_cascade(
+def _mfc_sweep(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
     random: _random.Random,
     alpha: float,
     allow_flips: bool,
     max_rounds: int,
-    record_events: bool = True,
-) -> Tuple[DiffusionResult, bytearray]:
-    """The bare MFC loop, exactly the pre-observability kernel fast path.
+) -> Tuple[bytearray, int, List[Tuple[int, int, int, int, bool]], int]:
+    """The MFC loop; returns ``(states, rounds, log, attempts)``.
 
-    Returns the result plus the per-slot attempt flags so the wrapper
-    can derive attempt counters without any in-loop bookkeeping.
-    ``benchmarks/bench_obs_overhead.py`` times this function directly as
-    the uninstrumented baseline — keep it free of recorder calls.
+    ``log`` holds one ``(round, u, v, state byte, was_flip)`` tuple per
+    successful attempt. Both the single cascade (:func:`_mfc_cascade`)
+    and the python batch tier (:func:`repro.kernel.batch.python_batch`)
+    run this loop, so they consume the RNG identically.
     """
     indptr, targets, _ = compiled.hot_rows()
     signs = compiled.signs
     probs = compiled.probabilities_list(alpha)
     rand = random.random
 
-    states, frontier, events = _plant(compiled, validated)
+    states, frontier = _plant(compiled, validated)
     tried = bytearray(compiled.num_edges)
     queued = bytearray(compiled.num_nodes)
     log: List[Tuple[int, int, int, int, bool]] = []
     rounds = 0
+    attempts = 0
 
     while frontier and rounds < max_rounds:
         rounds += 1
@@ -187,6 +174,7 @@ def _mfc_cascade(
                 else:
                     continue
                 tried[slot] = 1
+                attempts += 1
                 if rand() < probs[slot]:
                     s_new = s_u if signs[slot] else 3 - s_u
                     states[v] = s_new
@@ -199,146 +187,47 @@ def _mfc_cascade(
         fresh.sort()
         frontier = fresh
 
-    if not record_events:
-        return _finalise(compiled, validated, states, rounds), tried
-    return _materialise(compiled, validated, events, log, rounds), tried
+    return states, rounds, log, attempts
 
 
-def _mfc_cascade_summary(
+def _mfc_cascade(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
     random: _random.Random,
     alpha: float,
     allow_flips: bool,
     max_rounds: int,
-) -> Tuple[bytearray, int, int, int]:
-    """:func:`_mfc_cascade` with counters instead of an event log.
+) -> Tuple[DiffusionResult, int]:
+    """One bare MFC cascade; returns ``(result, attempts)``.
 
-    Identical control flow and **identical RNG consumption** — the only
-    difference is that successes bump scalar counters rather than append
-    to the log, so the per-trial summaries of the batched tier
-    (:mod:`repro.kernel.batch`) stay bit-identical to what a recorded
-    run would report. Returns ``(states, rounds, attempts, flips)``.
+    ``benchmarks/bench_obs_overhead.py`` times this function directly as
+    the uninstrumented baseline — keep it free of recorder calls.
     """
-    indptr, targets, _ = compiled.hot_rows()
-    signs = compiled.signs
-    probs = compiled.probabilities_list(alpha)
-    rand = random.random
-
-    states, frontier, _ = _plant(compiled, validated)
-    tried = bytearray(compiled.num_edges)
-    queued = bytearray(compiled.num_nodes)
-    rounds = 0
-    attempts = 0
-    flips = 0
-
-    while frontier and rounds < max_rounds:
-        rounds += 1
-        fresh: List[int] = []
-        for u in frontier:
-            s_u = states[u]
-            if s_u == 0:
-                continue
-            for slot in range(indptr[u], indptr[u + 1]):
-                if tried[slot]:
-                    continue
-                v = targets[slot]
-                s_v = states[v]
-                if s_v == 0:
-                    was_flip = False
-                elif allow_flips and signs[slot] and s_u != s_v:
-                    was_flip = True
-                else:
-                    continue
-                tried[slot] = 1
-                attempts += 1
-                if rand() < probs[slot]:
-                    states[v] = s_u if signs[slot] else 3 - s_u
-                    if was_flip:
-                        flips += 1
-                    if not queued[v]:
-                        queued[v] = 1
-                        fresh.append(v)
-        for v in fresh:
-            queued[v] = 0
-        fresh.sort()
-        frontier = fresh
-
-    return states, rounds, attempts, flips
-
-
-def _ic_cascade_summary(
-    compiled: CompiledGraph,
-    validated: Dict[Node, NodeState],
-    random: _random.Random,
-    propagate_signs: bool,
-) -> Tuple[bytearray, int, int, int]:
-    """Counter-only twin of :func:`_ic_cascade` (same RNG stream).
-
-    Returns ``(states, rounds, attempts, flips)``; IC has no flips, so
-    the last counter is always zero (kept for a uniform batch shape).
-    """
-    indptr, targets, weights = compiled.hot_rows()
-    signs = compiled.signs
-    rand = random.random
-
-    states, frontier, _ = _plant(compiled, validated)
-    tried = bytearray(compiled.num_edges)
-    rounds = 0
-    attempts = 0
-
-    while frontier:
-        rounds += 1
-        fresh: List[int] = []
-        for u in frontier:
-            s_u = states[u]
-            for slot in range(indptr[u], indptr[u + 1]):
-                if tried[slot]:
-                    continue
-                v = targets[slot]
-                if states[v]:
-                    continue  # IC never re-activates (and keeps the slot unspent)
-                tried[slot] = 1
-                attempts += 1
-                if rand() < weights[slot]:
-                    if propagate_signs and not signs[slot]:
-                        states[v] = 3 - s_u
-                    else:
-                        states[v] = s_u
-                    fresh.append(v)
-        fresh.sort()
-        frontier = fresh
-
-    return states, rounds, attempts, 0
+    _, rounds, log, attempts = _mfc_sweep(
+        compiled, validated, random, alpha, allow_flips, max_rounds
+    )
+    return _materialise(compiled, validated, log, rounds), attempts
 
 
 def _record_cascade(
     recorder: Recorder,
     prefix: str,
     result: DiffusionResult,
-    tried,
+    attempts: int,
     seconds: float,
     backend: str = "python",
 ) -> None:
-    """Fold one cascade's counters into ``recorder`` (post-run, O(m)).
-
-    ``tried`` is either the python backend's per-slot attempt flags or a
-    backend's pre-summed attempt count. Trace-free results
-    (``record_events=False``) carry no events, so the trace-derived
-    ``activations``/``flips`` counters are skipped rather than reported
-    as zero.
-    """
+    """Fold one cascade's counters into ``recorder`` (post-run, O(events))."""
     recorder.incr(f"{prefix}.cascades")
     recorder.incr(f"{prefix}.backend.{backend}")
     recorder.incr(f"{prefix}.rounds", result.rounds)
-    # Every tried slot is one RNG roll on one distinct (u, v) edge — the
+    # Every attempt is one RNG roll on one distinct (u, v) edge — the
     # kernel's unit of work ("edges touched").
-    recorder.incr(f"{prefix}.attempts", tried if isinstance(tried, int) else sum(tried))
-    if result.events:
-        flips = sum(1 for event in result.events if event.was_flip)
-        activations = len(result.events) - len(result.seeds) - flips
-        recorder.incr(f"{prefix}.activations", activations)
-        recorder.incr(f"{prefix}.flips", flips)
+    recorder.incr(f"{prefix}.attempts", attempts)
+    flips = sum(1 for event in result.events if event.was_flip)
+    activations = len(result.events) - len(result.seeds) - flips
+    recorder.incr(f"{prefix}.activations", activations)
+    recorder.incr(f"{prefix}.flips", flips)
     recorder.gauge(f"{prefix}.infected", float(len(result.final_states)))
     recorder.timing(f"{prefix}.cascade", seconds)
 
@@ -352,7 +241,6 @@ def run_mfc_compiled(
     max_rounds: int,
     recorder: Optional[Recorder] = None,
     backend: Optional[str] = None,
-    record_events: bool = True,
 ) -> DiffusionResult:
     """MFC (paper Algorithm 1) over the CSR arrays.
 
@@ -364,15 +252,9 @@ def run_mfc_compiled(
     ``backend`` picks the execution backend (see
     :mod:`repro.kernel.backends`); ``None`` defers to the
     ``REPRO_KERNEL_BACKEND`` env default, which is the bit-identical
-    interpreted path.
-
-    ``record_events=False`` returns a trace-free result: ``events`` is
-    empty and ``final_states`` is scanned off the state array (equal as
-    a dict to the recorded run's, in node-index rather than activation
-    order). Monte-Carlo spread estimation reads only ``final_states``,
-    and on large graphs event materialisation is a fixed per-cascade
-    cost both backends share — skipping it is the cheap path for
-    estimate-only workloads.
+    interpreted path. The result always carries the full event trace;
+    Monte-Carlo callers that need only counts or final states use the
+    batch tier (:mod:`repro.kernel.batch`).
 
     With an enabled ``recorder`` (explicit or ambient via
     :func:`repro.obs.using_recorder`), per-cascade counters
@@ -386,46 +268,35 @@ def run_mfc_compiled(
     engine = _backends.resolve_backend(backend)
     if not rec.enabled:
         return engine.mfc_cascade(
-            compiled,
-            validated,
-            random,
-            alpha,
-            allow_flips,
-            max_rounds,
-            record_events=record_events,
+            compiled, validated, random, alpha, allow_flips, max_rounds
         )[0]
     start = _time.perf_counter()
-    result, tried = engine.mfc_cascade(
-        compiled,
-        validated,
-        random,
-        alpha,
-        allow_flips,
-        max_rounds,
-        record_events=record_events,
+    result, attempts = engine.mfc_cascade(
+        compiled, validated, random, alpha, allow_flips, max_rounds
     )
     _record_cascade(
-        rec, "kernel.mfc", result, tried, _time.perf_counter() - start, engine.name
+        rec, "kernel.mfc", result, attempts, _time.perf_counter() - start, engine.name
     )
     return result
 
 
-def _ic_cascade(
+def _ic_sweep(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
     random: _random.Random,
     propagate_signs: bool,
-    record_events: bool = True,
-) -> Tuple[DiffusionResult, bytearray]:
-    """The bare IC loop (uninstrumented twin of :func:`_mfc_cascade`)."""
+) -> Tuple[bytearray, int, List[Tuple[int, int, int, int, bool]], int]:
+    """The IC loop; returns ``(states, rounds, log, attempts)`` like
+    :func:`_mfc_sweep` (IC never flips, so every ``was_flip`` is False)."""
     indptr, targets, weights = compiled.hot_rows()
     signs = compiled.signs
     rand = random.random
 
-    states, frontier, events = _plant(compiled, validated)
+    states, frontier = _plant(compiled, validated)
     tried = bytearray(compiled.num_edges)
     log: List[Tuple[int, int, int, int, bool]] = []
     rounds = 0
+    attempts = 0
 
     while frontier:
         rounds += 1
@@ -439,6 +310,7 @@ def _ic_cascade(
                 if states[v]:
                     continue  # IC never re-activates (and keeps the slot unspent)
                 tried[slot] = 1
+                attempts += 1
                 if rand() < weights[slot]:
                     if propagate_signs and not signs[slot]:
                         s_new = 3 - s_u
@@ -450,9 +322,18 @@ def _ic_cascade(
         fresh.sort()
         frontier = fresh
 
-    if not record_events:
-        return _finalise(compiled, validated, states, rounds), tried
-    return _materialise(compiled, validated, events, log, rounds), tried
+    return states, rounds, log, attempts
+
+
+def _ic_cascade(
+    compiled: CompiledGraph,
+    validated: Dict[Node, NodeState],
+    random: _random.Random,
+    propagate_signs: bool,
+) -> Tuple[DiffusionResult, int]:
+    """One bare IC cascade; returns ``(result, attempts)``."""
+    _, rounds, log, attempts = _ic_sweep(compiled, validated, random, propagate_signs)
+    return _materialise(compiled, validated, log, rounds), attempts
 
 
 def run_ic_compiled(
@@ -462,32 +343,27 @@ def run_ic_compiled(
     propagate_signs: bool,
     recorder: Optional[Recorder] = None,
     backend: Optional[str] = None,
-    record_events: bool = True,
 ) -> DiffusionResult:
     """Independent Cascade over the CSR arrays (sign-blind probabilities).
 
-    Observability, backend selection and the ``record_events`` toggle
-    mirror :func:`run_mfc_compiled`, under the ``kernel.ic.*`` names
-    (IC has no flips, so ``kernel.ic.flips`` stays zero).
+    Observability and backend selection mirror :func:`run_mfc_compiled`,
+    under the ``kernel.ic.*`` names (IC has no flips, so
+    ``kernel.ic.flips`` stays zero).
     """
     rec = resolve_recorder(recorder)
     engine = _backends.resolve_backend(backend)
     if not rec.enabled:
-        return engine.ic_cascade(
-            compiled, validated, random, propagate_signs, record_events=record_events
-        )[0]
+        return engine.ic_cascade(compiled, validated, random, propagate_signs)[0]
     start = _time.perf_counter()
-    result, tried = engine.ic_cascade(
-        compiled, validated, random, propagate_signs, record_events=record_events
-    )
+    result, attempts = engine.ic_cascade(compiled, validated, random, propagate_signs)
     _record_cascade(
-        rec, "kernel.ic", result, tried, _time.perf_counter() - start, engine.name
+        rec, "kernel.ic", result, attempts, _time.perf_counter() - start, engine.name
     )
     return result
 
 
 # Imported last: repro.kernel.backends itself imports nothing from this
-# module at import time (the python backend binds _mfc_cascade/_ic_cascade
-# lazily in its constructor), but keeping the import at the bottom makes
-# the no-cycle property explicit.
+# module at import time (resolve_backend binds the python loops lazily
+# when it first builds the backend record), but keeping the import at
+# the bottom makes the no-cycle property explicit.
 from repro.kernel import backends as _backends  # noqa: E402

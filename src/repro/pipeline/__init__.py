@@ -4,7 +4,7 @@ The paper's detection pipeline (Sec. III-E) as an explicit stage graph:
 
     PruneStage -> ComponentSplitStage
         -> [per component]  ArborescenceStage
-        -> [per tree]       BinarizeStage -> TreeDPStage
+        -> [per tree]       TreeDPStage (binarize + k-ISOMIT-BT DP)
         -> SelectionStage   (β merge, or budget knapsack)
 
 composed by :class:`DetectionEngine`, which treats every infected
@@ -27,7 +27,6 @@ from repro.pipeline.engine import DetectionEngine, EngineOutcome
 from repro.pipeline.stage import Stage, StageContext
 from repro.pipeline.stages import (
     ArborescenceStage,
-    BinarizeStage,
     ComponentSplitStage,
     CurveArtifact,
     PruneStage,
@@ -45,7 +44,6 @@ __all__ = [
     "PruneStage",
     "ComponentSplitStage",
     "ArborescenceStage",
-    "BinarizeStage",
     "TreeDPStage",
     "SelectionStage",
     "CurveArtifact",

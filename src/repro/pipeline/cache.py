@@ -37,7 +37,7 @@ Artifacts must be treated as immutable once cached: the engine hands the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.runtime.cache import (
@@ -51,32 +51,12 @@ from repro.types import NodeState
 MISS = object()
 
 
-def artifact_cost(value: Any) -> int:
-    """A rough size measure for cache budgeting (always >= 1).
-
-    Graphs cost ``nodes + edges``; lists/tuples cost the sum of their
-    elements (so a component's tree list scales with the component);
-    everything else — DP selections, curves, scalars — costs 1 unit.
-    The point is relative weight between big and small components, not
-    bytes.
-    """
-    if isinstance(value, SignedDiGraph):
-        return max(1, value.number_of_nodes() + value.number_of_edges())
-    if isinstance(value, (list, tuple)):
-        return max(1, sum(artifact_cost(item) for item in value))
-    return 1
-
-
 class ArtifactCache:
     """Bounded in-process LRU store for content-addressed stage outputs.
 
-    Two independent bounds: ``max_entries`` (always on) and an optional
-    ``max_cost`` budget over :func:`artifact_cost` units. Cost
-    accounting survives repeated invalidation: refreshing an existing
-    key first retires the old entry's cost, and evicted entries give
-    their cost back — an evicted-then-reinserted artifact is charged
-    exactly once, never accumulated. The most recent entry is never
-    evicted, even when it alone exceeds the budget.
+    Holds at most ``max_entries`` artifacts; inserting past the bound
+    evicts the least recently used entry (lookups and puts both refresh
+    recency).
 
     Example:
         >>> cache = ArtifactCache(max_entries=2)
@@ -86,16 +66,11 @@ class ArtifactCache:
         True
     """
 
-    def __init__(self, max_entries: int = 512, max_cost: Optional[int] = None) -> None:
+    def __init__(self, max_entries: int = 512) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_cost is not None and max_cost < 1:
-            raise ValueError(f"max_cost must be >= 1 (or None), got {max_cost}")
         self.max_entries = max_entries
-        self.max_cost = max_cost
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self._cost: Dict[str, int] = {}
-        self.total_cost = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -116,46 +91,24 @@ class ArtifactCache:
         value = self.lookup(key)
         return default if value is MISS else value
 
-    def put(self, key: str, value: Any, cost: Optional[int] = None) -> None:
-        """Insert (or refresh) an artifact, evicting LRU entries.
-
-        Refreshing an existing key replaces its cost instead of adding
-        to it, so invalidate/reinsert cycles never inflate
-        ``total_cost``.
-        """
-        if cost is None:
-            cost = artifact_cost(value) if self.max_cost is not None else 1
-        old = self._cost.pop(key, None)
-        if old is not None:
-            self.total_cost -= old
+    def put(self, key: str, value: Any) -> None:
+        """Insert (or refresh) an artifact, evicting LRU entries."""
         self._entries[key] = value
         self._entries.move_to_end(key)
-        self._cost[key] = cost
-        self.total_cost += cost
         while len(self._entries) > self.max_entries:
-            self._evict_lru()
-        if self.max_cost is not None:
-            while self.total_cost > self.max_cost and len(self._entries) > 1:
-                self._evict_lru()
-
-    def _evict_lru(self) -> None:
-        evicted, _ = self._entries.popitem(last=False)
-        self.total_cost -= self._cost.pop(evicted)
-        self.evictions += 1
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def discard(self, key: str) -> bool:
-        """Drop one entry (and retire its cost); True when it existed."""
+        """Drop one entry; True when it existed."""
         if key not in self._entries:
             return False
         del self._entries[key]
-        self.total_cost -= self._cost.pop(key)
         return True
 
     def clear(self) -> None:
         """Drop every entry (hit/miss counters are kept)."""
         self._entries.clear()
-        self._cost.clear()
-        self.total_cost = 0
 
     def keys(self) -> List[str]:
         """Current keys, LRU first (for eviction-order tests/forensics)."""
@@ -175,8 +128,6 @@ class ArtifactCache:
             "entries": len(self._entries),
             "max_entries": self.max_entries,
             "evictions": self.evictions,
-            "total_cost": self.total_cost,
-            "max_cost": self.max_cost,
         }
 
 

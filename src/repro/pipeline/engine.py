@@ -49,7 +49,6 @@ from repro.pipeline.cache import MISS, ArtifactCache
 from repro.pipeline.stage import Stage, StageContext
 from repro.pipeline.stages import (
     ArborescenceStage,
-    BinarizeStage,
     ComponentSplitStage,
     CurveArtifact,
     PruneStage,
@@ -118,7 +117,6 @@ class DetectionEngine:
         self.prune = PruneStage()
         self.split = ComponentSplitStage()
         self.arborescence = ArborescenceStage()
-        self.binarize = BinarizeStage()
         self.greedy_dp = TreeDPStage("greedy")
         self.curve_dp = TreeDPStage("curve")
         self.selection = SelectionStage()

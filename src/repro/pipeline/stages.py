@@ -219,25 +219,6 @@ class ArborescenceStage(Stage):
         return codecs.decode_graph_list(payload)
 
 
-class BinarizeStage(Stage):
-    """General-tree -> binary-tree transform (Sec. III-E3).
-
-    The engine fuses this stage with :class:`TreeDPStage` into one cached
-    work unit (a :class:`~repro.core.binarize.BinaryCascadeTree` is an
-    intermediate the DP consumes immediately); the class exists so the
-    transform is independently runnable and addressable.
-    """
-
-    name = "binarize"
-    version = 1
-
-    def config_digest(self, config: "Any") -> str:
-        return stable_digest(self.name, config.alpha, config.inconsistent_value)
-
-    def run(self, ctx: StageContext, item: SignedDiGraph) -> "Any":
-        return binarize_tree(ctx.config, item, ctx.recorder)
-
-
 class TreeDPStage(Stage):
     """Per-tree binarize + k-ISOMIT-BT DP work unit.
 

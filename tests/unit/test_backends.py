@@ -16,11 +16,7 @@ import repro.kernel.backends as backends
 from repro.errors import ConfigError, DynamicProgramError
 from repro.graphs.generators.random_graphs import signed_erdos_renyi
 from repro.kernel import compile_graph
-from repro.kernel.cascade import (
-    check_seeds_compiled,
-    run_ic_compiled,
-    run_mfc_compiled,
-)
+from repro.kernel.cascade import check_seeds_compiled, run_mfc_compiled
 from repro.kernel.tree_dp import _decision_typecode
 from repro.obs import MetricsRecorder, using_recorder
 from repro.runtime import executor
@@ -250,11 +246,11 @@ class TestGraphDigestWarning:
 
 
 class TestRecordEventsToggle:
-    """Trace-free cascades: same spread, empty events, counters guarded.
+    """Single cascades always carry the full trace, so an enabled
+    recorder reports the trace-derived counters.
 
     Runs on the python backend so it is part of the no-numpy tier-1
-    surface; the numpy backend's equivalence is pinned by
-    ``tests/property/test_backend_identity.py``.
+    surface.
     """
 
     def _compiled(self):
@@ -270,45 +266,6 @@ class TestRecordEventsToggle:
         )
         return compiled, validated
 
-    def test_mfc_trace_free_matches_recorded_run(self):
-        compiled, validated = self._compiled()
-        recorded = run_mfc_compiled(
-            compiled, validated, random.Random(5), 2.0, True, 10**9
-        )
-        bare = run_mfc_compiled(
-            compiled, validated, random.Random(5), 2.0, True, 10**9,
-            record_events=False,
-        )
-        assert bare.events == []
-        assert bare.final_states == recorded.final_states
-        assert bare.rounds == recorded.rounds
-        assert bare.seeds == validated
-
-    def test_ic_trace_free_matches_recorded_run(self):
-        compiled, validated = self._compiled()
-        recorded = run_ic_compiled(compiled, validated, random.Random(6), True)
-        bare = run_ic_compiled(
-            compiled, validated, random.Random(6), True, record_events=False
-        )
-        assert bare.events == []
-        assert bare.final_states == recorded.final_states
-        assert bare.rounds == recorded.rounds
-
-    def test_recorder_skips_trace_counters_on_trace_free_runs(self):
-        compiled, validated = self._compiled()
-        recorder = MetricsRecorder()
-        with using_recorder(recorder):
-            run_mfc_compiled(
-                compiled, validated, random.Random(5), 2.0, True, 10**9,
-                record_events=False,
-            )
-        counters = recorder.metrics.counters
-        assert counters["kernel.mfc.cascades"] == 1
-        assert counters["kernel.mfc.attempts"] > 0
-        # Trace-derived counters are skipped, not reported as zero.
-        assert "kernel.mfc.activations" not in counters
-        assert "kernel.mfc.flips" not in counters
-
     def test_recorder_still_counts_traced_runs(self):
         compiled, validated = self._compiled()
         recorder = MetricsRecorder()
@@ -317,13 +274,3 @@ class TestRecordEventsToggle:
                 compiled, validated, random.Random(5), 2.0, True, 10**9
             )
         assert "kernel.mfc.activations" in recorder.metrics.counters
-
-    def test_toggle_survives_numpy_fallback(self, monkeypatch):
-        _without_numpy(monkeypatch)
-        compiled, validated = self._compiled()
-        with pytest.warns(RuntimeWarning):
-            result = run_mfc_compiled(
-                compiled, validated, random.Random(5), 2.0, True, 10**9,
-                backend="numpy", record_events=False,
-            )
-        assert result.events == [] and result.final_states

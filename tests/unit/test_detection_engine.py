@@ -235,7 +235,6 @@ class TestArtifactCacheUnit:
         cache.put("k", "v")
         cache.clear()
         assert cache.lookup("k") is MISS
-        assert cache.total_cost == 0
 
     def test_eviction_order_is_lru_not_insertion(self):
         """Eviction must follow recency (lookups and puts refresh), not
@@ -250,55 +249,6 @@ class TestArtifactCacheUnit:
         assert cache.keys() == ["a", "b", "d"]
         assert cache.lookup("c") is MISS
         assert cache.stats()["evictions"] == 1
-
-    def test_reinserted_entry_does_not_double_count_cost(self):
-        """Invalidate/reinsert cycles must charge an entry's cost once.
-
-        Regression for LRU accounting under repeated invalidation: a key
-        that is refreshed in place, or evicted and later reinserted,
-        must leave ``total_cost`` equal to the sum of the *live*
-        entries' costs — accumulation would shrink the effective budget
-        until the cache thrashed everything.
-        """
-        cache = ArtifactCache(max_entries=8, max_cost=100)
-        for _ in range(5):
-            cache.put("k", "v", cost=30)  # refresh: replaces, never adds
-        assert cache.total_cost == 30
-        cache.put("other", "w", cost=30)
-        assert cache.total_cost == 60
-        for _ in range(3):  # evict (via discard) then reinsert
-            assert cache.discard("k")
-            cache.put("k", "v", cost=30)
-        assert cache.total_cost == 60
-
-    def test_cost_budget_evicts_lru_and_returns_cost(self):
-        cache = ArtifactCache(max_entries=8, max_cost=50)
-        cache.put("a", "x", cost=20)
-        cache.put("b", "y", cost=20)
-        cache.put("c", "z", cost=20)  # 60 > 50: evicts a
-        assert cache.lookup("a") is MISS
-        assert cache.total_cost == 40
-        # Evicted-then-reinserted: budget sees 20, not 40, for "a".
-        cache.put("a", "x", cost=20)  # 60 > 50: evicts b (LRU)
-        assert cache.total_cost == 40
-        assert cache.keys() == ["c", "a"]
-
-    def test_most_recent_entry_survives_oversized_put(self):
-        cache = ArtifactCache(max_entries=4, max_cost=10)
-        cache.put("small", 1, cost=5)
-        cache.put("huge", 2, cost=99)
-        assert cache.lookup("huge") == 2
-        assert cache.lookup("small") is MISS
-
-    def test_artifact_cost_scales_with_graph_size(self):
-        from repro.pipeline.cache import artifact_cost
-
-        g = SignedDiGraph()
-        g.add_edge(1, 2, 1, 0.5)
-        g.add_edge(2, 3, 1, 0.5)
-        assert artifact_cost(g) == 5  # 3 nodes + 2 edges
-        assert artifact_cost([g, g]) == 10
-        assert artifact_cost("opaque") == 1
 
     def test_discard_unknown_key_is_false(self):
         cache = ArtifactCache()

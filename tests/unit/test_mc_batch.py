@@ -73,11 +73,17 @@ class TestPythonBitIdentity:
         graph = _graph()
         seeds = _seeds(graph)
         model = MFCModel(alpha=2.5)
-        results = simulate_many(model, graph, seeds, 10, base_seed=7)
+        recorder = MetricsRecorder()
+        with using_recorder(recorder):
+            results = simulate_many(model, graph, seeds, 10, base_seed=7)
         summary = simulate_batch(
             model, graph, seeds, 10, base_seed=7, record_states=True
         )
         assert summary.trials == 10
+        # The batch runs the single cascade's loop, so it rolls exactly
+        # the RNG draws the per-trial cascades recorded.
+        assert summary.attempts == recorder.metrics.counters["kernel.mfc.attempts"]
+        assert summary.attempts > 0
         for trial, result in enumerate(results):
             assert summary.final_states(trial) == result.final_states
             assert summary.rounds[trial] == result.rounds
@@ -96,11 +102,15 @@ class TestPythonBitIdentity:
         graph = _graph(rng=5)
         seeds = _seeds(graph)
         model = ICModel()
-        results = simulate_many(model, graph, seeds, 8, base_seed=3)
+        recorder = MetricsRecorder()
+        with using_recorder(recorder):
+            results = simulate_many(model, graph, seeds, 8, base_seed=3)
         summary = simulate_batch(
             model, graph, seeds, 8, base_seed=3, record_states=True
         )
         assert summary.flips == [0] * 8
+        assert summary.attempts == recorder.metrics.counters["kernel.ic.attempts"]
+        assert summary.attempts > 0
         for trial, result in enumerate(results):
             assert summary.final_states(trial) == result.final_states
             assert summary.rounds[trial] == result.rounds
