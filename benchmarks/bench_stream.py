@@ -105,7 +105,7 @@ def replay(snapshot, deltas, config, check_identity=True):
     """Replay the stream; returns (per-delta streamed s, per-delta cold s,
     recorder, failures)."""
     recorder = MetricsRecorder()
-    engine = StreamingDetectionEngine(snapshot, config=config)
+    engine = StreamingDetectionEngine(snapshot, detector=RID(config))
     engine.detect(recorder=recorder)  # warm start, as a live service would be
     streamed_s, cold_s, failures = [], [], []
     for index, delta in enumerate(deltas):

@@ -14,19 +14,20 @@ detect at most one initiator per component by construction.
 from benchmarks.conftest import BENCH_SEED
 from repro.core.rid import RID, RIDConfig
 from repro.detectors import (
+    CertaintyCoverConfig,
+    CertaintyCoverDetector,
     DistanceCenterDetector,
     JordanCenterDetector,
+    KEffectorsConfig,
+    KEffectorsDetector,
     RIDPositiveDetector,
     RIDTreeDetector,
+    SimulationMatchingConfig,
+    SimulationMatchingDetector,
 )
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.reporting import format_table, save_json
 from repro.experiments.workload import build_workload
-from repro.extensions import (
-    CertaintyCoverDetector,
-    KEffectorsDetector,
-    SimulationMatchingDetector,
-)
 from repro.metrics.identity import identity_metrics
 
 ZOO_SCALE = 0.008
@@ -39,9 +40,13 @@ def build_zoo():
         RID(RIDConfig(beta=0.8)),
         JordanCenterDetector(),
         DistanceCenterDetector(),
-        KEffectorsDetector(trials=5, candidate_limit=15, seed=BENCH_SEED),
-        SimulationMatchingDetector(trials=5, candidate_limit=15, seed=BENCH_SEED),
-        CertaintyCoverDetector(alpha=3.0),
+        KEffectorsDetector(
+            KEffectorsConfig(trials=5, candidate_limit=15, seed=BENCH_SEED)
+        ),
+        SimulationMatchingDetector(
+            SimulationMatchingConfig(trials=5, candidate_limit=15, seed=BENCH_SEED)
+        ),
+        CertaintyCoverDetector(CertaintyCoverConfig(alpha=3.0)),
     ]
 
 

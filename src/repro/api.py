@@ -266,8 +266,10 @@ def detect_stream(
     The streaming counterpart of :func:`detect`: instead of one
     snapshot, the observation is an initial network plus a sequence of
     :class:`~repro.stream.delta.SnapshotDelta` events. Detection after
-    every delta is bit-identical to a cold :func:`detect` on the
-    materialised snapshot, but only dirty components pay for
+    every delta gives the same initiators and states as a cold
+    :func:`detect` on the materialised snapshot, with the objective
+    equal up to float rounding (cascade trees can differ when
+    co-optimal forests tie), but only dirty components pay for
     Arborescence/TreeDP — untouched components reuse cached artifacts
     (see :mod:`repro.stream.engine` for the identity guarantee).
 
@@ -281,10 +283,11 @@ def detect_stream(
         config: detector hyper-parameters, resolved exactly as in
             :func:`detect` (RID's :class:`RIDConfig` by default; the
             named entry's config with ``detector=``).
-        detector: which detector re-detects after each delta — ``None``
-            or ``'rid'`` keeps the incremental RID path (per-component
-            artifact reuse); any other registry name or pre-built
-            instance re-detects on the materialised snapshot per step.
+        detector: which detector re-detects after each delta — ``None``,
+            ``'rid'`` or a :class:`~repro.core.rid.RID` instance takes
+            the incremental path (per-component artifact reuse); any
+            other registry name or pre-built instance re-detects on the
+            materialised snapshot per step.
         budget: when given, every re-detection runs budgeted detection
             with this budget instead of the detector's open-ended rule.
         runtime: execution configuration (worker fan-out applies to the
@@ -323,16 +326,7 @@ def detect_stream(
         if rec.enabled:
             rec.incr("detector.requests")
             rec.incr(f"detector.{name}.requests")
-        if name == "rid":
-            # Hand RID's config (not the instance) to the engine so the
-            # incremental per-component artifact path stays in charge.
-            engine = StreamingDetectionEngine(
-                graph, config=resolved.config, runtime=runtime
-            )
-        else:
-            engine = StreamingDetectionEngine(
-                graph, detector=resolved, runtime=runtime
-            )
+        engine = StreamingDetectionEngine(graph, detector=resolved, runtime=runtime)
         return engine.replay(deltas, budget=budget, recorder=rec)
 
 
@@ -412,7 +406,8 @@ def evaluate(
         runtime: execution configuration. Config form: trial fan-out.
             Workload form: forwarded to the detector, which honours or
             rejects it (:class:`ConfigError`) — never silently dropped.
-        trials: number of derived workloads (config form only).
+        trials: number of derived workloads (config form only; must
+            be at least 1).
         config: per-detector configuration (registry names only) — a
             dict of config fields or the entry's config dataclass.
         recorder: observability sink, installed as the ambient recorder
@@ -445,6 +440,8 @@ def evaluate(
                 instance, workload, recorder=rec, runtime=runtime
             )
         if isinstance(workload, WorkloadConfig):
+            if trials < 1:
+                raise ConfigError(f"trials must be >= 1, got {trials}")
             make = factory if factory is not None else (lambda: detector)
             name = getattr(make(), "name", "detector")
             scores = run_detection_trials(

@@ -3,14 +3,20 @@
 The package owns the detector abstraction (:mod:`repro.detectors.base`),
 the paper's comparison baselines (:mod:`repro.detectors.baselines`), the
 unsigned centrality classics (:mod:`repro.detectors.centrality`), the
-two literature estimators — suspect-prior MAP
-(:mod:`repro.detectors.map_suspect`) and community-partitioned
-multi-source identification (:mod:`repro.detectors.multi_source`) — and
-the string-addressable registry (:mod:`repro.detectors.registry`) every
+literature estimators — suspect-prior MAP
+(:mod:`repro.detectors.map_suspect`), community-partitioned
+multi-source identification (:mod:`repro.detectors.multi_source`),
+k-effectors (:mod:`repro.detectors.effectors`), simulation matching
+(:mod:`repro.detectors.simulation_matching`) and the Lemma 3.1
+certainty cover (:mod:`repro.detectors.certainty_cover`) — and the
+string-addressable registry (:mod:`repro.detectors.registry`) every
 layer resolves ``detector="name"`` through:
 
 >>> import repro
 >>> repro.detect(snapshot, detector="rumor_centrality", budget=3)  # doctest: +SKIP
+
+Every detector is built as ``Cls(config)`` from its config dataclass;
+:func:`resolve_detector` does that from a name.
 
 RID itself lives in :mod:`repro.core.rid` (it is the paper's
 contribution, not a baseline) but subclasses the same
@@ -38,11 +44,22 @@ from repro.detectors.centrality import (
     DistanceCenterDetector,
     JordanCenterDetector,
     RumorCentralityDetector,
+    rumor_centralities,
+    rumor_centrality,
     select_with_budget,
     undirected_distances,
 )
+from repro.detectors.certainty_cover import (
+    CertaintyCoverConfig,
+    CertaintyCoverDetector,
+)
+from repro.detectors.effectors import KEffectorsConfig, KEffectorsDetector
 from repro.detectors.map_suspect import MapSuspectConfig, MapSuspectDetector
 from repro.detectors.multi_source import MultiSourceConfig, MultiSourceDetector
+from repro.detectors.simulation_matching import (
+    SimulationMatchingConfig,
+    SimulationMatchingDetector,
+)
 from repro.detectors.registry import (
     DETECTOR_REGISTRY,
     TIER_ROUTING,
@@ -61,11 +78,15 @@ __all__ = [
     "TIER_ROUTING",
     "CentralityConfig",
     "CentralityDetector",
+    "CertaintyCoverConfig",
+    "CertaintyCoverDetector",
     "DetectionResult",
     "Detector",
     "DetectorSpec",
     "DistanceCenterDetector",
     "JordanCenterDetector",
+    "KEffectorsConfig",
+    "KEffectorsDetector",
     "MapSuspectConfig",
     "MapSuspectDetector",
     "MultiSourceConfig",
@@ -75,6 +96,8 @@ __all__ = [
     "RIDTreeConfig",
     "RIDTreeDetector",
     "RumorCentralityDetector",
+    "SimulationMatchingConfig",
+    "SimulationMatchingDetector",
     "canonical_detector_name",
     "check_runtime",
     "coerce_detector_config",
@@ -86,6 +109,8 @@ __all__ = [
     "require_infected",
     "resolve_budget_kwargs",
     "resolve_detector",
+    "rumor_centralities",
+    "rumor_centrality",
     "select_with_budget",
     "undirected_distances",
 ]

@@ -66,15 +66,14 @@ class RIDTreeDetector(Detector):
     """RID-Tree: cascade-tree roots as initiators.
 
     Args:
-        score: arborescence score transform (``'log'`` likelihood-product
-            default, ``'raw'`` for the paper-literal Algorithm 3).
+        config: the :class:`RIDTreeConfig` (defaults when omitted).
     """
 
     name = "rid-tree"
 
-    def __init__(self, score: str = "log", prune_inconsistent: bool = False) -> None:
-        self.score = score
-        self.prune_inconsistent = prune_inconsistent
+    def __init__(self, config: Optional[RIDTreeConfig] = None) -> None:
+        self.config = config or RIDTreeConfig()
+        self.config.validate()
 
     def detect(
         self,
@@ -93,8 +92,8 @@ class RIDTreeDetector(Detector):
         with rec.span("detect", method=self.name):
             trees = extract_cascade_forest(
                 infected,
-                score=self.score,
-                prune_inconsistent=self.prune_inconsistent,
+                score=self.config.score,
+                prune_inconsistent=self.config.prune_inconsistent,
                 recorder=rec,
             )
             roots = {find_tree_root(tree) for tree in trees}
@@ -112,8 +111,9 @@ class RIDPositiveDetector(Detector):
 
     name = "rid-positive"
 
-    def __init__(self, score: str = "log") -> None:
-        self.score = score
+    def __init__(self, config: Optional[RIDPositiveConfig] = None) -> None:
+        self.config = config or RIDPositiveConfig()
+        self.config.validate()
 
     def detect(
         self,
@@ -128,7 +128,10 @@ class RIDPositiveDetector(Detector):
             positive_only = positive_subgraph(infected)
             # The unsigned method of [13] is sign-blind: no consistency pruning.
             trees = extract_cascade_forest(
-                positive_only, score=self.score, prune_inconsistent=False, recorder=rec
+                positive_only,
+                score=self.config.score,
+                prune_inconsistent=False,
+                recorder=rec,
             )
             roots = {find_tree_root(tree) for tree in trees}
         return DetectionResult(method=self.name, initiators=roots, trees=trees)

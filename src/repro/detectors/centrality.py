@@ -11,11 +11,25 @@ explanation, mirroring RID's every-tree-needs-its-root feasibility
 rule) and spends any remaining budget on the globally best-scoring
 unselected nodes, ties broken repr-sorted. Feasible budgets therefore
 span ``[number of components, number of infected nodes]``.
+
+Rumor centrality (Shah & Zaman, IEEE Trans. IT 2011): for a tree ``T``
+with ``n`` nodes, the rumor centrality of node ``v`` is
+
+    R(v, T) = n! · Π_{u ∈ T} 1 / t_u^v
+
+where ``t_u^v`` is the size of the subtree rooted at ``u`` when the tree
+is rooted at ``v``. The maximum-likelihood single source of a
+SI-spreading rumor on a regular tree is the rumor center — the node
+maximising ``R``. :func:`rumor_centralities` is the O(n) two-pass
+message-passing algorithm in log space (the factorial overflows
+instantly otherwise); :class:`RumorCentralityDetector` extends it to
+general graphs with the standard BFS-tree heuristic (:func:`bfs_tree`).
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
@@ -29,7 +43,7 @@ from repro.detectors.base import (
     require_infected,
     resolve_budget_kwargs,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, NotATreeError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.types import Node
@@ -46,6 +60,110 @@ class CentralityConfig:
 
     def validate(self) -> None:
         """Nothing to check — kept for config-protocol uniformity."""
+
+
+def _undirected_adjacency(graph: SignedDiGraph) -> Dict[Node, List[Node]]:
+    """Undirected adjacency lists (deduplicated, deterministic order)."""
+    return {node: sorted(graph.neighbors(node), key=repr) for node in graph.nodes()}
+
+
+def _check_is_tree(adjacency: Dict[Node, List[Node]]) -> None:
+    """Validate that the undirected view is a connected tree."""
+    n = len(adjacency)
+    if n == 0:
+        raise NotATreeError("empty graph has no rumor center")
+    edge_count = sum(len(neigh) for neigh in adjacency.values()) // 2
+    if edge_count != n - 1:
+        raise NotATreeError(f"tree must have n-1 edges, found {edge_count} for n={n}")
+    # Connectivity check.
+    start = next(iter(adjacency))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for neighbor in adjacency[node]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                queue.append(neighbor)
+    if len(seen) != n:
+        raise NotATreeError("tree must be connected")
+
+
+def rumor_centralities(tree: SignedDiGraph) -> Dict[Node, float]:
+    """Log rumor centrality of every node of an (undirected-view) tree.
+
+    Returns ``log R(v, T)`` per node; the argmax is the rumor center.
+    Uses the classic re-rooting trick: compute subtree sizes for an
+    arbitrary root, then propagate
+
+        R(child) = R(parent) · t_child^root / (n − t_child^root)
+
+    Raises:
+        NotATreeError: if the undirected view is not a connected tree.
+    """
+    adjacency = _undirected_adjacency(tree)
+    _check_is_tree(adjacency)
+    n = len(adjacency)
+    root = sorted(adjacency, key=repr)[0]
+
+    # Iterative post-order for subtree sizes under `root`.
+    parent: Dict[Node, Optional[Node]] = {root: None}
+    order: List[Node] = []
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        for neighbor in adjacency[node]:
+            if neighbor not in parent:
+                parent[neighbor] = node
+                queue.append(neighbor)
+    subtree = {node: 1 for node in adjacency}
+    for node in reversed(order):
+        if parent[node] is not None:
+            subtree[parent[node]] += subtree[node]
+
+    # log R(root) = log n! - sum_u log t_u^root
+    log_r_root = math.lgamma(n + 1) - sum(math.log(subtree[u]) for u in order)
+    log_r: Dict[Node, float] = {root: log_r_root}
+    for node in order:
+        if parent[node] is None:
+            continue
+        log_r[node] = (
+            log_r[parent[node]] + math.log(subtree[node]) - math.log(n - subtree[node])
+        )
+    return log_r
+
+
+def rumor_centrality(tree: SignedDiGraph, node: Node) -> float:
+    """Log rumor centrality of one node (convenience accessor)."""
+    return rumor_centralities(tree)[node]
+
+
+def bfs_tree(graph: SignedDiGraph, root: Node) -> SignedDiGraph:
+    """A BFS spanning tree of the undirected view, rooted at ``root``.
+
+    The standard heuristic for applying rumor centrality to non-tree
+    graphs: score each candidate on its own BFS tree.
+    """
+    tree = SignedDiGraph(name=f"bfs-tree-{root!r}")
+    tree.add_node(root, graph.state(root))
+    queue = deque([root])
+    seen = {root}
+    while queue:
+        node = queue.popleft()
+        for neighbor in sorted(graph.neighbors(node), key=repr):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                tree.add_node(neighbor, graph.state(neighbor))
+                # Orient parent -> child; sign/weight taken from whichever
+                # direction exists in the original graph.
+                if graph.has_edge(node, neighbor):
+                    data = graph.edge(node, neighbor)
+                else:
+                    data = graph.edge(neighbor, node)
+                tree.add_edge(node, neighbor, int(data.sign), data.weight)
+                queue.append(neighbor)
+    return tree
 
 
 def undirected_distances(graph: SignedDiGraph, source: Node) -> Dict[Node, int]:
@@ -100,9 +218,18 @@ def select_with_budget(
 
 
 class CentralityDetector(Detector):
-    """Shared per-component argmax scaffolding."""
+    """Shared per-component argmax scaffolding.
+
+    Args:
+        config: the (empty) :class:`CentralityConfig`; optional, so the
+            registry builds every detector as ``Cls(config)``.
+    """
 
     name = "centrality"
+
+    def __init__(self, config: Optional[CentralityConfig] = None) -> None:
+        self.config = config or CentralityConfig()
+        self.config.validate()
 
     @abc.abstractmethod
     def score_component(self, component: SignedDiGraph) -> Dict[Node, float]:
@@ -176,10 +303,6 @@ class RumorCentralityDetector(CentralityDetector):
     name = "rumor-centrality"
 
     def score_component(self, component: SignedDiGraph) -> Dict[Node, float]:
-        # Imported lazily: repro.extensions' package init imports the
-        # centrality shim, which imports this module back.
-        from repro.extensions.rumor_centrality import bfs_tree, rumor_centralities
-
         nodes = sorted(component.nodes(), key=repr)
         if len(nodes) == 1:
             return {nodes[0]: 0.0}

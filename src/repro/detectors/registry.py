@@ -24,9 +24,33 @@ sensitive callers, the full RID pipeline for accuracy-sensitive ones.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+import importlib
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.detectors.base import Detector
+from repro.detectors.baselines import (
+    RIDPositiveConfig,
+    RIDPositiveDetector,
+    RIDTreeConfig,
+    RIDTreeDetector,
+)
+from repro.detectors.centrality import (
+    CentralityConfig,
+    DistanceCenterDetector,
+    JordanCenterDetector,
+    RumorCentralityDetector,
+)
+from repro.detectors.certainty_cover import (
+    CertaintyCoverConfig,
+    CertaintyCoverDetector,
+)
+from repro.detectors.effectors import KEffectorsConfig, KEffectorsDetector
+from repro.detectors.map_suspect import MapSuspectConfig, MapSuspectDetector
+from repro.detectors.multi_source import MultiSourceConfig, MultiSourceDetector
+from repro.detectors.simulation_matching import (
+    SimulationMatchingConfig,
+    SimulationMatchingDetector,
+)
 from repro.errors import ConfigError
 from repro.obs.recorder import resolve_recorder
 from repro.runtime.cache import stable_digest
@@ -36,12 +60,16 @@ from repro.runtime.cache import stable_digest
 class DetectorSpec:
     """One registry row.
 
+    Every registered detector is built as ``detector_cls(config)`` from
+    a validated instance of ``config_cls``.
+
     Attributes:
         name: canonical registry name (snake_case).
-        config_factory: zero-arg callable returning the config *class*
-            (lazy, so importing the registry never pulls in the heavy
-            pipeline modules).
-        factory: builds the detector from a validated config instance.
+        detector: the :class:`Detector` subclass, or a lazy
+            ``'module:Class'`` reference — RID's row, because
+            :mod:`repro.core.rid` imports this package back.
+        config: the config dataclass, or a lazy ``'module:Class'``
+            reference (RID's row).
         tier: routing class — ``'fast'`` (sub-second heuristics) or
             ``'accurate'`` (likelihood-grade pipelines).
         supports_budget: whether ``detect_with_budget`` honours an exact
@@ -50,101 +78,27 @@ class DetectorSpec:
     """
 
     name: str
-    config_factory: Callable[[], type]
-    factory: Callable[[Any], Detector]
+    detector: Union[type, str]
+    config: Union[type, str]
     tier: str
     supports_budget: bool
     description: str
 
     @property
+    def detector_cls(self) -> type:
+        return _load(self.detector)
+
+    @property
     def config_cls(self) -> type:
-        return self.config_factory()
+        return _load(self.config)
 
 
-def _rid_config():
-    from repro.core.rid import RIDConfig
-
-    return RIDConfig
-
-
-def _make_rid(config):
-    from repro.core.rid import RID
-
-    return RID(config)
-
-
-def _rid_tree_config():
-    from repro.detectors.baselines import RIDTreeConfig
-
-    return RIDTreeConfig
-
-
-def _make_rid_tree(config):
-    from repro.detectors.baselines import RIDTreeDetector
-
-    return RIDTreeDetector(
-        score=config.score, prune_inconsistent=config.prune_inconsistent
-    )
-
-
-def _rid_positive_config():
-    from repro.detectors.baselines import RIDPositiveConfig
-
-    return RIDPositiveConfig
-
-
-def _make_rid_positive(config):
-    from repro.detectors.baselines import RIDPositiveDetector
-
-    return RIDPositiveDetector(score=config.score)
-
-
-def _centrality_config():
-    from repro.detectors.centrality import CentralityConfig
-
-    return CentralityConfig
-
-
-def _make_rumor_centrality(_config):
-    from repro.detectors.centrality import RumorCentralityDetector
-
-    return RumorCentralityDetector()
-
-
-def _make_jordan_center(_config):
-    from repro.detectors.centrality import JordanCenterDetector
-
-    return JordanCenterDetector()
-
-
-def _make_distance_center(_config):
-    from repro.detectors.centrality import DistanceCenterDetector
-
-    return DistanceCenterDetector()
-
-
-def _map_suspect_config():
-    from repro.detectors.map_suspect import MapSuspectConfig
-
-    return MapSuspectConfig
-
-
-def _make_map_suspect(config):
-    from repro.detectors.map_suspect import MapSuspectDetector
-
-    return MapSuspectDetector(config)
-
-
-def _multi_source_config():
-    from repro.detectors.multi_source import MultiSourceConfig
-
-    return MultiSourceConfig
-
-
-def _make_multi_source(config):
-    from repro.detectors.multi_source import MultiSourceDetector
-
-    return MultiSourceDetector(config)
+def _load(ref: Union[type, str]) -> type:
+    """A class, or the class a lazy ``'module:Class'`` reference names."""
+    if isinstance(ref, str):
+        module, _, attr = ref.partition(":")
+        return getattr(importlib.import_module(module), attr)
+    return ref
 
 
 #: The registry table — one row per runnable detector.
@@ -153,8 +107,8 @@ DETECTOR_REGISTRY: Dict[str, DetectorSpec] = {
     for spec in (
         DetectorSpec(
             name="rid",
-            config_factory=_rid_config,
-            factory=_make_rid,
+            detector="repro.core.rid:RID",
+            config="repro.core.rid:RIDConfig",
             tier="accurate",
             supports_budget=True,
             description="the paper's full pipeline: cascade trees + "
@@ -162,24 +116,24 @@ DETECTOR_REGISTRY: Dict[str, DetectorSpec] = {
         ),
         DetectorSpec(
             name="rid_tree",
-            config_factory=_rid_tree_config,
-            factory=_make_rid_tree,
+            detector=RIDTreeDetector,
+            config=RIDTreeConfig,
             tier="fast",
             supports_budget=False,
             description="cascade-tree roots only (precision-1 baseline)",
         ),
         DetectorSpec(
             name="rid_positive",
-            config_factory=_rid_positive_config,
-            factory=_make_rid_positive,
+            detector=RIDPositiveDetector,
+            config=RIDPositiveConfig,
             tier="fast",
             supports_budget=False,
             description="tree roots of the positive-only subnetwork",
         ),
         DetectorSpec(
             name="rumor_centrality",
-            config_factory=_centrality_config,
-            factory=_make_rumor_centrality,
+            detector=RumorCentralityDetector,
+            config=CentralityConfig,
             tier="accurate",
             supports_budget=True,
             description="Shah-Zaman rumor center per component "
@@ -187,24 +141,24 @@ DETECTOR_REGISTRY: Dict[str, DetectorSpec] = {
         ),
         DetectorSpec(
             name="jordan_center",
-            config_factory=_centrality_config,
-            factory=_make_jordan_center,
+            detector=JordanCenterDetector,
+            config=CentralityConfig,
             tier="fast",
             supports_budget=True,
             description="minimax-distance center per component",
         ),
         DetectorSpec(
             name="distance_center",
-            config_factory=_centrality_config,
-            factory=_make_distance_center,
+            detector=DistanceCenterDetector,
+            config=CentralityConfig,
             tier="fast",
             supports_budget=True,
             description="min-sum-distance center per component",
         ),
         DetectorSpec(
             name="map_suspect",
-            config_factory=_map_suspect_config,
-            factory=_make_map_suspect,
+            detector=MapSuspectDetector,
+            config=MapSuspectConfig,
             tier="accurate",
             supports_budget=True,
             description="Dong-style suspect-prior MAP via Monte-Carlo "
@@ -212,12 +166,39 @@ DETECTOR_REGISTRY: Dict[str, DetectorSpec] = {
         ),
         DetectorSpec(
             name="multi_source",
-            config_factory=_multi_source_config,
-            factory=_make_multi_source,
+            detector=MultiSourceDetector,
+            config=MultiSourceConfig,
             tier="accurate",
             supports_budget=True,
             description="Nguyen-style community split + per-community "
             "Jordan centers",
+        ),
+        DetectorSpec(
+            name="k_effectors",
+            detector=KEffectorsDetector,
+            config=KEffectorsConfig,
+            tier="accurate",
+            supports_budget=False,
+            description="Lappas-style greedy k-effectors under unsigned IC "
+            "per component",
+        ),
+        DetectorSpec(
+            name="simulation_matching",
+            detector=SimulationMatchingDetector,
+            config=SimulationMatchingConfig,
+            tier="accurate",
+            supports_budget=False,
+            description="greedy initiator growth scored by forward MFC "
+            "simulation against the snapshot",
+        ),
+        DetectorSpec(
+            name="certainty_cover",
+            detector=CertaintyCoverDetector,
+            config=CertaintyCoverConfig,
+            tier="fast",
+            supports_budget=False,
+            description="greedy set cover over the Lemma 3.1 certainty "
+            "closures",
         ),
     )
 }
@@ -316,7 +297,7 @@ def resolve_detector(
     rec = resolve_recorder(None)
     if rec.enabled:
         rec.incr(f"detector.resolved.{spec.name}")
-    return spec.factory(resolved)
+    return spec.detector_cls(resolved)
 
 
 def detector_config_to_json(config: Any) -> Optional[Dict[str, Any]]:

@@ -340,14 +340,15 @@ def simulate_batch(
 
 
 def _spread_from_summary(summary: CascadeBatchSummary) -> SpreadEstimate:
-    """Batch-path aggregation; float-identical to the legacy result walk.
+    """The :class:`SpreadEstimate` of a batch summary.
 
-    Builds the same per-trial float lists the legacy path feeds to
-    ``mean``/``pstdev`` — sizes for every trial, state fractions over
-    non-empty cascades only — so on the bit-identical backend the two
-    paths return equal :class:`SpreadEstimate` values (pinned by
-    ``tests/unit/test_mc_batch.py``). Flip counts come straight from the
-    kernel counters, never from event traces.
+    Feeds ``mean``/``pstdev`` per-trial float lists — sizes for every
+    trial, state fractions over non-empty cascades only. The kernel fast
+    path and the ``simulate_many`` fallback summarise to the same counts,
+    so on the bit-identical backend both return equal estimates (pinned
+    by ``tests/unit/test_mc_batch.py`` and ``TestEstimateSpread``). Flip
+    counts come from the kernel counters on the fast path and from the
+    event logs on the fallback.
     """
     sizes = [float(count) for count in summary.infected]
     positive_fractions = []
@@ -383,49 +384,15 @@ def estimate_spread(
     cascades only (see :class:`SpreadEstimate`); ``trials`` still counts
     every simulation.
 
-    Kernel-batchable models with no trial cache configured run through
-    :func:`simulate_batch` — per-trial counters straight from the kernel,
-    no event materialisation — with identical estimates on the
-    bit-identical backend; other configurations keep the legacy
-    per-result walk.
+    Every run goes through :func:`simulate_batch`: kernel-batchable
+    models with no trial cache take its kernel fast path (per-trial
+    counters, no event materialisation), everything else its
+    ``simulate_many`` fallback; both build the same per-trial counts, so
+    the estimate does not depend on the path.
     """
     rec = resolve_recorder(recorder)
     with rec.span("mc.estimate_spread", model=model.name, trials=trials):
-        if _batchable(model) and (runtime is None or runtime.cache_dir is None):
-            summary = simulate_batch(
-                model, diffusion, seeds, trials, base_seed, runtime, rec
-            )
-            return _spread_from_summary(summary)
-        results = simulate_many(
+        summary = simulate_batch(
             model, diffusion, seeds, trials, base_seed, runtime, rec
         )
-    # One pass per result: the previous version walked final_states three
-    # times (num_infected, infected_nodes, the per-node state lookups).
-    sizes = []
-    positive_fractions = []
-    negative_fractions = []
-    flips = []
-    rounds = []
-    for r in results:
-        positives = negatives = 0
-        for state in r.final_states.values():
-            if state is NodeState.POSITIVE:
-                positives += 1
-            elif state is NodeState.NEGATIVE:
-                negatives += 1
-        infected = positives + negatives
-        sizes.append(float(infected))
-        if infected:
-            positive_fractions.append(positives / infected)
-            negative_fractions.append(negatives / infected)
-        flips.append(float(sum(1 for e in r.events if e.was_flip)))
-        rounds.append(float(r.rounds))
-    return SpreadEstimate(
-        mean_infected=mean(sizes),
-        std_infected=pstdev(sizes) if len(sizes) > 1 else 0.0,
-        mean_positive_fraction=mean(positive_fractions) if positive_fractions else 0.0,
-        mean_negative_fraction=mean(negative_fractions) if negative_fractions else 0.0,
-        mean_flips=mean(flips),
-        mean_rounds=mean(rounds),
-        trials=trials,
-    )
+    return _spread_from_summary(summary)

@@ -248,11 +248,12 @@ def run_detect_stream(
             f"reused={step.reused_artifacts:<4} computed={step.computed_artifacts:<4} "
             f"initiators={len(step.result.initiators)}"
         )
-    stats = engine.engine.cache_stats()
-    print(
-        f"artifact cache: {stats['hits']} hits / {stats['misses']} misses "
-        f"({stats['entries']} entries)"
-    )
+    if engine.engine is not None:  # only RID's incremental path caches
+        stats = engine.engine.cache_stats()
+        print(
+            f"artifact cache: {stats['hits']} hits / {stats['misses']} misses "
+            f"({stats['entries']} entries)"
+        )
     if out is not None and steps:
         from repro.experiments.reporting import save_json
 

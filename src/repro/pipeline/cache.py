@@ -56,7 +56,9 @@ class ArtifactCache:
 
     Holds at most ``max_entries`` artifacts; inserting past the bound
     evicts the least recently used entry (lookups and puts both refresh
-    recency).
+    recency). The default, 4096, is sized for the long-lived engines —
+    warm serve detectors and stream sessions; a one-shot detect never
+    fills it.
 
     Example:
         >>> cache = ArtifactCache(max_entries=2)
@@ -66,7 +68,7 @@ class ArtifactCache:
         True
     """
 
-    def __init__(self, max_entries: int = 512) -> None:
+    def __init__(self, max_entries: int = 4096) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries

@@ -1,8 +1,8 @@
 """Warm-cache worker pool: shard affinity, micro-batching, admission.
 
 The serving tier's compute plane. Each worker thread owns a
-:class:`WorkerHost` — decoded-graph LRU, warm :class:`~repro.core.rid.RID`
-detectors (one per config, each keeping its
+:class:`WorkerHost` — decoded-graph LRU, warm registry detectors (one
+per ``(name, config)``; RID instances keep their
 :class:`~repro.pipeline.cache.ArtifactCache` hot across requests), and
 the live streaming sessions. Requests are sharded onto workers by a
 content digest of what they touch (graph payload, or session name), so
@@ -42,7 +42,7 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.rid import RID
+from repro.detectors.registry import detector_digest, resolve_detector
 from repro.errors import (
     ConfigError,
     ServerOverloadedError,
@@ -133,29 +133,19 @@ class WorkerHost:
         :func:`~repro.detectors.detector_digest`, so two requests naming
         the same detector with the same config share a warm instance and
         different configs (or detectors) never collide. RID instances
-        keep a roomy :class:`~repro.pipeline.cache.ArtifactCache` hot
+        keep their :class:`~repro.pipeline.cache.ArtifactCache` hot
         across requests (it is content-addressed by graph *and* config,
         so one RID per config safely serves every graph); the in-process
         detectors have no artifact store — warmth for them means skipping
         config re-validation and construction.
         """
-        from repro.detectors.registry import detector_digest, resolve_detector
-
         config = wire.detector_config_from_json(name, config_payload)
         key = detector_digest(name, config)
         cached = self._fresh(self._detectors, key)
         if cached is not None:
             self.recorder.incr("serve.engine_cache.hits")
             return cached, True
-        if name == "rid":
-            from repro.pipeline.cache import ArtifactCache
-            from repro.pipeline.engine import DetectionEngine
-
-            detector = RID(
-                config, engine=DetectionEngine(cache=ArtifactCache(max_entries=4096))
-            )
-        else:
-            detector = resolve_detector(name, config)
+        detector = resolve_detector(name, config)
         self._detectors[key] = (detector, self._clock())
         while len(self._detectors) > self._cap:
             self._detectors.popitem(last=False)
@@ -277,10 +267,12 @@ def _handle_evaluate(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any
             f"unknown WorkloadConfig field(s) {unknown}; valid fields: {sorted(valid)}"
         )
     workload = WorkloadConfig(**spec)
-    trials = wire.optional_int(payload, "trials") or 3
+    trials = wire.optional_int(payload, "trials")
     name = wire.detector_request(payload)
     config = wire.detector_config_from_json(name, payload.get("config"))
-    aggregated = api.evaluate(name, workload, trials=trials, config=config)
+    aggregated = api.evaluate(
+        name, workload, trials=3 if trials is None else trials, config=config
+    )
     host.recorder.incr(f"detector.{name}.requests")
     return {
         "evaluation": dataclasses.asdict(aggregated),
@@ -307,14 +299,9 @@ def _handle_session_create(host: WorkerHost, payload: Dict[str, Any]) -> Dict[st
     detector_name = wire.detector_request(payload)
     config = wire.detector_config_from_json(detector_name, payload.get("config"))
     # copy=False: the decoded graph is already a private object.
-    if detector_name == "rid":
-        engine = StreamingDetectionEngine(graph, config=config, copy=False)
-    else:
-        from repro.detectors.registry import resolve_detector
-
-        engine = StreamingDetectionEngine(
-            graph, detector=resolve_detector(detector_name, config), copy=False
-        )
+    engine = StreamingDetectionEngine(
+        graph, detector=resolve_detector(detector_name, config), copy=False
+    )
     host.sessions[name] = engine
     host.recorder.incr("serve.sessions.created")
     return {

@@ -58,12 +58,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Union, overload
 
 from repro.detectors.base import DetectionResult, Detector
-from repro.detectors.registry import canonical_detector_name, resolve_detector
-from repro.core.rid import RIDConfig
-from repro.errors import ConfigError
+from repro.detectors.registry import resolve_detector
+from repro.core.rid import RID, RIDConfig
 from repro.graphs.signed_digraph import EdgeData, SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder, using_recorder
-from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.engine import DetectionEngine, EngineOutcome
 from repro.runtime.config import RuntimeConfig
 from repro.stream.delta import SnapshotDelta, apply_delta
@@ -152,22 +150,23 @@ class StreamingDetectionEngine:
         graph: the initial live network (any nodes/states; only active
             nodes participate in detection). Copied by default so event
             replay never mutates the caller's object.
-        config: RID hyper-parameters (validated eagerly). Only valid on
-            the RID path — pre-configure named detectors via
-            :func:`repro.detectors.resolve_detector` instead.
-        detector: run a named detector instead of RID — a registry name
-            (``'jordan_center'``, ...) or a pre-built
-            :class:`~repro.detectors.Detector`. ``None`` (or ``'rid'``)
-            keeps the incremental RID path. Named detectors re-detect on
-            the materialised snapshot each step (no per-component
-            artifact reuse — they have no content-addressed stages) but
-            share the same delta plumbing and replay reporting.
-        engine: the staged pipeline to detect with; a private
-            :class:`DetectionEngine` with a roomy artifact cache by
-            default. Pass a shared engine to pool artifacts.
-        cache: shorthand for ``engine=DetectionEngine(cache=cache)``.
+        detector: what re-detects after each delta — a registry name or
+            a pre-built :class:`~repro.detectors.Detector`; ``None``
+            means ``RID()``. A :class:`~repro.core.rid.RID` instance
+            takes the incremental path with that instance's ``config``
+            and ``engine``, so pass ``RID(config, engine=shared)`` to
+            pool artifacts across streams. Any other detector
+            re-detects on the materialised snapshot each step (no
+            per-component artifact reuse — it has no content-addressed
+            stages) but shares the same delta plumbing and replay
+            reporting.
         runtime: default execution configuration for :meth:`detect`.
         copy: set False to adopt (and mutate) ``graph`` in place.
+
+    On the incremental path :attr:`detector` is ``None`` and
+    :attr:`config` / :attr:`engine` are the RID instance's; on the
+    re-detect path :attr:`detector` is the resolved detector and both
+    are ``None``.
 
     Example:
         >>> eng = StreamingDetectionEngine(infected)        # doctest: +SKIP
@@ -179,33 +178,21 @@ class StreamingDetectionEngine:
         self,
         graph: Optional[SignedDiGraph] = None,
         *,
-        config: Optional[RIDConfig] = None,
         detector: Union[str, Detector, None] = None,
-        engine: Optional[DetectionEngine] = None,
-        cache: Optional[ArtifactCache] = None,
         runtime: Optional[RuntimeConfig] = None,
         copy: bool = True,
     ) -> None:
+        detector = RID() if detector is None else resolve_detector(detector)
         self.detector: Optional[Detector] = None
-        if isinstance(detector, str) and canonical_detector_name(detector) == "rid":
-            detector = None  # the incremental path *is* the rid detector
-        if detector is not None:
-            if config is not None:
-                raise ConfigError(
-                    "config= carries RID hyper-parameters; pre-configure a "
-                    "named detector via repro.detectors.resolve_detector "
-                    "and pass the instance"
-                )
-            self.detector = resolve_detector(detector)
-        self.config = config if config is not None else RIDConfig()
-        self.config.validate()
-        if engine is None:
-            engine = DetectionEngine(
-                cache=cache if cache is not None else ArtifactCache(max_entries=4096)
-            )
-        elif cache is not None:
-            raise ValueError("pass either engine= or cache=, not both")
-        self.engine = engine
+        self.config: Optional[RIDConfig] = None
+        self.engine: Optional[DetectionEngine] = None
+        if isinstance(detector, RID):
+            # Only RID streams incrementally: its staged engine reuses
+            # per-component artifacts across deltas.
+            self.config = detector.config
+            self.engine = detector.engine
+        else:
+            self.detector = detector
         self.runtime = runtime
         if graph is None:
             self.graph = SignedDiGraph(name="stream")
@@ -213,7 +200,7 @@ class StreamingDetectionEngine:
             self.graph = graph.copy() if copy else graph
         # Named detectors consume the unpruned materialised snapshot, so
         # the live-edge predicate must not drop sign-inconsistent links.
-        self._prune = self.detector is None and bool(self.config.prune_inconsistent)
+        self._prune = self.config is not None and self.config.prune_inconsistent
         self._comp_nodes: Dict[int, Set[Node]] = {}
         self._comp_sub: Dict[int, SignedDiGraph] = {}
         self._comp_key: Dict[int, str] = {}
@@ -408,8 +395,10 @@ class StreamingDetectionEngine:
     ) -> DetectionResult:
         """Re-detect over the current partition, reusing cached artifacts.
 
-        Bit-identical to a cold run on :meth:`materialise` (see the
-        module docstring for the argument). ``stream.reused_artifacts``
+        Gives the same initiators and states as a cold run on
+        :meth:`materialise`, with the objective equal up to float
+        rounding; cascade trees can differ when co-optimal forests tie
+        (see the module docstring). ``stream.reused_artifacts``
         and ``stream.computed_artifacts`` count the artifact-cache hits
         and misses this call produced — on a small delta the reuse count
         dominates because untouched components' Arborescence and TreeDP

@@ -168,6 +168,17 @@ class TestCLI:
         assert cli_main(["diffusion", "--scale", "0.002", "--trials", "1", "--seed", "3"]) == 0
         assert "Diffusion analysis" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("detector", [None, "jordan-center"])
+    def test_cli_detect_stream(self, capsys, detector):
+        argv = ["detect-stream", "--deltas", "3", "--seed", "3"]
+        if detector is not None:
+            argv += ["--detector", detector]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "delta   2:" in out
+        # Only RID's incremental path has an artifact cache to report.
+        assert ("artifact cache:" in out) == (detector is None)
+
     def test_cli_rejects_unknown_artefact(self):
         with pytest.raises(SystemExit):
             cli_main(["not-an-artefact"])

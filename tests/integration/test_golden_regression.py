@@ -7,7 +7,7 @@ behaviour — intentionally or not — must show up here and be
 acknowledged by updating the pinned values.
 """
 
-from repro.detectors import RIDTreeDetector
+from repro.detectors import RIDTreeConfig, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.workload import build_workload
@@ -46,7 +46,7 @@ class TestGoldenPipeline:
         # Pin the size and a couple of members rather than the whole set,
         # so failure messages stay readable.
         assert len(result.initiators) == 5
-        tree_roots = RIDTreeDetector(prune_inconsistent=True).detect(
+        tree_roots = RIDTreeDetector(RIDTreeConfig(prune_inconsistent=True)).detect(
             workload.infected
         )
         assert set(tree_roots.initiators) <= result.initiators

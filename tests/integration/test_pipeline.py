@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.detectors import RIDPositiveDetector, RIDTreeDetector
+from repro.detectors import RIDPositiveDetector, RIDTreeConfig, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.workload import build_workload
@@ -65,7 +65,8 @@ class TestEndToEndDetection:
         assert metrics.precision >= 0.6
 
     def test_rid_finds_at_least_tree_roots(self, epinions_world):
-        tree = RIDTreeDetector(prune_inconsistent=True).detect(epinions_world.infected)
+        pruned = RIDTreeDetector(RIDTreeConfig(prune_inconsistent=True))
+        tree = pruned.detect(epinions_world.infected)
         rid = RID(RIDConfig(beta=0.1)).detect(epinions_world.infected)
         assert len(rid.initiators) >= len(tree.initiators)
 

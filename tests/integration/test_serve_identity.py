@@ -196,6 +196,27 @@ class TestErrorSurface:
         finally:
             conn.close()
 
+    def test_zero_evaluate_trials_maps_to_400(self, served):
+        client, _ = served
+        import http.client
+        import json as _json
+
+        body = {
+            "schema": "repro.serve/v1",
+            "workload": {"dataset": "epinions", "scale": 0.004, "seed": 3},
+            "trials": 0,
+        }
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        try:
+            conn.request("POST", "/v1/evaluate", body=_json.dumps(body).encode())
+            response = conn.getresponse()
+            envelope = _json.loads(response.read())
+            assert response.status == 400
+            assert envelope["error"]["type"] == "ConfigError"
+            assert "trials" in envelope["error"]["message"]
+        finally:
+            conn.close()
+
 
 class TestOpsEndpoints:
     def test_health_and_stats(self, served):
@@ -226,7 +247,14 @@ class TestNamedDetectorIdentity:
 
     @pytest.mark.parametrize(
         "name",
-        ["rumor_centrality", "jordan_center", "distance_center", "multi_source"],
+        [
+            "rumor_centrality",
+            "jordan_center",
+            "distance_center",
+            "multi_source",
+            "certainty_cover",
+            "simulation_matching",
+        ],
     )
     def test_served_named_detect_is_bit_identical(self, served, infected, name):
         from repro.detectors import resolve_detector

@@ -55,7 +55,9 @@ def test_streamed_detection_bit_identical_to_cold_after_every_delta(stream, work
     snapshot, deltas = stream
     runtime = RuntimeConfig(workers=workers)
     config = RIDConfig()
-    engine = StreamingDetectionEngine(snapshot, config=config, runtime=runtime)
+    engine = StreamingDetectionEngine(
+        snapshot, detector=RID(config), runtime=runtime
+    )
     cold = RID(config)
     total_reused = 0
     for index, delta in enumerate(deltas):
@@ -74,7 +76,7 @@ def test_streamed_detection_bit_identical_to_cold_after_every_delta(stream, work
 def test_budget_mode_spot_check(stream):
     snapshot, deltas = stream
     config = RIDConfig()
-    engine = StreamingDetectionEngine(snapshot, config=config)
+    engine = StreamingDetectionEngine(snapshot, detector=RID(config))
     for delta in deltas[:5]:
         engine.apply(delta)
     materialised = engine.materialise()
@@ -108,10 +110,30 @@ def test_named_detector_stream_matches_cold_detect(stream, name):
 def test_named_rid_string_uses_the_incremental_path(stream):
     snapshot, deltas = stream
     named = StreamingDetectionEngine(snapshot, detector="rid")
-    reference = StreamingDetectionEngine(snapshot, config=RIDConfig())
+    reference = StreamingDetectionEngine(snapshot, detector=RID(RIDConfig()))
     for delta in deltas[:6]:
         got = named.step(delta)
         want = reference.step(delta)
         assert results_equal(got.result, want.result)
     # the string spelling must keep the incremental engine's reuse
     assert named.detector is None
+
+
+def test_streams_on_a_shared_rid_engine_share_one_artifact_cache(stream):
+    """``detector=RID(config, engine=shared)`` pools artifacts: a second
+    replay of the same log reuses what the first computed."""
+    from repro.pipeline.engine import DetectionEngine
+
+    snapshot, deltas = stream
+    config = RIDConfig()
+    shared = DetectionEngine()
+    first = StreamingDetectionEngine(snapshot, detector=RID(config, engine=shared))
+    second = StreamingDetectionEngine(snapshot, detector=RID(config, engine=shared))
+    assert first.engine is second.engine is shared
+    for delta in deltas[:4]:
+        first.step(delta)
+    for delta in deltas[:4]:
+        got = second.step(delta)
+        assert got.computed_artifacts == 0
+        assert got.reused_artifacts > 0
+    assert results_equal(got.result, RID(config).detect(second.materialise()))

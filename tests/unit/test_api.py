@@ -7,15 +7,17 @@ import pytest
 import repro
 from repro import api
 from repro.core.rid import RID, RIDConfig
-from repro.detectors import resolve_budget_kwargs
+from repro.detectors import (
+    CertaintyCoverConfig,
+    CertaintyCoverDetector,
+    resolve_budget_kwargs,
+    resolve_detector,
+)
 from repro.diffusion.mfc import MFCModel
 from repro.errors import ConfigError
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.runner import AggregatedEvaluation, DetectorEvaluation
 from repro.experiments.workload import build_workload
-from repro.extensions.certainty_cover import CertaintyCoverDetector
-from repro.extensions.effectors import KEffectorsDetector
-from repro.extensions.simulation_matching import SimulationMatchingDetector
 from repro.graphs.generators.random_graphs import signed_erdos_renyi
 from repro.obs import MetricsRecorder
 from repro.types import NodeState
@@ -121,7 +123,9 @@ class TestDetect:
 
     def test_custom_detector(self, network, cascade):
         result = repro.detect(
-            network, cascade, detector=CertaintyCoverDetector(alpha=3.0)
+            network,
+            cascade,
+            detector=CertaintyCoverDetector(CertaintyCoverConfig(alpha=3.0)),
         )
         assert result.method == "certainty-cover"
 
@@ -269,6 +273,12 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="Workload or WorkloadConfig"):
             repro.evaluate(RID(RIDConfig()), workload="fig4")
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_config_form_rejects_non_positive_trials(self, trials):
+        config = WorkloadConfig(dataset="epinions", scale=0.004, seed=3)
+        with pytest.raises(ConfigError, match=f"trials must be >= 1, got {trials}"):
+            repro.evaluate("distance_center", config, trials=trials)
+
 
 class TestApiErrorPaths:
     """The facade's rejection branches, each pinned to its message."""
@@ -366,27 +376,8 @@ class TestBudgetKwargUnification:
             detector.detect_with_budget(infected, k=5)
         assert detector.detect_with_budget(infected, 5).initiators
 
-    def test_effectors_legacy_kwarg(self):
-        with pytest.warns(DeprecationWarning, match="k_per_component"):
-            detector = KEffectorsDetector(k_per_component=2)
-        assert detector.budget == 2
-        assert detector.k_per_component == 2  # property alias still reads
-
-    def test_simulation_matching_legacy_kwarg(self):
-        with pytest.warns(DeprecationWarning, match="max_initiators_per_component"):
-            detector = SimulationMatchingDetector(max_initiators_per_component=2)
-        assert detector.budget == 2
-        assert detector.max_initiators == 2
-
-    def test_certainty_cover_legacy_kwarg(self):
-        with pytest.warns(DeprecationWarning, match="max_initiators"):
-            detector = CertaintyCoverDetector(max_initiators=2)
-        assert detector.budget == 2
-        assert detector.max_initiators == 2
-
     def test_new_spellings_are_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            KEffectorsDetector(budget=2)
-            SimulationMatchingDetector(budget=2)
-            CertaintyCoverDetector(budget=2)
+            for name in ("k_effectors", "simulation_matching", "certainty_cover"):
+                resolve_detector(name, {"budget": 2})

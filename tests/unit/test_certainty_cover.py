@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.extensions.certainty_cover import (
-    CertaintyCoverDetector,
-    consistent_certainty_closure,
-)
+from repro.detectors import CertaintyCoverConfig, CertaintyCoverDetector
+from repro.detectors.certainty_cover import consistent_certainty_closure
+from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
+
+
+def cover(**fields) -> CertaintyCoverDetector:
+    return CertaintyCoverDetector(CertaintyCoverConfig(**fields))
 
 
 def certain_chain() -> SignedDiGraph:
@@ -46,29 +49,40 @@ class TestClosure:
         assert consistent_certainty_closure(g, "r", alpha=3.0) == {"r", "a"}
 
 
+class TestParameters:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"budget": 0}, "budget must be >= 1 or None"), ({"alpha": 0.5}, "alpha")],
+        ids=["budget", "alpha"],
+    )
+    def test_bad_parameters_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            cover(**fields)
+
+
 class TestDetector:
     def test_single_root_explains_chain(self):
-        result = CertaintyCoverDetector(alpha=3.0).detect(certain_chain())
+        result = cover(alpha=3.0).detect(certain_chain())
         assert result.initiators == {"r"}
         assert result.states["r"] is NodeState.POSITIVE
 
     def test_residual_nodes_become_initiators(self):
         g = certain_chain()
         g.add_node("island", NodeState.NEGATIVE)
-        result = CertaintyCoverDetector(alpha=3.0).detect(g)
+        result = cover(alpha=3.0).detect(g)
         assert result.initiators == {"r", "island"}
         assert result.states["island"] is NodeState.NEGATIVE
 
     def test_weak_link_splits_cover(self):
         g = certain_chain()
         g.set_weight("a", "b", 0.5)
-        result = CertaintyCoverDetector(alpha=3.0).detect(g)
+        result = cover(alpha=3.0).detect(g)
         assert result.initiators == {"r", "b"}
 
     def test_max_initiators_caps_cover(self):
         g = certain_chain()
         g.set_weight("a", "b", 0.5)
-        result = CertaintyCoverDetector(alpha=3.0, budget=1).detect(g)
+        result = cover(alpha=3.0, budget=1).detect(g)
         assert len(result.initiators) == 1
 
     def test_greedy_prefers_bigger_closure(self):
@@ -78,7 +92,7 @@ class TestDetector:
         g.add_edge("small", "y1", 1, 1.0)
         for node in g.nodes():
             g.set_state(node, NodeState.POSITIVE)
-        result = CertaintyCoverDetector(alpha=1.0, budget=1).detect(g)
+        result = cover(alpha=1.0, budget=1).detect(g)
         assert result.initiators == {"big"}
 
     def test_unknown_state_nodes_do_not_conduct_certainty(self):
@@ -90,5 +104,5 @@ class TestDetector:
         # closure instead.)
         g = certain_chain()
         g.set_state("a", NodeState.UNKNOWN)
-        result = CertaintyCoverDetector(alpha=3.0).detect(g)
+        result = cover(alpha=3.0).detect(g)
         assert result.initiators == {"r", "a", "b"}

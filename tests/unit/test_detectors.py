@@ -83,6 +83,9 @@ class TestRegistry:
             "distance_center",
             "map_suspect",
             "multi_source",
+            "k_effectors",
+            "simulation_matching",
+            "certainty_cover",
         ):
             assert name in DETECTOR_REGISTRY
 
@@ -106,6 +109,14 @@ class TestRegistry:
         assert isinstance(detector, Detector)
         spec = detector_spec(name)
         assert spec.tier in ("fast", "accurate")
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_every_entry_is_built_from_its_config(self, name):
+        spec = detector_spec(name)
+        config = spec.config_cls()
+        detector = spec.detector_cls(config)
+        assert detector.config is config
+        assert type(resolve_detector(name)) is spec.detector_cls
 
     def test_instance_passes_through(self):
         built = JordanCenterDetector()
@@ -217,7 +228,7 @@ class TestRuntimeContract:
         assert result.initiators
 
     @pytest.mark.parametrize(
-        "name", ["jordan_center", "map_suspect", "multi_source"]
+        "name", [n for n in ALL_NAMES if n != "rid"]
     )
     def test_parallel_runtime_is_rejected(self, name):
         detector = resolve_detector(name)

@@ -1,4 +1,5 @@
-"""Unit tests for the classic source-detection extensions."""
+"""Unit tests for the single-source centrality classics and the
+Shah–Zaman rumor-centrality score."""
 
 import math
 
@@ -9,9 +10,10 @@ from repro.detectors import (
     DistanceCenterDetector,
     JordanCenterDetector,
     RumorCentralityDetector,
+    rumor_centralities,
     undirected_distances,
 )
-from repro.extensions.rumor_centrality import bfs_tree, rumor_centralities
+from repro.detectors.centrality import bfs_tree
 from repro.graphs.generators.trees import path_graph, star_graph
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState

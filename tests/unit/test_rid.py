@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.detectors import RIDPositiveDetector, RIDTreeDetector
+from repro.detectors import RIDPositiveDetector, RIDTreeConfig, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
@@ -126,7 +126,8 @@ class TestRIDTreeDetector:
         infected = hand_built_infection()
         # Make the b -> r2 link inconsistent so pruning severs it.
         infected.set_state("r2", NodeState.POSITIVE)
-        pruned = RIDTreeDetector(prune_inconsistent=True).detect(infected)
+        detector = RIDTreeDetector(RIDTreeConfig(prune_inconsistent=True))
+        pruned = detector.detect(infected)
         assert pruned.initiators == {"r1", "r2"}
 
 

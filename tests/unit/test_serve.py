@@ -318,6 +318,8 @@ class TestNamedDetectorRouting:
         body = self._detect(pool, payload)
         assert body["detector"] == "rid"
         assert body["result"]["method"].startswith("rid")
+        # RID is built through the registry like every other name.
+        assert pool.metrics().counters["detector.resolved.rid"] == 1.0
 
     def test_named_detector_travels(self, pool):
         from repro.pipeline.cache import encode_graph

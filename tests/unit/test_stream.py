@@ -9,7 +9,6 @@ from repro.errors import (
     EventLogFormatError,
 )
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.pipeline.engine import DetectionEngine
 from repro.stream import (
     EventLog,
     SnapshotDelta,
@@ -247,14 +246,6 @@ class TestStreamingEngine:
         got = engine.detect(budget=trees + 1)
         want = cold.detect_with_budget(mat, trees + 1)
         assert results_equal(got, want)
-
-    def test_engine_and_cache_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            StreamingDetectionEngine(
-                two_component_snapshot(),
-                engine=DetectionEngine(),
-                cache=__import__("repro.pipeline.cache", fromlist=["ArtifactCache"]).ArtifactCache(),
-            )
 
     def test_partition_invariant_after_synthetic_replay(self):
         """After any replay, the partition must exactly cover the active
