@@ -200,22 +200,38 @@ def gate_served_named_identity() -> None:
         ("multi_source", None),
         ("map_suspect", {"trials": 2, "candidate_limit": 4}),
     ]
+    # The RID-Tree baselines cache their cascade trees in a private
+    # engine: ask twice, so the second answer comes from the warm cache.
+    cached = [("rid_tree", None), ("rid_positive", None)]
     config = ServeConfig(workers=2, timeout=120.0)
     with start_in_thread(config) as handle:
         with ServeClient(handle.url, timeout=120.0) as client:
-            for name, cfg in named:
+            for name, cfg in named + cached:
                 direct = resolve_detector(name, cfg).detect(infected)
-                payload = client.detect(
-                    infected, detector=name, config=cfg, raw=True
-                )
-                if payload["detector"] != name:
-                    raise AssertionError(
-                        f"served detector echo {payload['detector']!r} != {name!r}"
+                temperatures = ("cold", "hot") if (name, cfg) in cached else ("cold",)
+                for temperature in temperatures:
+                    payload = client.detect(
+                        infected, detector=name, config=cfg, raw=True
                     )
-                if canonical(payload["result"]) != canonical(direct.to_json()):
-                    raise AssertionError(
-                        f"served {name} diverged from the direct call"
-                    )
+                    if payload["detector"] != name:
+                        raise AssertionError(
+                            f"served detector echo {payload['detector']!r} != {name!r}"
+                        )
+                    report = payload["cache"]
+                    if report["engine"] != temperature:
+                        raise AssertionError(
+                            f"served {name} ran on a {report['engine']} "
+                            f"detector, expected {temperature}"
+                        )
+                    if temperature == "hot" and report["computed_artifacts"]:
+                        raise AssertionError(
+                            f"warm served {name} recomputed "
+                            f"{report['computed_artifacts']} cached artifacts"
+                        )
+                    if canonical(payload["result"]) != canonical(direct.to_json()):
+                        raise AssertionError(
+                            f"served {name} ({temperature}) diverged from the direct call"
+                        )
             for tier, expected in TIER_ROUTING.items():
                 payload = client.detect(infected, tier=tier, raw=True)
                 if payload["detector"] != expected:
@@ -223,7 +239,10 @@ def gate_served_named_identity() -> None:
                         f"tier {tier!r} routed to {payload['detector']!r}, "
                         f"expected {expected!r}"
                     )
-    print(f"served named-detector identity at workers=2: {len(named)} detectors + tier routing ok")
+    print(
+        f"served named-detector identity at workers=2: {len(named)} detectors, "
+        f"{len(cached)} cold and warm, + tier routing ok"
+    )
 
 
 def main() -> int:

@@ -16,7 +16,10 @@ scratch in the paper's own vocabulary:
 * :func:`maximum_spanning_branching` — the full select/contract/expand
   loop (Algorithm 4's engine), run iteratively: contraction levels are
   pushed onto an explicit list and expanded in reverse, so deeply
-  nested cycle structures never touch the interpreter recursion limit.
+  nested cycle structures never touch the interpreter recursion limit;
+* :func:`split_branching_into_trees` — Algorithm 4's split of the
+  branching into its cascade trees. The pipeline's Arborescence stage
+  (:mod:`repro.pipeline.stages`) runs both per infected component.
 
 Score transform: maximising ``Π w`` is maximising ``Σ log w``, so the
 default score is ``log`` (clamped at a floor for zero weights). The
@@ -36,6 +39,7 @@ roots are exactly the in-degree-0 infected users.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -312,6 +316,29 @@ def maximum_spanning_branching(
 def branching_roots(branching: SignedDiGraph) -> List[Node]:
     """Roots (in-degree-0 nodes) of a branching, in deterministic order."""
     return sorted((v for v in branching.nodes() if branching.in_degree(v) == 0), key=repr)
+
+
+def split_branching_into_trees(branching: SignedDiGraph) -> List[SignedDiGraph]:
+    """Split a branching (forest) into one subgraph per arborescence.
+
+    Algorithm 4's last step: each returned cascade tree contains a root
+    plus everything reachable from it, with node states and edge
+    payloads preserved. Deterministic order (by root, repr-sorted).
+    """
+    trees: List[SignedDiGraph] = []
+    for root in branching_roots(branching):
+        members: List[Node] = []
+        queue = deque([root])
+        seen = {root}
+        while queue:
+            node = queue.popleft()
+            members.append(node)
+            for child in sorted(branching.successors(node), key=repr):
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+        trees.append(branching.subgraph(members, name=f"cascade-tree-{root!r}"))
+    return trees
 
 
 def branching_likelihood(branching: SignedDiGraph) -> float:

@@ -230,10 +230,10 @@ class RID(Detector):
         )
         rec = resolve_recorder(recorder)
         with rec.span("rid.detect_with_budget", budget=budget):
-            outcome = self.engine.detect_with_budget(
+            outcome = self.engine.detect(
                 self.config,
                 infected,
-                budget,
+                budget=budget,
                 label=f"{self.name}(k={budget})",
                 recorder=rec,
                 runtime=runtime,

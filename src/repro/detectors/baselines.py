@@ -10,7 +10,10 @@
   subnetwork only, generalising the unsigned effectors approach.
 
 Both baselines identify initiator *identities* only; per the paper they
-cannot infer initial states, so their results carry no state map.
+cannot infer initial states, so their results carry no state map. Both
+take their trees from :meth:`~repro.pipeline.engine.DetectionEngine.forest`,
+RID's own front half, on a private engine: repeated detections on one
+instance reuse the cached per-component trees.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.binarize import find_tree_root
-from repro.core.cascade_forest import extract_cascade_forest
 from repro.detectors.base import DetectionResult, Detector, check_runtime
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.graphs.transforms import positive_subgraph
@@ -62,6 +64,22 @@ class RIDPositiveConfig:
             raise ConfigError(f"score must be 'log' or 'raw', got {self.score!r}")
 
 
+# repro.pipeline and repro.core.rid both import repro.detectors, so the
+# baselines import them lazily, as RID.__init__ imports its engine.
+
+
+def _private_engine():
+    from repro.pipeline.engine import DetectionEngine
+
+    return DetectionEngine()
+
+
+def _forest_config(score: str, prune_inconsistent: bool):
+    from repro.core.rid import RIDConfig
+
+    return RIDConfig(score=score, prune_inconsistent=prune_inconsistent)
+
+
 class RIDTreeDetector(Detector):
     """RID-Tree: cascade-tree roots as initiators.
 
@@ -74,6 +92,7 @@ class RIDTreeDetector(Detector):
     def __init__(self, config: Optional[RIDTreeConfig] = None) -> None:
         self.config = config or RIDTreeConfig()
         self.config.validate()
+        self.engine = _private_engine()
 
     def detect(
         self,
@@ -90,10 +109,9 @@ class RIDTreeDetector(Detector):
         check_runtime(self.name, runtime)
         rec = resolve_recorder(recorder)
         with rec.span("detect", method=self.name):
-            trees = extract_cascade_forest(
+            trees = self.engine.forest(
+                _forest_config(self.config.score, self.config.prune_inconsistent),
                 infected,
-                score=self.config.score,
-                prune_inconsistent=self.config.prune_inconsistent,
                 recorder=rec,
             )
             roots = {find_tree_root(tree) for tree in trees}
@@ -114,6 +132,7 @@ class RIDPositiveDetector(Detector):
     def __init__(self, config: Optional[RIDPositiveConfig] = None) -> None:
         self.config = config or RIDPositiveConfig()
         self.config.validate()
+        self.engine = _private_engine()
 
     def detect(
         self,
@@ -127,11 +146,8 @@ class RIDPositiveDetector(Detector):
         with rec.span("detect", method=self.name):
             positive_only = positive_subgraph(infected)
             # The unsigned method of [13] is sign-blind: no consistency pruning.
-            trees = extract_cascade_forest(
-                positive_only,
-                score=self.config.score,
-                prune_inconsistent=False,
-                recorder=rec,
+            trees = self.engine.forest(
+                _forest_config(self.config.score, False), positive_only, recorder=rec
             )
             roots = {find_tree_root(tree) for tree in trees}
         return DetectionResult(method=self.name, initiators=roots, trees=trees)

@@ -54,6 +54,7 @@ from repro.detectors.simulation_matching import (
 from repro.errors import ConfigError
 from repro.obs.recorder import resolve_recorder
 from repro.runtime.cache import stable_digest
+from repro.utils.validation import config_from_dict
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,23 +243,17 @@ def detector_spec(name: str) -> DetectorSpec:
 def coerce_detector_config(name: str, config: Any = None) -> Any:
     """Build the validated config instance a registry entry expects.
 
-    ``None`` means defaults; a dict is coerced field-checked (unknown
-    keys raise :class:`ConfigError` naming the valid fields); an
-    instance of the right dataclass passes through (validated).
+    ``None`` means defaults; a dict is coerced field- and type-checked
+    by :func:`~repro.utils.validation.config_from_dict` (unknown keys
+    and wrong-typed values raise :class:`ConfigError`); an instance of
+    the right dataclass passes through (validated).
     """
     spec = detector_spec(name)
     cls = spec.config_cls
     if config is None:
         config = cls()
     elif isinstance(config, dict):
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(config) - valid)
-        if unknown:
-            raise ConfigError(
-                f"unknown {cls.__name__} field(s) {unknown} for detector "
-                f"{spec.name!r}; valid fields: {sorted(valid)}"
-            )
-        config = cls(**config)
+        config = config_from_dict(cls, config, f" for detector {spec.name!r}")
     elif not isinstance(config, cls):
         raise ConfigError(
             f"detector {spec.name!r} takes a {cls.__name__} (or a dict of "

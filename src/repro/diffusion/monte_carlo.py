@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 from repro.diffusion.base import DiffusionModel, DiffusionResult
 from repro.diffusion.ic import ICModel
 from repro.diffusion.mfc import MFCModel
+from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.kernel.batch import CascadeBatchSummary, run_ic_batch, run_mfc_batch
 from repro.kernel.cascade import check_seeds_compiled
@@ -72,6 +73,11 @@ class SpreadEstimate:
     trials: int
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+
+
 def _simulate_trial(payload, trial: int) -> DiffusionResult:
     """One Monte-Carlo trial; module-level so process pools can import it.
 
@@ -105,6 +111,7 @@ def simulate_many_outcome(
     recorder: Optional[Recorder] = None,
 ) -> TrialOutcome:
     """Like :func:`simulate_many`, returning the execution report too."""
+    _check_trials(trials)
     runtime = runtime or SERIAL
     rec = resolve_recorder(recorder)
     cache = key_fn = None
@@ -298,6 +305,7 @@ def simulate_batch(
     pass, so callers can use it unconditionally. ``runtime.workers > 1``
     fans chunks of trials out over the process pool either way.
     """
+    _check_trials(trials)
     runtime = runtime or SERIAL
     rec = resolve_recorder(recorder)
     with rec.span("mc.simulate_batch", model=model.name, trials=trials):

@@ -41,8 +41,8 @@ def render_cascade_tree(
     """Render a rooted cascade tree as indented ASCII art.
 
     Args:
-        tree: an arborescence (e.g. from
-            :func:`repro.core.cascade_forest.extract_cascade_forest`).
+        tree: an arborescence (e.g. one of
+            :meth:`repro.pipeline.engine.DetectionEngine.forest`'s trees).
         root: starting node; auto-detected when omitted.
         max_depth: truncate below this depth (``...`` marks cuts).
         max_children: show at most this many children per node.

@@ -5,7 +5,7 @@ The paper's detection pipeline (Sec. III-E) as an explicit stage graph:
     PruneStage -> ComponentSplitStage
         -> [per component]  ArborescenceStage
         -> [per tree]       TreeDPStage (binarize + k-ISOMIT-BT DP)
-        -> SelectionStage   (β merge, or budget knapsack)
+        -> SelectionStage   (β merge, or budget knapsack; never cached)
 
 composed by :class:`DetectionEngine`, which treats every infected
 component (and every cascade tree) as an independent work unit:
@@ -18,8 +18,11 @@ component (and every cascade tree) as an independent work unit:
 * **observability** — every stage records the established ``rid.*``
   spans and counters (docs/architecture.md maps span names to stages).
 
-``RID.detect`` / ``RID.detect_with_budget`` are thin wrappers over this
-engine; use the engine directly for shared caches or custom wiring.
+``RID.detect`` / ``RID.detect_with_budget`` are thin wrappers over
+:meth:`DetectionEngine.detect`, and the RID-Tree / RID-Positive
+baselines take their cascade trees from its front half,
+:meth:`DetectionEngine.forest`; use the engine directly for shared
+caches or custom wiring.
 """
 
 from repro.pipeline.cache import ArtifactCache, artifact_key

@@ -1,10 +1,19 @@
 """The staged detection engine.
 
 :class:`DetectionEngine` composes the concrete stages of
-:mod:`repro.pipeline.stages` into RID's two entry points:
+:mod:`repro.pipeline.stages` into RID's entry points:
 
-* :meth:`DetectionEngine.detect` — β-penalised model selection;
-* :meth:`DetectionEngine.detect_with_budget` — exact-k knapsack mode.
+* :meth:`DetectionEngine.detect` — β-penalised model selection, or the
+  exact-k knapsack when a ``budget`` is given;
+* :meth:`DetectionEngine.detect_components` — the same over a component
+  partition the caller already holds (the streaming layer);
+* :meth:`DetectionEngine.forest` — the front half alone (prune,
+  components, cascade trees), shared with the RID-Tree and RID-Positive
+  baselines.
+
+``detect`` and ``detect_components`` hand their components to one back
+half (per-component Arborescence, per-tree DP, cross-tree selection,
+result assembly) that owns the budget-range rule.
 
 Infected components — and, downstream, individual cascade trees — are
 independent work units by construction (Sec. III-E1), so the engine fans
@@ -41,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.core.rid import TreeSelection
 from repro.detectors.base import DetectionResult
 from repro.errors import ConfigError, EmptyInfectionError
 from repro.graphs.signed_digraph import SignedDiGraph
@@ -69,6 +79,11 @@ class EngineOutcome:
 
     result: DetectionResult
     selections: List[Any] = field(default_factory=list)
+
+
+def _require_infected(infected: SignedDiGraph) -> None:
+    if infected.number_of_nodes() == 0:
+        raise EmptyInfectionError("infected network has no nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +202,11 @@ class DetectionEngine:
         return values
 
     # ------------------------------------------------------------------
-    # Stage graph, front half: prune -> components -> arborescences
+    # Stage graph: prune -> components -> arborescences -> DP -> selection
     # ------------------------------------------------------------------
 
-    def extract_forest(self, ctx: StageContext, infected: SignedDiGraph) -> List[SignedDiGraph]:
-        """Prune, split into components, extract each component's trees.
-
-        Equivalent to
-        :func:`repro.core.cascade_forest.extract_cascade_forest` (same
-        tree contents and order, same counters) with per-component
-        caching and fan-out.
-        """
-        if infected.number_of_nodes() == 0:
-            raise EmptyInfectionError("infected network has no nodes")
+    def _components(self, ctx: StageContext, infected: SignedDiGraph) -> List[SignedDiGraph]:
+        """Prune (when the config asks for it), then split into components."""
         rec = ctx.recorder
         if ctx.config.prune_inconsistent:
             edges_before = infected.number_of_edges()
@@ -208,19 +215,12 @@ class DetectionEngine:
                 rec.incr("rid.pruned_links", edges_before - pruned.number_of_edges())
         else:
             pruned = infected
-        pieces = self.split.execute(ctx, pruned, graph_digest(pruned))
-        return self.forest_from_components(ctx, pieces)
+        return self.split.execute(ctx, pruned, graph_digest(pruned))
 
-    def forest_from_components(
+    def _trees(
         self, ctx: StageContext, components: Sequence[SignedDiGraph]
     ) -> List[SignedDiGraph]:
-        """Extract every component's cascade trees (cached, fan-out).
-
-        The back half of :meth:`extract_forest`, exposed for callers
-        that already hold the component partition — the streaming layer
-        (:mod:`repro.stream`) maintains it incrementally and skips the
-        whole-graph Prune/ComponentSplit passes entirely.
-        """
+        """Every component's cascade trees, in component order."""
         per_component = self._batched(
             ctx,
             self.arborescence,
@@ -236,152 +236,138 @@ class DetectionEngine:
             rec.incr("rid.trees", len(trees))
         return trees
 
+    def _detect_partition(
+        self,
+        ctx: StageContext,
+        components: Sequence[SignedDiGraph],
+        budget: Optional[int],
+        label: Optional[str],
+    ) -> EngineOutcome:
+        """The back half both detect entry points share: trees, per-tree
+        DP, cross-tree selection, result assembly.
+
+        ``budget=None`` runs the β-penalised k search per tree and merges
+        the selections; an integer budget solves each tree's OPT curve
+        and splits the budget with the exact knapsack. A budget must lie
+        in ``[trees, infected nodes]`` — ``[0, 0]`` for an empty
+        partition.
+        """
+        config = ctx.config
+        rec = ctx.recorder
+        trees = self._trees(ctx, components)
+        if budget is None:
+            selections = self._batched(
+                ctx,
+                self.greedy_dp,
+                trees,
+                payload=(config, "greedy"),
+                worker=_tree_dp_unit,
+                label="rid.tree_dp",
+            )
+            initiators, objective = self.selection.merge_greedy(ctx, selections)
+            if rec.enabled:
+                rec.incr("rid.detected_initiators", len(initiators))
+            method = f"rid(beta={config.beta})"
+        else:
+            total_nodes = sum(c.number_of_nodes() for c in components)
+            if budget < len(trees) or budget > total_nodes:
+                raise ConfigError(
+                    f"budget must be in [{len(trees)}, {total_nodes}] "
+                    f"({len(trees)} cascade trees were extracted), got {budget}"
+                )
+            curves: List[CurveArtifact] = self._batched(
+                ctx,
+                self.curve_dp,
+                trees,
+                payload=(config, "curve"),
+                worker=_tree_dp_unit,
+                label="rid.tree_dp",
+            )
+            per_tree_budgets, objective = self.selection.knapsack(ctx, curves, budget)
+            if per_tree_budgets is None:
+                raise ConfigError(
+                    f"budget {budget} is infeasible for the extracted trees "
+                    f"(per-tree caps too small)"
+                )
+            initiators = {}
+            selections = []
+            for curve, k in zip(curves, per_tree_budgets):
+                solved = curve.results[k - 1]
+                initiators.update(solved.initiators)
+                selections.append(
+                    TreeSelection(
+                        tree_size=curve.tree_size,
+                        k=k,
+                        score=solved.score,
+                        penalized_objective=solved.score,
+                        initiators=solved.initiators,
+                        scanned_k=len(curve.results),
+                    )
+                )
+            method = f"rid(k={budget})"
+        result = DetectionResult(
+            method=label if label is not None else method,
+            initiators=set(initiators),
+            states=initiators,
+            trees=trees,
+            objective=objective,
+        )
+        return EngineOutcome(result=result, selections=selections)
+
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
+
+    def forest(
+        self,
+        config: Any,
+        infected: SignedDiGraph,
+        *,
+        recorder: Optional[Recorder] = None,
+    ) -> List[SignedDiGraph]:
+        """The front half alone: the snapshot's cascade trees.
+
+        Prune (when ``config.prune_inconsistent``), ComponentSplit, then
+        per-component Arborescence, with the same caching as
+        :meth:`detect`. Only ``config.score`` and
+        ``config.prune_inconsistent`` matter here; the RID-Tree and
+        RID-Positive baselines call it with exactly those two set.
+
+        Raises:
+            EmptyInfectionError: when ``infected`` has no nodes.
+        """
+        config.validate()
+        ctx = self._context(config, recorder, None)
+        _require_infected(infected)
+        return self._trees(ctx, self._components(ctx, infected))
 
     def detect(
         self,
         config: Any,
         infected: SignedDiGraph,
         *,
+        budget: Optional[int] = None,
         label: Optional[str] = None,
         recorder: Optional[Recorder] = None,
         runtime: Optional[RuntimeConfig] = None,
     ) -> EngineOutcome:
-        """β-penalised detection over the full stage graph."""
-        config.validate()
-        ctx = self._context(config, recorder, runtime)
-        trees = self.extract_forest(ctx, infected)
-        return self._greedy_outcome(ctx, config, trees, label)
+        """Detection over the full stage graph.
 
-    def _greedy_outcome(
-        self,
-        ctx: StageContext,
-        config: Any,
-        trees: List[SignedDiGraph],
-        label: Optional[str],
-    ) -> EngineOutcome:
-        """Back half of β-mode detection: per-tree DP + greedy merge."""
-        rec = ctx.recorder
-        selections = self._batched(
-            ctx,
-            self.greedy_dp,
-            trees,
-            payload=(config, "greedy"),
-            worker=_tree_dp_unit,
-            label="rid.tree_dp",
-        )
-        initiators, total_objective = self.selection.run(ctx, ("greedy", selections))
-        if rec.enabled:
-            rec.incr("rid.detected_initiators", len(initiators))
-        result = DetectionResult(
-            method=label if label is not None else f"rid(beta={config.beta})",
-            initiators=set(initiators),
-            states=initiators,
-            trees=trees,
-            objective=total_objective,
-        )
-        return EngineOutcome(result=result, selections=list(selections))
-
-    def detect_with_budget(
-        self,
-        config: Any,
-        infected: SignedDiGraph,
-        budget: int,
-        *,
-        label: Optional[str] = None,
-        recorder: Optional[Recorder] = None,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> EngineOutcome:
-        """Exact-k detection: per-tree OPT curves + cross-tree knapsack.
-
-        A snapshot with zero infected nodes is a well-formed (if dull)
-        instance: zero cascade trees can absorb exactly zero initiators,
-        so ``budget=0`` returns an empty :class:`DetectionResult` and any
-        other budget raises :class:`ConfigError` — it never crashes with
-        :class:`EmptyInfectionError` the way the pre-refactor code did.
+        ``budget=None`` is β-penalised detection and raises
+        :class:`EmptyInfectionError` on an empty snapshot. An integer
+        ``budget`` is exact-k detection: per-tree OPT curves plus the
+        cross-tree knapsack. An empty snapshot is a well-formed (if
+        dull) budget-mode instance: zero cascade trees absorb exactly
+        zero initiators, so ``budget=0`` returns an empty result and any
+        other budget raises :class:`ConfigError`.
         """
         config.validate()
         ctx = self._context(config, recorder, runtime)
-        if infected.number_of_nodes() == 0:
-            if budget != 0:
-                raise ConfigError(
-                    "budget must be in [0, 0] (the infected network is empty), "
-                    f"got {budget}"
-                )
-            return self._empty_budget_outcome(label)
-        trees = self.extract_forest(ctx, infected)
-        return self._budget_outcome(
-            ctx, config, trees, budget, infected.number_of_nodes(), label
+        if budget is None:
+            _require_infected(infected)
+        return self._detect_partition(
+            ctx, self._components(ctx, infected), budget, label
         )
-
-    def _empty_budget_outcome(self, label: Optional[str]) -> EngineOutcome:
-        result = DetectionResult(
-            method=label if label is not None else "rid(k=0)",
-            initiators=set(),
-            states={},
-            trees=[],
-            objective=0.0,
-        )
-        return EngineOutcome(result=result, selections=[])
-
-    def _budget_outcome(
-        self,
-        ctx: StageContext,
-        config: Any,
-        trees: List[SignedDiGraph],
-        budget: int,
-        total_nodes: int,
-        label: Optional[str],
-    ) -> EngineOutcome:
-        """Back half of budget mode: per-tree curves + cross-tree knapsack."""
-        if budget < len(trees) or budget > total_nodes:
-            raise ConfigError(
-                f"budget must be in [{len(trees)}, {total_nodes}] "
-                f"({len(trees)} cascade trees were extracted), got {budget}"
-            )
-        curves: List[CurveArtifact] = self._batched(
-            ctx,
-            self.curve_dp,
-            trees,
-            payload=(config, "curve"),
-            worker=_tree_dp_unit,
-            label="rid.tree_dp",
-        )
-        per_tree_budgets, best_total = self.selection.run(
-            ctx, ("budget", (curves, budget))
-        )
-        if per_tree_budgets is None:
-            raise ConfigError(
-                f"budget {budget} is infeasible for the extracted trees "
-                f"(per-tree caps too small)"
-            )
-        from repro.core.rid import TreeSelection  # lazy: rid imports this module
-
-        initiators: dict = {}
-        selections: List[Any] = []
-        for t, k in enumerate(per_tree_budgets):
-            solved = curves[t].results[k - 1]
-            initiators.update(solved.initiators)
-            selections.append(
-                TreeSelection(
-                    tree_size=curves[t].tree_size,
-                    k=k,
-                    score=solved.score,
-                    penalized_objective=solved.score,
-                    initiators=solved.initiators,
-                    scanned_k=len(curves[t].results),
-                )
-            )
-        result = DetectionResult(
-            method=label if label is not None else f"rid(k={budget})",
-            initiators=set(initiators),
-            states=initiators,
-            trees=trees,
-            objective=best_total,
-        )
-        return EngineOutcome(result=result, selections=selections)
 
     def detect_components(
         self,
@@ -399,35 +385,15 @@ class DetectionEngine:
         incrementally; this entry point skips the whole-graph Prune and
         ComponentSplit stages and goes straight to the per-component
         cached stages, so untouched components resolve to artifact-cache
-        hits. Output is bit-identical to :meth:`detect` /
-        :meth:`detect_with_budget` on the materialised snapshot as long
-        as ``components`` equals the cold pipeline's split (same member
-        sets, same live edges, same order).
+        hits. Output is bit-identical to :meth:`detect` on the
+        materialised snapshot as long as ``components`` equals the cold
+        pipeline's split (same member sets, same live edges, same order).
 
-        Unlike :meth:`detect`, an empty partition is a well-formed input
-        here (an emptied infection mid-stream) and yields an empty
+        Unlike :meth:`detect`, an empty partition is a well-formed β-mode
+        input here (an emptied infection mid-stream) and yields an empty
         result rather than :class:`EmptyInfectionError`.
         """
         config.validate()
         ctx = self._context(config, recorder, runtime)
-        if not components:
-            if budget is None:
-                result = DetectionResult(
-                    method=label if label is not None else f"rid(beta={config.beta})",
-                    initiators=set(),
-                    states={},
-                    trees=[],
-                    objective=0.0,
-                )
-                return EngineOutcome(result=result, selections=[])
-            if budget != 0:
-                raise ConfigError(
-                    "budget must be in [0, 0] (the infected network is empty), "
-                    f"got {budget}"
-                )
-            return self._empty_budget_outcome(label)
-        trees = self.forest_from_components(ctx, components)
-        if budget is None:
-            return self._greedy_outcome(ctx, config, trees, label)
-        total_nodes = sum(c.number_of_nodes() for c in components)
-        return self._budget_outcome(ctx, config, trees, budget, total_nodes, label)
+        return self._detect_partition(ctx, components, budget, label)
+

@@ -1,9 +1,12 @@
 """The ``Stage`` protocol of the staged detection engine.
 
-A stage is one box of the RID pipeline graph (Sec. III-E):
+A stage is one cached box of the RID pipeline graph (Sec. III-E):
 
     Prune -> ComponentSplit -> [per component] Arborescence
           -> [per tree] Binarize -> TreeDP -> Selection
+
+Selection, the uncached cross-tree step, is a plain class the engine
+calls directly (:class:`~repro.pipeline.stages.SelectionStage`).
 
 Each concrete stage declares:
 

@@ -1,8 +1,8 @@
 """Concrete stages of the RID detection pipeline.
 
-Each paper step (Sec. III-E) is one :class:`~repro.pipeline.stage.Stage`
-subclass, built on a module-level *compute function* so the same code
-runs three ways:
+Each cached paper step (Sec. III-E) is one
+:class:`~repro.pipeline.stage.Stage` subclass, built on a module-level
+*compute function* so the same code runs three ways:
 
 * serially in-process (``Stage.run`` with the caller's recorder),
 * inside a process-pool worker (the engine's fan-out ships the compute
@@ -10,6 +10,12 @@ runs three ways:
   a per-chunk metrics recorder ambiently), and
 * standalone (``RID.select_initiators_for_tree`` delegates to
   :func:`greedy_tree_selection` so per-tree diagnostics keep working).
+
+The uncached last step, cross-tree selection, is the plain
+:class:`SelectionStage`. Prune, ComponentSplit and Arborescence are the
+front half every cascade forest in the library comes from:
+``DetectionEngine.forest`` for the RID-Tree and RID-Positive baselines,
+``DetectionEngine.detect`` for RID itself.
 
 The binarize/DP seam is looked up **dynamically** on
 :mod:`repro.core.rid` (``rid_module.binarize_cascade_tree`` /
@@ -24,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
+from repro.core.arborescence import maximum_spanning_branching, split_branching_into_trees
 from repro.core.components import infected_components
-from repro.core.arborescence import maximum_spanning_branching
-from repro.core.cascade_forest import split_branching_into_trees
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.graphs.transforms import prune_inconsistent_links
 from repro.obs.recorder import Recorder, resolve_recorder
@@ -269,22 +274,15 @@ class TreeDPStage(Stage):
         return codecs.decode_curve(payload)
 
 
-class SelectionStage(Stage):
+class SelectionStage:
     """Cross-tree aggregation: β-mode merge or budgeted knapsack.
 
-    Never cached — it is linear in the number of trees (β mode) or one
+    A plain class, not a :class:`~repro.pipeline.stage.Stage`: it is
+    never cached — it is linear in the number of trees (β mode) or one
     exact knapsack over the per-tree curves (budget mode), and its
-    inputs already come from cached artifacts.
+    inputs already come from cached artifacts. The engine calls the two
+    methods directly.
     """
-
-    name = "selection"
-    version = 1
-
-    def run(self, ctx: StageContext, item: Tuple) -> Tuple:
-        mode, payload = item
-        if mode == "greedy":
-            return self.merge_greedy(ctx, payload)
-        return self.knapsack(ctx, *payload)
 
     def merge_greedy(self, ctx: StageContext, selections: List["Any"]) -> Tuple:
         """Union per-tree selections in tree order (β-penalised mode)."""

@@ -2,12 +2,13 @@
 
 The serving tier's compute plane. Each worker thread owns a
 :class:`WorkerHost` — decoded-graph LRU, warm registry detectors (one
-per ``(name, config)``; RID instances keep their
-:class:`~repro.pipeline.cache.ArtifactCache` hot across requests), and
-the live streaming sessions. Requests are sharded onto workers by a
-content digest of what they touch (graph payload, or session name), so
-the same graph always lands on the worker that already compiled it —
-that affinity is what makes the cache warm instead of merely present.
+per ``(name, config)``; RID, RID-Tree and RID-Positive instances keep
+their engine's :class:`~repro.pipeline.cache.ArtifactCache` hot across
+requests), and the live streaming sessions. Requests are sharded onto
+workers by a content digest of what they touch (graph payload, or
+session name), so the same graph always lands on the worker that
+already compiled it — that affinity is what makes the cache warm
+instead of merely present.
 
 Mechanics worth knowing:
 
@@ -55,6 +56,7 @@ from repro.obs.metrics import Metrics, MetricsRecorder
 from repro.obs.recorder import using_recorder
 from repro.serve import wire
 from repro.types import NodeState
+from repro.utils.validation import config_from_dict
 
 _SHUTDOWN = object()
 
@@ -132,12 +134,14 @@ class WorkerHost:
         Keyed by the registry's content-addressed
         :func:`~repro.detectors.detector_digest`, so two requests naming
         the same detector with the same config share a warm instance and
-        different configs (or detectors) never collide. RID instances
-        keep their :class:`~repro.pipeline.cache.ArtifactCache` hot
-        across requests (it is content-addressed by graph *and* config,
-        so one RID per config safely serves every graph); the in-process
-        detectors have no artifact store — warmth for them means skipping
-        config re-validation and construction.
+        different configs (or detectors) never collide. Detectors that
+        run on a :class:`~repro.pipeline.engine.DetectionEngine` — RID,
+        and the RID-Tree / RID-Positive baselines through its front half
+        — keep the engine's :class:`~repro.pipeline.cache.ArtifactCache`
+        hot across requests (it is content-addressed by graph *and*
+        config, so one instance per config safely serves every graph);
+        the other detectors have no artifact store — warmth for them
+        means skipping config re-validation and construction.
         """
         config = wire.detector_config_from_json(name, config_payload)
         key = detector_digest(name, config)
@@ -154,8 +158,9 @@ class WorkerHost:
 
     def cache_temperature(self) -> float:
         """Fraction of artifact-cache lookups that hit, across all warm
-        detectors (0.0 when nothing has run yet). Only RID carries an
-        artifact cache; the in-process detectors contribute nothing."""
+        detectors (0.0 when nothing has run yet). Only the detectors
+        with an ``engine`` (RID, RID-Tree, RID-Positive) carry an
+        artifact cache; the others contribute nothing."""
         hits = misses = 0
         for detector, _touched in self._detectors.values():
             engine = getattr(detector, "engine", None)
@@ -260,13 +265,7 @@ def _handle_evaluate(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any
     from repro.experiments.config import WorkloadConfig
 
     spec = wire.require(payload, "workload", dict)
-    valid = {f.name for f in dataclasses.fields(WorkloadConfig)}
-    unknown = sorted(set(spec) - valid)
-    if unknown:
-        raise ConfigError(
-            f"unknown WorkloadConfig field(s) {unknown}; valid fields: {sorted(valid)}"
-        )
-    workload = WorkloadConfig(**spec)
+    workload = config_from_dict(WorkloadConfig, spec)
     trials = wire.optional_int(payload, "trials")
     name = wire.detector_request(payload)
     config = wire.detector_config_from_json(name, payload.get("config"))

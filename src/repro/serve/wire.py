@@ -10,7 +10,7 @@ encoding a direct :func:`repro.detect` call (the identity gate).
 This module owns the three things the codecs don't:
 
 * request parsing / schema-tag enforcement (:func:`parse_body`,
-  :func:`graph_from_json`, :func:`config_from_json`);
+  :func:`graph_from_json`, :func:`detector_config_from_json`);
 * the error envelope — every failure maps to one HTTP status and a
   ``{"schema": ..., "error": {"type", "message", "status"}}`` body
   (:func:`error_envelope`, :data:`ERROR_STATUS`);
@@ -21,13 +21,11 @@ This module owns the three things the codecs don't:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple
 
 from repro import errors as _errors
-from repro.core.rid import RIDConfig
 from repro.errors import (
     ConfigError,
     DeltaApplicationError,
@@ -160,13 +158,6 @@ def graph_from_json(payload: Any) -> SignedDiGraph:
         raise WireFormatError(f"malformed graph payload: {exc}") from exc
 
 
-def config_to_json(config: Optional[RIDConfig]) -> Optional[Dict[str, Any]]:
-    """Encode RID hyper-parameters for the wire (None stays None)."""
-    if config is None:
-        return None
-    return dataclasses.asdict(config)
-
-
 def detector_request(payload: Dict[str, Any]) -> str:
     """Resolve a request's ``detector`` / ``tier`` fields to a registry name.
 
@@ -209,10 +200,11 @@ def detector_request(payload: Dict[str, Any]) -> str:
 def detector_config_from_json(name: str, payload: Any) -> Any:
     """Build the validated config instance for a named detector.
 
-    ``None`` means the entry's defaults; a dict is field-checked against
-    the entry's config dataclass (unknown keys raise
-    :class:`ConfigError`). The generalised form of
-    :func:`config_from_json`, delegating to the detector registry.
+    ``None`` means the entry's defaults; a dict is field- and
+    type-checked against the entry's config dataclass (unknown keys and
+    wrong-typed values raise :class:`ConfigError`), delegating to the
+    detector registry. The encoding direction is
+    :func:`repro.detectors.detector_config_to_json`.
     """
     from repro.detectors.registry import coerce_detector_config
 
@@ -222,30 +214,6 @@ def detector_config_from_json(name: str, payload: Any) -> Any:
             f"got {type(payload).__name__}"
         )
     return coerce_detector_config(name, payload)
-
-
-def config_from_json(payload: Any) -> RIDConfig:
-    """Build a validated :class:`RIDConfig` from a wire payload.
-
-    ``None`` means paper defaults. Unknown keys raise :class:`ConfigError`
-    naming the valid fields rather than being dropped silently.
-    """
-    if payload is None:
-        return RIDConfig()
-    if not isinstance(payload, dict):
-        raise WireFormatError(
-            f"config payload must be a JSON object or null, "
-            f"got {type(payload).__name__}"
-        )
-    valid = {f.name for f in dataclasses.fields(RIDConfig)}
-    unknown = sorted(set(payload) - valid)
-    if unknown:
-        raise ConfigError(
-            f"unknown RIDConfig field(s) {unknown}; valid fields: {sorted(valid)}"
-        )
-    config = RIDConfig(**payload)
-    config.validate()
-    return config
 
 
 def status_for(exc: BaseException) -> int:

@@ -31,6 +31,20 @@ from repro.stream import StreamingDetectionEngine, synthetic_stream
 from repro.types import NodeState
 
 
+def post_raw(client, route, body):
+    """POST ``body`` (schema-tagged here) and return ``(status, envelope)``."""
+    import http.client
+
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+    try:
+        payload = dict(body, schema="repro.serve/v1")
+        conn.request("POST", route, body=json.dumps(payload).encode())
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 def canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
@@ -217,6 +231,50 @@ class TestErrorSurface:
         finally:
             conn.close()
 
+    def test_negative_simulate_trials_maps_to_400(self, served, network):
+        from repro.pipeline.cache import encode_graph
+
+        client, _ = served
+        body = {
+            "graph": encode_graph(network),
+            "seeds": [[["i", 0], 1]],
+            "trials": -3,
+        }
+        status, envelope = post_raw(client, "/v1/simulate", body)
+        assert status == 400
+        assert envelope["error"]["type"] == "ConfigError"
+        assert "trials must be >= 1, got -3" in envelope["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "detector, config",
+        [
+            ("rid", {"beta": "x"}),
+            ("rid", {"alpha": None}),
+            ("rid", {"max_k_per_tree": 2.5}),
+            ("map_suspect", {"trials": "x"}),
+            ("k_effectors", {"trials": 1.5}),
+        ],
+    )
+    def test_wrong_typed_detector_config_maps_to_400(
+        self, served, infected, detector, config
+    ):
+        from repro.pipeline.cache import encode_graph
+
+        client, _ = served
+        body = {"graph": encode_graph(infected), "detector": detector, "config": config}
+        status, envelope = post_raw(client, "/v1/detect", body)
+        assert status == 400
+        assert envelope["error"]["type"] == "ConfigError"
+        assert "must be" in envelope["error"]["message"]
+
+    def test_wrong_typed_workload_maps_to_400(self, served):
+        client, _ = served
+        body = {"workload": {"dataset": "epinions", "scale": "x"}, "trials": 1}
+        status, envelope = post_raw(client, "/v1/evaluate", body)
+        assert status == 400
+        assert envelope["error"]["type"] == "ConfigError"
+        assert "WorkloadConfig.scale must be float" in envelope["error"]["message"]
+
 
 class TestOpsEndpoints:
     def test_health_and_stats(self, served):
@@ -254,6 +312,8 @@ class TestNamedDetectorIdentity:
             "multi_source",
             "certainty_cover",
             "simulation_matching",
+            "rid_tree",
+            "rid_positive",
         ],
     )
     def test_served_named_detect_is_bit_identical(self, served, infected, name):

@@ -13,7 +13,10 @@ regression snapshots and on randomised multi-component worlds.
 Do not "improve" this module; behavioural changes belong in the engine,
 and the gate exists to catch them. It deliberately bypasses the
 ``rid_module`` monkeypatch seam and the artifact caches: plain imports,
-no reuse, one sequential pass.
+no reuse, one sequential pass. :func:`reference_forest` is the
+sequential cascade-forest extractor the engine's front half
+(``DetectionEngine.forest``, and through it the RID-Tree baselines) is
+checked against.
 """
 
 from __future__ import annotations
@@ -21,14 +24,50 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.detectors.base import DetectionResult
+from repro.core.arborescence import maximum_spanning_branching, split_branching_into_trees
 from repro.core.binarize import binarize_cascade_tree
-from repro.core.cascade_forest import extract_cascade_forest
-from repro.errors import ConfigError
+from repro.core.components import infected_components
+from repro.errors import ConfigError, EmptyInfectionError
 from repro.graphs.signed_digraph import SignedDiGraph
+from repro.graphs.transforms import prune_inconsistent_links
 from repro.kernel.tree_dp import TreeDPResult
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.types import Node, NodeState
 from tests.oracles.tree_dp import RecursiveTreeDP
+
+
+def reference_forest(
+    config, infected: SignedDiGraph, recorder: Optional[Recorder] = None
+) -> List[SignedDiGraph]:
+    """Sequential Algorithm 4: prune, components, one branching each.
+
+    Reads ``config.score`` and ``config.prune_inconsistent`` only. Records
+    the ``rid.prune``, ``rid.components`` and one ``rid.extract_trees``
+    span plus the component/tree counters.
+
+    Raises:
+        EmptyInfectionError: when ``infected`` has no nodes.
+    """
+    if infected.number_of_nodes() == 0:
+        raise EmptyInfectionError("infected network has no nodes")
+    rec = resolve_recorder(recorder)
+    if config.prune_inconsistent:
+        edges_before = infected.number_of_edges()
+        with rec.span("rid.prune"):
+            infected = prune_inconsistent_links(infected)
+        if rec.enabled:
+            rec.incr("rid.pruned_links", edges_before - infected.number_of_edges())
+    with rec.span("rid.components"):
+        pieces = infected_components(infected)
+    trees: List[SignedDiGraph] = []
+    with rec.span("rid.extract_trees", components=len(pieces)):
+        for piece in pieces:
+            branching = maximum_spanning_branching(piece, score=config.score)
+            trees.extend(split_branching_into_trees(branching))
+    if rec.enabled:
+        rec.incr("rid.components", len(pieces))
+        rec.incr("rid.trees", len(trees))
+    return trees
 
 
 def reference_select_for_tree(config, tree: SignedDiGraph):
@@ -73,12 +112,7 @@ def reference_detect(
     """Pre-refactor ``RID.detect``; returns ``(result, selections)``."""
     config.validate()
     rec = resolve_recorder(recorder)
-    trees = extract_cascade_forest(
-        infected,
-        score=config.score,
-        prune_inconsistent=config.prune_inconsistent,
-        recorder=rec,
-    )
+    trees = reference_forest(config, infected, rec)
     initiators: Dict[Node, NodeState] = {}
     total_objective = 0.0
     selections = []
@@ -108,12 +142,7 @@ def reference_detect_with_budget(
 
     config.validate()
     rec = resolve_recorder(recorder)
-    trees = extract_cascade_forest(
-        infected,
-        score=config.score,
-        prune_inconsistent=config.prune_inconsistent,
-        recorder=rec,
-    )
+    trees = reference_forest(config, infected, rec)
     if budget < len(trees) or budget > infected.number_of_nodes():
         raise ConfigError(
             f"budget must be in [{len(trees)}, {infected.number_of_nodes()}] "

@@ -12,8 +12,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arborescence import maximum_spanning_branching
-from repro.core.cascade_forest import split_branching_into_trees
+from repro.core.arborescence import maximum_spanning_branching, split_branching_into_trees
 from repro.graphs.generators.trees import is_arborescence
 from repro.graphs.signed_digraph import SignedDiGraph
 

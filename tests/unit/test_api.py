@@ -87,6 +87,15 @@ class TestSimulate:
         again = repro.simulate(network, {0: NodeState.POSITIVE}, trials=3, rng=9)
         assert [o.events for o in outs] == [a.events for a in again]
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, network, trials):
+        recorder = MetricsRecorder()
+        with pytest.raises(ConfigError, match=f"trials must be >= 1, got {trials}"):
+            repro.simulate(
+                network, {0: NodeState.POSITIVE}, trials=trials, recorder=recorder
+            )
+        assert "mc.trials" not in recorder.metrics.counters
+
     def test_multi_trial_needs_integer_seed(self, network):
         import random
 

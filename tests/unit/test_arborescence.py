@@ -12,6 +12,7 @@ from repro.core.arborescence import (
     maximum_spanning_branching,
     maximum_weight_spanning_graph,
     raw_score,
+    split_branching_into_trees,
 )
 from repro.graphs.generators.trees import is_arborescence
 from repro.graphs.signed_digraph import SignedDiGraph
@@ -126,8 +127,6 @@ class TestMaximumSpanningBranching:
         forest = maximum_spanning_branching(g)
         assert all(forest.in_degree(v) <= 1 for v in forest.nodes())
         # Per-root reachability partition covers everything: no cycles.
-        from repro.core.cascade_forest import split_branching_into_trees
-
         trees = split_branching_into_trees(forest)
         assert sum(t.number_of_nodes() for t in trees) == forest.number_of_nodes()
         assert all(is_arborescence(t) for t in trees)

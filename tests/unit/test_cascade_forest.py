@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.core.cascade_forest import extract_cascade_forest, split_branching_into_trees
+from repro.core.arborescence import maximum_spanning_branching, split_branching_into_trees
 from repro.core.components import infected_components, weakly_connected_components
-from repro.core.arborescence import maximum_spanning_branching
+from repro.core.rid import RIDConfig
 from repro.errors import EmptyInfectionError
 from repro.graphs.generators.trees import is_arborescence
 from repro.graphs.signed_digraph import SignedDiGraph
+from repro.pipeline import DetectionEngine
 from repro.types import NodeState
+
+
+def forest_of(infected, prune_inconsistent=True):
+    """The snapshot's cascade forest through the engine's front half."""
+    config = RIDConfig(prune_inconsistent=prune_inconsistent)
+    return DetectionEngine().forest(config, infected)
 
 
 def two_component_graph() -> SignedDiGraph:
@@ -69,33 +76,35 @@ class TestSplitBranching:
 
 
 class TestExtractCascadeForest:
+    """``DetectionEngine.forest``, the one cascade-forest extractor."""
+
     def test_empty_infection_rejected(self):
         with pytest.raises(EmptyInfectionError):
-            extract_cascade_forest(SignedDiGraph())
+            forest_of(SignedDiGraph())
 
     def test_trees_are_arborescences(self):
-        trees = extract_cascade_forest(two_component_graph())
+        trees = forest_of(two_component_graph())
         assert all(is_arborescence(t) for t in trees)
 
     def test_total_coverage(self):
         g = two_component_graph()
-        trees = extract_cascade_forest(g)
+        trees = forest_of(g)
         assert sum(t.number_of_nodes() for t in trees) == g.number_of_nodes()
 
     def test_pruning_drops_inconsistent_links(self):
         g = SignedDiGraph()
         g.add_edge("a", "b", 1, 0.9)  # a(+) -> b(-) positive: INCONSISTENT
         g.set_states({"a": NodeState.POSITIVE, "b": NodeState.NEGATIVE})
-        pruned_trees = extract_cascade_forest(g, prune_inconsistent=True)
+        pruned_trees = forest_of(g, prune_inconsistent=True)
         assert len(pruned_trees) == 2  # split into two singletons
-        unpruned_trees = extract_cascade_forest(g, prune_inconsistent=False)
+        unpruned_trees = forest_of(g, prune_inconsistent=False)
         assert len(unpruned_trees) == 1
 
     def test_consistent_links_survive_pruning(self):
         g = SignedDiGraph()
         g.add_edge("a", "b", -1, 0.9)  # a(+) -> b(-) negative: consistent
         g.set_states({"a": NodeState.POSITIVE, "b": NodeState.NEGATIVE})
-        trees = extract_cascade_forest(g, prune_inconsistent=True)
+        trees = forest_of(g, prune_inconsistent=True)
         assert len(trees) == 1
         assert trees[0].has_edge("a", "b")
 
@@ -106,6 +115,6 @@ class TestExtractCascadeForest:
         g.add_edge("a", "b", 1, 0.6)
         for node in g.nodes():
             g.set_state(node, NodeState.POSITIVE)
-        (tree,) = extract_cascade_forest(g)
+        (tree,) = forest_of(g)
         assert tree.has_edge("b", "c")
         assert not tree.has_edge("a", "c")

@@ -162,6 +162,31 @@ class TestConfigCoercion:
         with pytest.raises(ConfigError, match="trials must be >= 1"):
             coerce_detector_config("map_suspect", {"trials": 0})
 
+    @pytest.mark.parametrize(
+        "name, config, field",
+        [
+            ("rid", {"beta": "x"}, "RIDConfig.beta"),
+            ("rid", {"alpha": None}, "RIDConfig.alpha"),
+            ("rid", {"max_k_per_tree": 2.5}, "RIDConfig.max_k_per_tree"),
+            ("rid", {"prune_inconsistent": 1}, "RIDConfig.prune_inconsistent"),
+            ("map_suspect", {"trials": "x"}, "MapSuspectConfig.trials"),
+            ("map_suspect", {"trials": True}, "MapSuspectConfig.trials"),
+            ("k_effectors", {"trials": 1.5}, "KEffectorsConfig.trials"),
+            ("certainty_cover", {"alpha": False}, "CertaintyCoverConfig.alpha"),
+        ],
+    )
+    def test_wrong_typed_values_raise_config_error(self, name, config, field):
+        with pytest.raises(ConfigError, match=rf"^{field} must be "):
+            coerce_detector_config(name, config)
+
+    def test_json_number_forms_are_accepted(self):
+        # A JSON int is a valid float; None is a valid Optional[int].
+        config = coerce_detector_config(
+            "rid", {"alpha": 4, "beta": 0, "max_k_per_tree": None}
+        )
+        assert (config.alpha, config.beta, config.max_k_per_tree) == (4, 0, None)
+        assert coerce_detector_config("certainty_cover", {"budget": 3}).budget == 3
+
     def test_config_to_json_round_trip(self):
         payload = detector_config_to_json(MapSuspectConfig(trials=3))
         assert payload["trials"] == 3

@@ -4,9 +4,9 @@ import pytest
 
 from repro.diffusion.base import DiffusionModel, DiffusionResult
 from repro.diffusion.mfc import MFCModel
-from repro.diffusion.monte_carlo import estimate_spread, simulate_many
+from repro.diffusion.monte_carlo import estimate_spread, simulate_batch, simulate_many
 from repro.diffusion.seeds import plant_fixed_initiators, plant_random_initiators
-from repro.errors import InvalidSeedError
+from repro.errors import ConfigError, InvalidSeedError
 from repro.graphs.generators.trees import path_graph
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
@@ -96,6 +96,14 @@ class TestMonteCarlo:
             pytest.approx(1.0)
         )
         assert estimate.std_infected >= 0.0
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        model = MFCModel(alpha=2.0)
+        seeds = {0: NodeState.POSITIVE}
+        for run in (estimate_spread, simulate_many, simulate_batch):
+            with pytest.raises(ConfigError, match=f"trials must be >= 1, got {trials}"):
+                run(model, ring(), seeds, trials)
 
     def test_certain_path_spread(self):
         path = path_graph(5, sign=1, weight=1.0)

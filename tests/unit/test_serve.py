@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.core.rid import RIDConfig
+from repro.detectors import detector_config_to_json
 from repro.errors import ConfigError, ServerOverloadedError, WireFormatError
 from repro.serve import wire
 from repro.serve.pool import HANDLERS, WorkerPool
@@ -299,7 +300,7 @@ class TestConfigOnTheWireMatters:
         payload = {"graph": encode_graph(synthetic_snapshot(3, 10, seed=7))}
         digest = wire.payload_digest(payload)
         default = pool.submit("detect", payload, digest)[1].result(timeout=30.0)
-        heavy = dict(payload, config=wire.config_to_json(RIDConfig(beta=5.0)))
+        heavy = dict(payload, config=detector_config_to_json(RIDConfig(beta=5.0)))
         penalised = pool.submit("detect", heavy, digest)[1].result(timeout=30.0)
         assert len(penalised["result"]["initiators"]) <= len(
             default["result"]["initiators"]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.rid import RIDConfig
+from repro.detectors import detector_config_to_json
 from repro.errors import (
     ConfigError,
     DeltaApplicationError,
@@ -85,31 +86,34 @@ class TestGraphCodec:
 
 
 class TestConfigCodec:
+    """RID configs travel through the registry codecs like any detector's."""
+
     def test_none_means_paper_defaults(self):
-        assert wire.config_from_json(None) == RIDConfig()
+        assert wire.detector_config_from_json("rid", None) == RIDConfig()
 
     def test_round_trip(self):
         config = RIDConfig(alpha=4.0, beta=0.09, k_strategy="exhaustive")
-        assert wire.config_from_json(wire.config_to_json(config)) == config
+        payload = detector_config_to_json(config)
+        assert wire.detector_config_from_json("rid", payload) == config
 
     def test_unknown_keys_rejected_loudly(self):
         with pytest.raises(ConfigError, match=r"\['betaa'\].*valid fields"):
-            wire.config_from_json({"betaa": 0.1})
+            wire.detector_config_from_json("rid", {"betaa": 0.1})
 
     def test_backend_is_not_a_config_field(self):
         # The DP has one implementation; a served config naming a kernel
         # backend is an unknown field like any other (HTTP 400).
         with pytest.raises(ConfigError, match=r"\['backend'\]") as excinfo:
-            wire.config_from_json({"backend": "numpy"})
+            wire.detector_config_from_json("rid", {"backend": "numpy"})
         assert wire.status_for(excinfo.value) == 400
 
     def test_values_are_validated(self):
         with pytest.raises(ConfigError, match="alpha must be >= 1"):
-            wire.config_from_json({"alpha": 0.5})
+            wire.detector_config_from_json("rid", {"alpha": 0.5})
 
     def test_non_dict_payload(self):
         with pytest.raises(WireFormatError):
-            wire.config_from_json("beta=0.1")
+            wire.detector_config_from_json("rid", "beta=0.1")
 
 
 class TestPayloadDigest:
