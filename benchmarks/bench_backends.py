@@ -32,46 +32,17 @@ verifying the dispatcher falls back cleanly.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
-import time
 
-from repro.graphs.signed_digraph import SignedDiGraph
+from _harness import Gate, compiled_input, timed
 from repro.kernel.backends import numpy_available, resolve_backend
-from repro.kernel.cascade import check_seeds_compiled, run_ic_compiled, run_mfc_compiled
-from repro.kernel.compile import compile_graph
-from repro.types import NodeState
+from repro.kernel.cascade import run_ic_compiled, run_mfc_compiled
 from repro.utils.rng import spawn_rng
 
-
-def build_cascade_graph(
-    n: int, m: int, seed: int, weight_low: float, weight_span: float
-) -> SignedDiGraph:
-    """Random signed digraph with exactly ``m`` edges and low weights."""
-    rng = spawn_rng(seed, "bench-backends-graph")
-    g = SignedDiGraph()
-    g.add_nodes(range(n))
-    added = 0
-    while added < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or g.has_edge(u, v):
-            continue
-        sign = 1 if rng.random() < 0.8 else -1
-        g.add_edge(u, v, sign, weight_low + weight_span * rng.random())
-        added += 1
-    return g
-
-
-def bench_seeds(n: int, seed: int) -> dict:
-    return {
-        node: (NodeState.POSITIVE if i % 3 else NodeState.NEGATIVE)
-        for i, node in enumerate(
-            sorted(spawn_rng(seed, "bench-seeds").sample(range(n), 10))
-        )
-    }
+#: RNG label of every graph this benchmark builds.
+GRAPH = "bench-backends-graph"
 
 
 #: Cascade workload rows; all three make up the headline aggregate.
@@ -81,9 +52,9 @@ WORKLOADS = ("mfc_spread", "mfc_no_flips", "ic_spread")
 def bench_cascades(
     n: int, m: int, trials: int, repeats: int, seed: int, alpha: float
 ) -> dict:
-    graph = build_cascade_graph(n, m, seed, weight_low=0.0015, weight_span=0.006)
-    compiled = compile_graph(graph)
-    validated = check_seeds_compiled(compiled, bench_seeds(n, seed))
+    compiled, validated = compiled_input(
+        n, m, seed, GRAPH, weight_low=0.0015, weight_span=0.006
+    )
 
     def mfc(backend, trial, allow_flips):
         return run_mfc_compiled(
@@ -112,11 +83,10 @@ def bench_cascades(
     }
 
     def block(runner, backend):
-        start = time.perf_counter()
         infected = 0
         for trial in range(trials):
             infected += len(runner(backend, trial).final_states)
-        return time.perf_counter() - start, infected / trials
+        return infected / trials
 
     workloads = {}
     for name in WORKLOADS:
@@ -127,7 +97,7 @@ def bench_cascades(
         mean_infected = {}
         for _ in range(repeats):
             for backend in ("numpy", "python"):
-                seconds, mean_infected[backend] = block(runner, backend)
+                seconds, mean_infected[backend] = timed(block, runner, backend)
                 best[backend] = min(best[backend], seconds)
         workloads[name] = {
             "python": {"seconds": best["python"], "mean_infected": mean_infected["python"]},
@@ -153,21 +123,15 @@ def bench_cascades(
     }
 
 
-def identity_gate(seed: int) -> list:
-    """Exact-graph invariant suite; returns a list of failure strings."""
-    failures = []
+def identity_gate(seed: int, check) -> None:
+    """Exact-graph invariant suite, reported through ``check(label, ok)``."""
     py = resolve_backend("python")
     nx = resolve_backend("numpy")
 
-    def check(label, ok):
-        print("  %-42s %s" % (label, "OK" if ok else "FAIL"))
-        if not ok:
-            failures.append(label)
-
     # p=1: every attempt succeeds; reachability/attempts are exact.
-    graph = build_cascade_graph(300, 3_000, seed, weight_low=1.0, weight_span=0.0)
-    compiled = compile_graph(graph)
-    validated = check_seeds_compiled(compiled, bench_seeds(300, seed))
+    compiled, validated = compiled_input(
+        300, 3_000, seed, GRAPH, weight_low=1.0, weight_span=0.0
+    )
     rp, attempts_py = py.mfc_cascade(
         compiled, validated, random.Random(1), 1.0, False, 10**9
     )
@@ -183,9 +147,9 @@ def identity_gate(seed: int) -> list:
     check("ic p=1 attempt counts equal", attempts_np == attempts_py)
 
     # p=0: nothing ever succeeds; seeds only, one round of failures.
-    graph = build_cascade_graph(200, 1_000, seed, weight_low=0.0, weight_span=0.0)
-    compiled = compile_graph(graph)
-    validated = check_seeds_compiled(compiled, bench_seeds(200, seed))
+    compiled, validated = compiled_input(
+        200, 1_000, seed, GRAPH, weight_low=0.0, weight_span=0.0
+    )
     rp, attempts_py = py.mfc_cascade(
         compiled, validated, random.Random(3), 3.0, True, 10**9
     )
@@ -194,7 +158,6 @@ def identity_gate(seed: int) -> list:
     )
     check("mfc p=0 seeds-only spread", rn.final_states == validated)
     check("mfc p=0 attempt counts equal", attempts_np == attempts_py)
-    return failures
 
 
 def main() -> int:
@@ -219,24 +182,26 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    gate = Gate(width=42)
     if not numpy_available():
         engine = resolve_backend("numpy")  # must fall back, not raise
         print(
             "numpy not installed; dispatcher resolves 'numpy' -> %r. "
             "Nothing to benchmark." % engine.name
         )
-        return 0 if engine.name == "python" else 1
+        if engine.name != "python":
+            gate.failures.append("dispatcher did not fall back to python")
+        return gate.finish()
 
     print("identity gate:")
-    failures = identity_gate(args.seed)
+    identity_gate(args.seed, gate.check)
+    if gate.failures:
+        return gate.finish()
+    print("all invariants hold")
     if args.tiny:
-        if failures:
-            print("FAILED: %d invariant violation(s)" % len(failures))
-            return 1
-        print("all invariants hold")
         return 0
 
-    report = {"host_cpus": os.cpu_count(), "identity_failures": failures}
+    report = {"host_cpus": os.cpu_count(), "identity_failures": gate.failures}
     print(
         "cascades (20k nodes, 8M edges, deg 400; min of %d blocks x %d trials):"
         % (args.repeats, args.trials)
@@ -261,11 +226,7 @@ def main() -> int:
         )
     print("  cascade suite speedup (geometric mean): %.2fx" % entry["speedup"])
 
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.out)
-    return 1 if failures else 0
+    return gate.finish(report, args.out)
 
 
 if __name__ == "__main__":

@@ -33,11 +33,9 @@ sweep-mean F1. Writes ``BENCH_detectors.json``:
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-import time
 from typing import Dict, List, Optional, Set, Tuple
 
+from _harness import Gate, canonical, timed
 from repro.core.components import infected_components
 from repro.core.rid import RID, RIDConfig
 from repro.detectors import resolve_detector
@@ -45,6 +43,7 @@ from repro.diffusion.mfc import MFCModel
 from repro.diffusion.seeds import plant_random_initiators
 from repro.graphs.generators.random_graphs import signed_erdos_renyi
 from repro.graphs.signed_digraph import SignedDiGraph
+from repro.metrics import IdentityMetrics, identity_metrics
 from repro.types import Node
 
 #: (registry name, config) — every budget-capable detector in the zoo.
@@ -59,22 +58,6 @@ DETECTORS: List[Tuple[str, Optional[dict]]] = [
 
 BUDGETS = (8, 10, 12, 14)
 PLANTED = 8
-
-
-def canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
-
-
-def identity_scores(detected: Set[Node], planted: Set[Node]) -> Tuple[float, float, float]:
-    tp = len(detected & planted)
-    precision = tp / len(detected) if detected else 0.0
-    recall = tp / len(planted) if planted else 0.0
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall
-        else 0.0
-    )
-    return precision, recall, f1
 
 
 def shallow_workload(
@@ -101,7 +84,7 @@ def feasibility_floor(name: str, infected: SignedDiGraph) -> int:
 
 def bench_accuracy(trials: int) -> Dict[str, dict]:
     """Mean precision/recall/F1 per detector per budget."""
-    samples: Dict[Tuple[str, int], List[Tuple[float, float, float]]] = {}
+    samples: Dict[Tuple[str, int], List[IdentityMetrics]] = {}
     clamped: Dict[str, int] = {name: 0 for name, _ in DETECTORS}
     for trial in range(trials):
         infected, planted = shallow_workload(trial)
@@ -116,7 +99,7 @@ def bench_accuracy(trials: int) -> Dict[str, dict]:
                     clamped[name] += 1
                 result = detector.detect_with_budget(infected, budget=feasible)
                 samples.setdefault((name, budget), []).append(
-                    identity_scores(result.initiators, planted)
+                    identity_metrics(result.initiators, planted)
                 )
     curves: Dict[str, dict] = {}
     for name, _ in DETECTORS:
@@ -124,9 +107,9 @@ def bench_accuracy(trials: int) -> Dict[str, dict]:
         for budget in BUDGETS:
             rows = samples[(name, budget)]
             by_budget[str(budget)] = {
-                "precision": round(sum(r[0] for r in rows) / len(rows), 4),
-                "recall": round(sum(r[1] for r in rows) / len(rows), 4),
-                "f1": round(sum(r[2] for r in rows) / len(rows), 4),
+                "precision": round(sum(r.precision for r in rows) / len(rows), 4),
+                "recall": round(sum(r.recall for r in rows) / len(rows), 4),
+                "f1": round(sum(r.f1 for r in rows) / len(rows), 4),
             }
         mean_f1 = sum(v["f1"] for v in by_budget.values()) / len(by_budget)
         curves[name] = {
@@ -150,12 +133,10 @@ def bench_runtime(sizes: Tuple[int, ...], reps: int) -> Dict[str, dict]:
         infected, _ = shallow_workload(trial=0, n=n, planted=max(8, n // 40))
         label = str(infected.number_of_nodes())
         for name, config in DETECTORS:
-            elapsed = 0.0
-            for _ in range(reps):
-                detector = resolve_detector(name, config)
-                start = time.perf_counter()
-                detector.detect(infected)
-                elapsed += time.perf_counter() - start
+            elapsed = sum(
+                timed(resolve_detector(name, config).detect, infected)[0]
+                for _ in range(reps)
+            )
             out[name][label] = round(elapsed / reps, 5)
     return out
 
@@ -278,25 +259,16 @@ def main() -> int:
             f"n={n}:{s * 1000:.0f}ms" for n, s in by_n.items()
         ))
 
-    ordering_failures = []
+    gate = Gate()
     dc = accuracy["distance_center"]["mean_f1"]
-    if accuracy["map_suspect"]["mean_f1"] <= dc:
-        ordering_failures.append(
-            f"map_suspect mean f1 {accuracy['map_suspect']['mean_f1']} "
-            f"<= distance_center {dc}"
-        )
-    if accuracy["multi_source"]["mean_f1"] <= dc:
-        ordering_failures.append(
-            f"multi_source mean f1 {accuracy['multi_source']['mean_f1']} "
-            f"<= distance_center {dc}"
-        )
+    for name in ("map_suspect", "multi_source"):
+        if accuracy[name]["mean_f1"] <= dc:
+            gate.failures.append(
+                f"{name} mean f1 {accuracy[name]['mean_f1']} <= distance_center {dc}"
+            )
     best = max(accuracy, key=lambda name: accuracy[name]["mean_f1"])
     if best != "rid":
-        ordering_failures.append(f"rid is not the most accurate ({best} is)")
-    if ordering_failures:
-        for failure in ordering_failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
+        gate.failures.append(f"rid is not the most accurate ({best} is)")
 
     report = {
         "tiny": False,
@@ -318,11 +290,7 @@ def main() -> int:
             "multi_source_beats_distance_center": True,
         },
     }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"report written to {args.out}")
-    return 0
+    return gate.finish(report, args.out)
 
 
 if __name__ == "__main__":

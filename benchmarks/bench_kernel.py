@@ -3,8 +3,7 @@
 
 For each graph size, runs the same MFC cascade workload through the
 reference dict-of-dict simulator (the oracle in
-``tests/oracles/cascades.py``; the script puts the repository root on
-``sys.path`` to import it) and the CSR-compiled kernel behind
+``tests/oracles/cascades.py``) and the CSR-compiled kernel behind
 :class:`~repro.diffusion.mfc.MFCModel`, verifies the two are
 bit-identical (same events, final states, rounds — they consume the
 RNG in the same order), and reports cascades/sec and ns/attempt for
@@ -23,22 +22,16 @@ mismatch, without asserting anything about speed (CI boxes are noisy).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from repro.diffusion.mfc import MFCModel  # noqa: E402
-from repro.graphs.signed_digraph import SignedDiGraph  # noqa: E402
-from repro.kernel.cascade import run_mfc_compiled  # noqa: E402
-from repro.kernel.compile import compile_graph  # noqa: E402
-from repro.types import NodeState  # noqa: E402
-from repro.utils.rng import spawn_rng  # noqa: E402
-from tests.oracles.cascades import ReferenceMFCModel  # noqa: E402
+from _harness import Gate, random_signed_digraph, seed_set, timed
+from repro.diffusion.mfc import MFCModel
+from repro.kernel.cascade import run_mfc_compiled
+from repro.kernel.compile import compile_graph
+from repro.utils.rng import spawn_rng
+from tests.oracles.cascades import ReferenceMFCModel
 
 
 class CountingRandom(random.Random):
@@ -56,23 +49,6 @@ class CountingRandom(random.Random):
         return super().random()
 
 
-def build_graph(n: int, m: int, seed: int) -> SignedDiGraph:
-    """Random signed digraph with ``n`` nodes and exactly ``m`` edges."""
-    rng = spawn_rng(seed, "bench-kernel-graph")
-    g = SignedDiGraph()
-    g.add_nodes(range(n))
-    added = 0
-    while added < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or g.has_edge(u, v):
-            continue
-        sign = 1 if rng.random() < 0.8 else -1
-        g.add_edge(u, v, sign, 0.02 + 0.28 * rng.random())
-        added += 1
-    return g
-
-
 def results_identical(a, b) -> bool:
     return (
         a.seeds == b.seeds
@@ -85,17 +61,13 @@ def results_identical(a, b) -> bool:
 def bench_size(
     n: int, m: int, trials: int, seed: int, alpha: float, check_all: bool
 ) -> dict:
-    graph = build_graph(n, m, seed)
-    seeds = {
-        node: (NodeState.POSITIVE if i % 3 else NodeState.NEGATIVE)
-        for i, node in enumerate(sorted(spawn_rng(seed, "bench-seeds").sample(range(n), 10)))
-    }
+    graph = random_signed_digraph(
+        n, m, seed, "bench-kernel-graph", weight_low=0.02, weight_span=0.28
+    )
+    seeds = seed_set(n, seed, "bench-seeds")
     reference = ReferenceMFCModel(alpha=alpha)
     kernel = MFCModel(alpha=alpha)
-
-    compile_start = time.perf_counter()
-    compiled = compile_graph(graph)
-    compile_seconds = time.perf_counter() - compile_start
+    compile_seconds, compiled = timed(compile_graph, graph)
 
     # Count attempts (= RNG draws) by replaying each trial's exact
     # generator state through the kernel with a counting generator.
@@ -114,13 +86,11 @@ def bench_size(
         )
         attempts += counter.calls
 
-    start = time.perf_counter()
-    reference_results = [reference.run(graph, seeds, rng=t) for t in range(trials)]
-    reference_seconds = time.perf_counter() - start
+    def cascades(model):
+        return [model.run(graph, seeds, rng=t) for t in range(trials)]
 
-    start = time.perf_counter()
-    kernel_results = [kernel.run(graph, seeds, rng=t) for t in range(trials)]
-    kernel_seconds = time.perf_counter() - start
+    reference_seconds, reference_results = timed(cascades, reference)
+    kernel_seconds, kernel_results = timed(cascades, kernel)
 
     checked = trials if check_all else min(trials, 5)
     mismatches = sum(
@@ -175,7 +145,7 @@ def main() -> int:
         trials = args.trials
 
     report = {"host_cpus": os.cpu_count(), "tiny": args.tiny, "sizes": []}
-    failed = False
+    gate = Gate()
     for n, m in sizes:
         entry = bench_size(
             n, m, trials, args.seed, args.alpha, check_all=args.tiny
@@ -183,7 +153,11 @@ def main() -> int:
         report["sizes"].append(entry)
         status = "OK" if entry["identity_mismatches"] == 0 else "MISMATCH"
         if entry["identity_mismatches"]:
-            failed = True
+            gate.failures.append(
+                "kernel diverged from the reference simulator on %d of %d "
+                "cascades (%d nodes)"
+                % (entry["identity_mismatches"], entry["identity_checked"], n)
+            )
         print(
             "%5d nodes %6d edges: reference %8.1f casc/s (%6.0f ns/attempt) | "
             "kernel %8.1f casc/s (%6.0f ns/attempt) | %.2fx | identity %s"
@@ -199,15 +173,7 @@ def main() -> int:
             )
         )
 
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % args.out)
-
-    if failed:
-        print("FAIL: kernel diverged from the reference simulator", file=sys.stderr)
-        return 1
-    return 0
+    return gate.finish(report, args.out)
 
 
 if __name__ == "__main__":

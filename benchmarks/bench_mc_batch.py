@@ -37,49 +37,25 @@ and the clean dispatcher fallback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
 
+from _harness import (
+    Gate,
+    compiled_input,
+    random_signed_digraph,
+    seed_set,
+    timed,
+)
 from repro.diffusion.ic import ICModel
 from repro.diffusion.mfc import MFCModel
 from repro.diffusion.monte_carlo import simulate_batch, simulate_many
-from repro.graphs.signed_digraph import SignedDiGraph
 from repro.kernel.backends import numpy_available, resolve_backend
 from repro.kernel.batch import run_ic_batch, run_mfc_batch
-from repro.kernel.cascade import check_seeds_compiled
-from repro.kernel.compile import compile_graph
-from repro.types import NodeState
-from repro.utils.rng import derive_seed, spawn_rng
+from repro.utils.rng import derive_seed
 
-
-def build_cascade_graph(
-    n: int, m: int, seed: int, weight_low: float, weight_span: float
-) -> SignedDiGraph:
-    """Random signed digraph with exactly ``m`` edges."""
-    rng = spawn_rng(seed, "bench-mc-batch-graph")
-    g = SignedDiGraph()
-    g.add_nodes(range(n))
-    added = 0
-    while added < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or g.has_edge(u, v):
-            continue
-        sign = 1 if rng.random() < 0.8 else -1
-        g.add_edge(u, v, sign, weight_low + weight_span * rng.random())
-        added += 1
-    return g
-
-
-def bench_seeds(n: int, seed: int) -> dict:
-    return {
-        node: (NodeState.POSITIVE if i % 3 else NodeState.NEGATIVE)
-        for i, node in enumerate(
-            sorted(spawn_rng(seed, "bench-seeds").sample(range(n), 10))
-        )
-    }
+#: RNG label of every graph this benchmark builds.
+GRAPH = "bench-mc-batch-graph"
 
 
 WORKLOADS = ("mfc_batch", "mfc_no_flips_batch", "ic_batch")
@@ -88,9 +64,9 @@ WORKLOADS = ("mfc_batch", "mfc_no_flips_batch", "ic_batch")
 def bench_batched(
     n: int, m: int, trials: int, repeats: int, seed: int, alpha: float
 ) -> dict:
-    graph = build_cascade_graph(n, m, seed, weight_low=0.03, weight_span=0.10)
-    compiled = compile_graph(graph)
-    validated = check_seeds_compiled(compiled, bench_seeds(n, seed))
+    compiled, validated = compiled_input(
+        n, m, seed, GRAPH, weight_low=0.03, weight_span=0.10
+    )
     mfc_seeds = [derive_seed(seed, "mfc", trial) for trial in range(trials)]
     ic_seeds = [derive_seed(seed, "ic", trial) for trial in range(trials)]
 
@@ -151,11 +127,6 @@ def bench_batched(
         },
     }
 
-    def block(runner, backend):
-        start = time.perf_counter()
-        mean_infected = runner(backend)
-        return time.perf_counter() - start, mean_infected
-
     workloads = {}
     for name in WORKLOADS:
         pair = runners[name]
@@ -175,7 +146,7 @@ def bench_batched(
                 ("batched_numpy", pair["batched"], "numpy"),
                 ("batched_python", pair["batched"], "python"),
             ):
-                seconds, mean_infected[key] = block(runner, backend)
+                seconds, mean_infected[key] = timed(runner, backend)
                 best[key] = min(best[key], seconds)
         workloads[name] = {
             key: {"seconds": best[key], "mean_infected": mean_infected[key]}
@@ -203,8 +174,10 @@ def bench_batched(
 
 def bit_identity_gate(seed: int, check) -> None:
     """Batched python tier vs ``simulate_many``, to the bit (no numpy)."""
-    graph = build_cascade_graph(250, 2_000, seed, weight_low=0.05, weight_span=0.25)
-    seeds = bench_seeds(250, seed)
+    graph = random_signed_digraph(
+        250, 2_000, seed, GRAPH, weight_low=0.05, weight_span=0.25
+    )
+    seeds = seed_set(250, seed, "bench-seeds")
     for model, label in (
         (MFCModel(alpha=2.0, backend="python"), "mfc"),
         (ICModel(backend="python"), "ic"),
@@ -235,9 +208,9 @@ def numpy_identity_gate(seed: int, check) -> None:
     trial_seeds = [derive_seed(seed, "gate", trial) for trial in range(8)]
 
     # p=1 (allow_flips=False): every per-trial outcome is topology-fixed.
-    graph = build_cascade_graph(300, 3_000, seed, weight_low=1.0, weight_span=0.0)
-    compiled = compile_graph(graph)
-    validated = check_seeds_compiled(compiled, bench_seeds(300, seed))
+    compiled, validated = compiled_input(
+        300, 3_000, seed, GRAPH, weight_low=1.0, weight_span=0.0
+    )
     py = run_mfc_batch(
         compiled, validated, trial_seeds, alpha=1.0, allow_flips=False,
         max_rounds=10**9, backend="python", record_states=True,
@@ -270,9 +243,9 @@ def numpy_identity_gate(seed: int, check) -> None:
     )
 
     # p=0: seeds only, identical attempt accounting.
-    graph = build_cascade_graph(200, 1_000, seed, weight_low=0.0, weight_span=0.0)
-    compiled = compile_graph(graph)
-    validated = check_seeds_compiled(compiled, bench_seeds(200, seed))
+    compiled, validated = compiled_input(
+        200, 1_000, seed, GRAPH, weight_low=0.0, weight_span=0.0
+    )
     py = run_mfc_batch(
         compiled, validated, trial_seeds, alpha=3.0, allow_flips=True,
         max_rounds=10**9, backend="python", record_states=True,
@@ -288,9 +261,9 @@ def numpy_identity_gate(seed: int, check) -> None:
     )
 
     # Random weights: batched tiers agree in distribution.
-    graph = build_cascade_graph(400, 4_000, seed, weight_low=0.05, weight_span=0.25)
-    compiled = compile_graph(graph)
-    validated = check_seeds_compiled(compiled, bench_seeds(400, seed))
+    compiled, validated = compiled_input(
+        400, 4_000, seed, GRAPH, weight_low=0.05, weight_span=0.25
+    )
     many = [derive_seed(seed, "dist", trial) for trial in range(40)]
     mean_py = sum(
         run_mfc_batch(
@@ -329,15 +302,9 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    failures = []
-
-    def check(label, ok):
-        print("  %-46s %s" % (label, "OK" if ok else "FAIL"))
-        if not ok:
-            failures.append(label)
-
+    gate = Gate()
     print("bit-identity gate (batched python vs simulate_many):")
-    bit_identity_gate(args.seed, check)
+    bit_identity_gate(args.seed, gate.check)
 
     if not numpy_available():
         engine = resolve_backend("numpy")  # must fall back, not raise
@@ -346,19 +313,18 @@ def main() -> int:
             "Nothing to benchmark." % engine.name
         )
         if engine.name != "python":
-            failures.append("numpy fallback")
-        return 1 if failures else 0
+            gate.failures.append("dispatcher did not fall back to python")
+        return gate.finish()
 
     print("statistical-tier gate (batched numpy):")
-    numpy_identity_gate(args.seed, check)
+    numpy_identity_gate(args.seed, gate.check)
+    if gate.failures:
+        return gate.finish()
+    print("all invariants hold")
     if args.tiny:
-        if failures:
-            print("FAILED: %d invariant violation(s)" % len(failures))
-            return 1
-        print("all invariants hold")
         return 0
 
-    report = {"host_cpus": os.cpu_count(), "identity_failures": failures}
+    report = {"host_cpus": os.cpu_count(), "identity_failures": gate.failures}
     print(
         "batched trials (20k nodes, 200k edges, deg 10; min of %d blocks "
         "x %d trials):" % (args.repeats, args.trials)
@@ -387,11 +353,7 @@ def main() -> int:
         % entry["speedup"]
     )
 
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.out)
-    return 1 if failures else 0
+    return gate.finish(report, args.out)
 
 
 if __name__ == "__main__":

@@ -30,56 +30,21 @@ Run with:
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import sys
-import time
 
-from repro.graphs.signed_digraph import SignedDiGraph
+from _harness import Gate, best_of, random_signed_digraph, seed_set
 from repro.kernel.cascade import _mfc_cascade, run_mfc_compiled
 from repro.kernel.compile import compile_graph
 from repro.obs import MetricsRecorder
-from repro.types import NodeState
 from repro.utils.rng import spawn_rng
 
 
-def build_graph(n: int, m: int, seed: int) -> SignedDiGraph:
-    """Random signed digraph with ``n`` nodes and exactly ``m`` edges."""
-    rng = spawn_rng(seed, "bench-obs-graph")
-    g = SignedDiGraph()
-    g.add_nodes(range(n))
-    added = 0
-    while added < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or g.has_edge(u, v):
-            continue
-        sign = 1 if rng.random() < 0.8 else -1
-        g.add_edge(u, v, sign, 0.02 + 0.28 * rng.random())
-        added += 1
-    return g
-
-
-def time_batch(run_one, cascades: int, repeats: int) -> float:
-    """Best-of-``repeats`` wall time for ``cascades`` cascades."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for trial in range(cascades):
-            run_one(trial)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def bench(n: int, m: int, cascades: int, repeats: int, seed: int, alpha: float) -> dict:
-    graph = build_graph(n, m, seed)
+    graph = random_signed_digraph(
+        n, m, seed, "bench-obs-graph", weight_low=0.02, weight_span=0.28
+    )
     compiled = compile_graph(graph)
-    validated = {
-        node: (NodeState.POSITIVE if i % 3 else NodeState.NEGATIVE)
-        for i, node in enumerate(
-            sorted(spawn_rng(seed, "bench-obs-seeds").sample(range(n), 10))
-        )
-    }
+    validated = seed_set(n, seed, "bench-obs-seeds")
     max_rounds = 10_000
 
     def baseline(trial: int) -> None:
@@ -113,9 +78,16 @@ def bench(n: int, m: int, cascades: int, repeats: int, seed: int, alpha: float) 
     # Warm up every path once (bytecode caches, allocator) before timing.
     baseline(0), null_recorder(0), metrics_recorder(0)
 
-    base = time_batch(baseline, cascades, repeats)
-    null = time_batch(null_recorder, cascades, repeats)
-    instrumented = time_batch(metrics_recorder, cascades, repeats)
+    def batch(run_one):
+        def block():
+            for trial in range(cascades):
+                run_one(trial)
+
+        return block
+
+    base = best_of(batch(baseline), repeats)
+    null = best_of(batch(null_recorder), repeats)
+    instrumented = best_of(batch(metrics_recorder), repeats)
 
     return {
         "nodes": n,
@@ -184,20 +156,16 @@ def main() -> int:
         )
 
     report["worst_null_overhead_pct"] = worst
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % args.out)
-
+    gate = Gate()
     if worst > args.max_overhead_pct:
-        print(
-            "FAIL: NullRecorder overhead %.2f%% exceeds the %.2f%% gate"
-            % (worst, args.max_overhead_pct),
-            file=sys.stderr,
+        gate.failures.append(
+            "NullRecorder overhead %.2f%% exceeds the %.2f%% gate"
+            % (worst, args.max_overhead_pct)
         )
-        return 1
-    print("PASS: worst NullRecorder overhead %.2f%%" % worst)
-    return 0
+    status = gate.finish(report, args.out)
+    if not status:
+        print("PASS: worst NullRecorder overhead %.2f%%" % worst)
+    return status
 
 
 if __name__ == "__main__":

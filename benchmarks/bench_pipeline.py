@@ -27,20 +27,14 @@ identity checks, no assertions about speed (CI boxes are noisy).
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-import time
-from pathlib import Path
 
-# The reference oracle lives with the tests, under the repository root.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from repro.core.rid import RID, RIDConfig  # noqa: E402
-from repro.graphs.signed_digraph import SignedDiGraph  # noqa: E402
-from repro.runtime.config import RuntimeConfig  # noqa: E402
-from repro.types import NodeState  # noqa: E402
-from repro.utils.rng import spawn_rng  # noqa: E402
-from tests.oracles.rid_reference import (  # noqa: E402
+from _harness import Gate, best_of, results_equal
+from repro.core.rid import RID, RIDConfig
+from repro.graphs.signed_digraph import SignedDiGraph
+from repro.runtime.config import RuntimeConfig
+from repro.types import NodeState
+from repro.utils.rng import spawn_rng
+from tests.oracles.rid_reference import (
     reference_detect,
     reference_detect_with_budget,
 )
@@ -84,15 +78,6 @@ def build_snapshot(components: int, size: int, seed: int) -> SignedDiGraph:
     return g
 
 
-def results_equal(a, b) -> bool:
-    return (
-        a.initiators == b.initiators
-        and a.states == b.states
-        and a.objective == b.objective
-        and [sorted(t.nodes()) for t in a.trees] == [sorted(t.nodes()) for t in b.trees]
-    )
-
-
 def check_identity(config: RIDConfig, snapshot: SignedDiGraph, budgets) -> list:
     """Engine vs reference across execution modes; returns failure strings."""
     failures = []
@@ -121,15 +106,6 @@ def check_identity(config: RIDConfig, snapshot: SignedDiGraph, budgets) -> list:
     return failures
 
 
-def bench(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="CI smoke: identity only")
@@ -156,11 +132,10 @@ def main(argv=None) -> int:
         f"{min_budget} cascade trees"
     )
 
-    failures = check_identity(config, snapshot, budgets)
-    if failures:
-        for failure in failures:
-            print(f"IDENTITY FAILURE: {failure}", file=sys.stderr)
-        return 1
+    gate = Gate()
+    gate.failures += check_identity(config, snapshot, budgets)
+    if gate.failures:
+        return gate.finish()
     print(f"identity: OK (serial, cache-warm, workers=4; {len(budgets)} budgets)")
 
     report = {
@@ -177,18 +152,18 @@ def main(argv=None) -> int:
     }
 
     if not args.tiny:
-        ref_detect_s = bench(lambda: reference_detect(config, snapshot), args.repeats)
+        ref_detect_s = best_of(lambda: reference_detect(config, snapshot), args.repeats)
 
         def engine_detect():
             RID(config).detect(snapshot, runtime=RuntimeConfig(workers=4))
 
-        engine_detect_s = bench(engine_detect, args.repeats)
+        engine_detect_s = best_of(engine_detect, args.repeats)
 
         def ref_sweep():
             for budget in budgets:
                 reference_detect_with_budget(config, snapshot, budget)
 
-        ref_sweep_s = bench(ref_sweep, args.repeats)
+        ref_sweep_s = best_of(ref_sweep, args.repeats)
 
         sweep_detector = RID(config)
 
@@ -200,8 +175,8 @@ def main(argv=None) -> int:
 
         # First pass populates the artifact cache; keep it in the timed
         # region only once by benching cold then warm separately.
-        engine_sweep_cold_s = bench(engine_sweep, 1)
-        engine_sweep_warm_s = bench(engine_sweep, max(1, args.repeats - 1))
+        engine_sweep_cold_s = best_of(engine_sweep, 1)
+        engine_sweep_warm_s = best_of(engine_sweep, max(1, args.repeats - 1))
 
         speedup = ref_sweep_s / engine_sweep_cold_s
         report["timings"] = {
@@ -228,14 +203,9 @@ def main(argv=None) -> int:
             f"{engine_sweep_warm_s:.4f}s -> speedup {speedup:.2f}x"
         )
         if speedup < 2.0:
-            print(f"SPEEDUP FAILURE: {speedup:.2f}x < 2x", file=sys.stderr)
-            return 1
+            gate.failures.append(f"budget-sweep speedup {speedup:.2f}x < 2x")
 
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-    return 0
+    return gate.finish(report, args.out)
 
 
 if __name__ == "__main__":

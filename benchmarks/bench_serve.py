@@ -30,21 +30,14 @@ streamed session, and an error envelope — with no timing assertions
 from __future__ import annotations
 
 import argparse
-import json
-import statistics
-import sys
 import threading
 import time
 
 import repro
+from _harness import Gate, canonical, timed
 from repro.errors import ConfigError
-from repro.pipeline.cache import encode_graph
 from repro.serve import ServeClient, ServeConfig, start_in_thread
 from repro.stream import StreamingDetectionEngine, synthetic_snapshot, synthetic_stream
-
-
-def canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
 
 
 def percentile(samples, q: float) -> float:
@@ -62,9 +55,7 @@ def check_identity(client: ServeClient, graph) -> None:
 
 
 def timed_detect(client: ServeClient, graph) -> float:
-    start = time.perf_counter()
-    client.detect(graph, raw=True)
-    return time.perf_counter() - start
+    return timed(client.detect, graph, raw=True)[0]
 
 
 def bench_cold(client: ServeClient, components: int, size: int, n: int):
@@ -221,17 +212,13 @@ def main() -> int:
         "direct repro.detect before timing",
     }
 
-    if not args.tiny:
-        if speedup < 3.0:
-            print(f"FAIL: warm-cache p50 speedup {speedup:.2f}x < 3x", file=sys.stderr)
-            return 1
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.out}")
-    else:
+    if args.tiny:
         print("tiny gate: identity ok (no timing assertions)")
-    return 0
+        return 0
+    gate = Gate()
+    if speedup < 3.0:
+        gate.failures.append(f"warm-cache p50 speedup {speedup:.2f}x < 3x")
+    return gate.finish(report, args.out)
 
 
 if __name__ == "__main__":

@@ -29,11 +29,9 @@ assertions (CI boxes are noisy).
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
-import sys
-import time
 
+from _harness import Gate, results_equal, timed
 from repro.core.rid import RID, RIDConfig
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs import MetricsRecorder
@@ -46,15 +44,6 @@ from repro.stream import (
 )
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
-
-
-def results_equal(a, b) -> bool:
-    return (
-        a.initiators == b.initiators
-        and a.states == b.states
-        and a.objective == b.objective
-        and [sorted(t.nodes()) for t in a.trees] == [sorted(t.nodes()) for t in b.trees]
-    )
 
 
 def churn_deltas(
@@ -70,7 +59,6 @@ def churn_deltas(
     per_delta = max(1, int(round(churn * snapshot.number_of_nodes())))
     deltas = []
     for index in range(count):
-        base = (index % components) * 10**6
         in_comp = [n for n in live.active_nodes() if n // 10**6 == index % components]
         delta = SnapshotDelta()
         picked = set()
@@ -97,7 +85,6 @@ def churn_deltas(
                 delta.add_edges.append((u, v, sign, round(rng.uniform(0.1, 0.9), 6)))
         apply_delta(live, delta)
         deltas.append(delta)
-        assert base >= 0  # silence linters about unused var
     return deltas
 
 
@@ -109,17 +96,16 @@ def replay(snapshot, deltas, config, check_identity=True):
     engine.detect(recorder=recorder)  # warm start, as a live service would be
     streamed_s, cold_s, failures = [], [], []
     for index, delta in enumerate(deltas):
-        start = time.perf_counter()
-        step = engine.step(delta, recorder=recorder)
-        streamed_s.append(time.perf_counter() - start)
+        seconds, step = timed(engine.step, delta, recorder=recorder)
+        streamed_s.append(seconds)
 
         materialised = engine.materialise()
-        start = time.perf_counter()
         if materialised.number_of_nodes():
-            want = RID(config).detect(materialised)  # fresh detector: cold cache
+            # A fresh detector (built inside the timed call): cold cache.
+            seconds, want = timed(lambda: RID(config).detect(materialised))
         else:
-            want = None
-        cold_s.append(time.perf_counter() - start)
+            seconds, want = 0.0, None
+        cold_s.append(seconds)
 
         if check_identity:
             if want is None:
@@ -158,10 +144,10 @@ def main(argv=None) -> int:
     )
 
     streamed_s, cold_s, recorder, failures = replay(snapshot, deltas, config)
-    if failures:
-        for failure in failures:
-            print(f"IDENTITY FAILURE: {failure}", file=sys.stderr)
-        return 1
+    gate = Gate()
+    gate.failures += failures
+    if gate.failures:
+        return gate.finish()
     print(f"identity: OK (streamed == cold after each of {len(deltas)} deltas)")
 
     counters = recorder.metrics.counters
@@ -214,23 +200,11 @@ def main(argv=None) -> int:
             f"(untouched components skipped Arborescence/TreeDP)"
         )
         if median_speedup < 5.0:
-            print(
-                f"SPEEDUP FAILURE: median {median_speedup:.2f}x < 5x",
-                file=sys.stderr,
-            )
-            return 1
+            gate.failures.append(f"median speedup {median_speedup:.2f}x < 5x")
         if reused <= computed:
-            print(
-                f"REUSE FAILURE: reused {reused} <= computed {computed}",
-                file=sys.stderr,
-            )
-            return 1
+            gate.failures.append(f"artifacts reused {reused} <= computed {computed}")
 
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-    return 0
+    return gate.finish(report, args.out)
 
 
 if __name__ == "__main__":

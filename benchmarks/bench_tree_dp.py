@@ -2,8 +2,7 @@
 """Benchmark the compiled TreeDP kernel against the recursive solver.
 
 The recursive dict-memo solver is the reference oracle in
-``tests/oracles/tree_dp.py``; the script puts the repository root on
-``sys.path`` to import it.
+``tests/oracles/tree_dp.py``.
 
 Builds paper-scale random cascade trees in two families, binarises
 each, and runs the Sec. III-D k-ISOMIT-BT budget sweep (``k = 1..cap``)
@@ -39,20 +38,15 @@ identity checks, no assertions about speed (CI boxes are noisy).
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from repro.core.binarize import binarize_cascade_tree  # noqa: E402
-from repro.graphs.generators.trees import random_general_tree  # noqa: E402
-from repro.graphs.signed_digraph import SignedDiGraph  # noqa: E402
-from repro.kernel.tree_dp import TreeDPKernel, compile_binary_tree  # noqa: E402
-from repro.types import NodeState  # noqa: E402
-from repro.utils.rng import spawn_rng  # noqa: E402
-from tests.oracles.tree_dp import RecursiveTreeDP  # noqa: E402
+from _harness import Gate, best_of
+from repro.core.binarize import binarize_cascade_tree
+from repro.graphs.generators.trees import random_general_tree
+from repro.graphs.signed_digraph import SignedDiGraph
+from repro.kernel.tree_dp import TreeDPKernel, compile_binary_tree
+from repro.types import NodeState
+from repro.utils.rng import spawn_rng
+from tests.oracles.tree_dp import RecursiveTreeDP
 
 ALPHA = 3.0
 #: Share of exactly-saturated links in the ``saturated`` family.
@@ -140,15 +134,6 @@ def check_identity(binary, cap, label: str) -> list:
     return failures
 
 
-def bench(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="CI smoke: identity only")
@@ -179,7 +164,7 @@ def main(argv=None) -> int:
         ),
     }
 
-    failed = False
+    gate = Gate()
     configs = [("random", n) for n in args.sizes]
     configs += [("saturated", n) for n in saturated_sizes]
     for family, n in configs:
@@ -200,15 +185,13 @@ def main(argv=None) -> int:
 
         failures = check_identity(binary, cap, label)
         if failures:
-            for failure in failures:
-                print(f"IDENTITY FAILURE: {failure}", file=sys.stderr)
-            failed = True
+            gate.failures += failures
             continue
         print(f"{label}: identity OK (curve k=1..{cap} bit-identical, one sweep and resumed)")
 
         if not args.tiny:
-            reference_s = bench(lambda: reference_curve(binary, cap), args.repeats)
-            compiled_s = bench(lambda: compiled_curve(binary, cap), args.repeats)
+            reference_s = best_of(lambda: reference_curve(binary, cap), args.repeats)
+            compiled_s = best_of(lambda: compiled_curve(binary, cap), args.repeats)
             speedup = reference_s / compiled_s
             entry.update(
                 {
@@ -223,20 +206,11 @@ def main(argv=None) -> int:
             )
             # The acceptance gate targets the n=2000 random configuration.
             if family == "random" and n == 2000 and speedup < 3.0:
-                print(
-                    f"SPEEDUP FAILURE: n=2000 {speedup:.2f}x < 3x", file=sys.stderr
-                )
-                failed = True
+                gate.failures.append(f"{label} speedup {speedup:.2f}x < 3x")
         report["trees"].append(entry)
 
-    if failed:
-        return 1
     report["identity"] = "ok"
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-    return 0
+    return gate.finish(report, args.out)
 
 
 if __name__ == "__main__":

@@ -147,9 +147,26 @@ def _encode_node(node: Node) -> List[Any]:
     return ["i", node] if isinstance(node, int) else ["s", node]
 
 
-def _decode_node(pair: List[Any]) -> Node:
-    code, value = pair
-    return int(value) if code == "i" else str(value)
+#: The exact type each node typecode carries (a ``bool`` is not an ``int``).
+_NODE_TYPES = {"i": int, "s": str}
+
+
+def _decode_node(pair: Any) -> Node:
+    """Inverse of :func:`_encode_node`; only ``["i", int]`` or ``["s", str]``.
+
+    Anything else raises :class:`CacheCodecError` instead of being
+    coerced: a float, bool or string under ``"i"`` or a number under
+    ``"s"`` would otherwise decode to a different node than was sent.
+    """
+    try:
+        code, value = pair
+        if type(value) is _NODE_TYPES[code] and type(pair) is list:
+            return value
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise CacheCodecError(
+        f"malformed node id {pair!r}: expected ['i', int] or ['s', str]"
+    )
 
 
 def encode_diffusion_result(result: DiffusionResult) -> dict:

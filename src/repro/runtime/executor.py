@@ -169,7 +169,10 @@ def run_trials(
         key_fn: maps a spec to its stable cache key.
         encode: JSON-encodes one result (may raise
             :class:`CacheCodecError` to decline).
-        decode: rebuilds a result from its JSON payload.
+        decode: rebuilds a result from its JSON payload. An entry it
+            rejects (:class:`CacheCodecError`, ``KeyError``,
+            ``TypeError``, ``ValueError``) is a miss: the trial is
+            recomputed and the entry overwritten.
         label: name used in the report.
         recorder: observability sink (defaults to the ambient recorder).
             Each chunk — worker-side or serial — records into its own
@@ -202,10 +205,14 @@ def run_trials(
         if readable:
             payload_json = cache.load(keys[index])
             if payload_json is not None:
-                results[index] = decode(payload_json)
-                timings[index] = TrialTiming(index=index, seconds=0.0, cached=True)
-                cache_hits += 1
-                continue
+                try:
+                    results[index] = decode(payload_json)
+                except (CacheCodecError, KeyError, TypeError, ValueError):
+                    pass  # corrupt/stale entry: recompute and overwrite it
+                else:
+                    timings[index] = TrialTiming(index=index, seconds=0.0, cached=True)
+                    cache_hits += 1
+                    continue
         pending.append((index, spec))
 
     fallback_reason: Optional[str] = None

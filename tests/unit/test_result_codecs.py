@@ -108,6 +108,14 @@ class TestDetectionResultCodec:
                 "trees": [],
                 "objective": None,
             },
+            {
+                "format": DetectionResult.JSON_FORMAT,
+                "method": "rid",
+                "initiators": [["i", "1"]],  # a string under the int typecode
+                "states": [[["i", 1], 1]],
+                "trees": [],
+                "objective": None,
+            },
         ],
     )
     def test_malformed_payloads_raise(self, payload):

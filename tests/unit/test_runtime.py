@@ -131,6 +131,33 @@ class TestTrialCache:
         (tmp_path / "bad.json").write_text("{not json")
         assert cache.load("bad") is None
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"seeds": []},  # valid JSON, final_states missing: KeyError
+            {"seeds": [[["i", 0], 7]], "final_states": [], "events": [], "rounds": 0},
+            {"seeds": [[["i", 1.5], 1]], "final_states": [], "events": [], "rounds": 0},
+            {"seeds": 3, "final_states": [], "events": [], "rounds": 0},
+        ],
+    )
+    def test_undecodable_entry_is_recomputed_and_overwritten(self, tmp_path, entry):
+        from repro.diffusion.monte_carlo import simulate_many
+
+        graph, seeds = ring(), {0: NodeState.POSITIVE, 5: NodeState.NEGATIVE}
+        runtime = RuntimeConfig(cache_dir=str(tmp_path))
+        model = MFCModel(alpha=2.0)
+        first = simulate_many(model, graph, seeds, 3, base_seed=4, runtime=runtime)
+        victim = sorted(tmp_path.glob("*.json"))[0]
+        victim.write_text(json.dumps(entry))
+        again = simulate_many(model, graph, seeds, 3, base_seed=4, runtime=runtime)
+        assert [encode_diffusion_result(r) for r in again] == [
+            encode_diffusion_result(r) for r in first
+        ]
+        repaired = decode_diffusion_result(json.loads(victim.read_text()))
+        assert encode_diffusion_result(repaired) in [
+            encode_diffusion_result(r) for r in first
+        ]
+
     def test_run_trials_uses_cache(self, tmp_path):
         cache = TrialCache(tmp_path)
         key_fn = lambda spec: stable_digest("t", spec)  # noqa: E731

@@ -79,7 +79,15 @@ class TestGraphCodec:
         assert set(decoded.nodes()) == {"a", "b"}
         assert decoded.state("b") is NodeState.NEGATIVE
 
-    @pytest.mark.parametrize("payload", [None, 7, [], {"nodes": "x"}, {}])
+    @pytest.mark.parametrize(
+        "payload",
+        [None, 7, [], {"nodes": "x"}, {}]
+        # Node ids are decoded strictly, never coerced to another node.
+        + [
+            {"nodes": [[pair, 1]], "edges": []}
+            for pair in (["q", 0], ["s", 5], ["i", 1.9], ["i", True], ["i", "7"])
+        ],
+    )
     def test_malformed_graph_payloads(self, payload):
         with pytest.raises(WireFormatError):
             wire.graph_from_json(payload)

@@ -9,6 +9,7 @@ from repro.errors import (
     EventLogFormatError,
 )
 from repro.graphs.signed_digraph import SignedDiGraph
+from repro.runtime.cache import CacheCodecError
 from repro.stream import (
     EventLog,
     SnapshotDelta,
@@ -64,6 +65,11 @@ class TestSnapshotDelta:
         )
         back = SnapshotDelta.from_json(delta.to_json())
         assert back == delta
+
+    def test_from_json_rejects_a_coerced_node_id(self):
+        # ["i", 1.9] would otherwise decode as node 1.
+        with pytest.raises(CacheCodecError):
+            SnapshotDelta.from_json({"remove_nodes": [["i", 1.9]]})
 
     def test_apply_creates_unknown_state_node(self):
         g = two_component_snapshot()
