@@ -27,17 +27,20 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from typing import TYPE_CHECKING
-
+from repro.codec import (
+    CacheCodecError,
+    decode_graph,
+    decode_node,
+    decode_states,
+    encode_graph,
+    encode_node,
+    encode_states,
+)
 from repro.errors import ConfigError, EmptyInfectionError, ResultFormatError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder
+from repro.runtime.config import RuntimeConfig
 from repro.types import Node, NodeState
-
-if TYPE_CHECKING:  # imported lazily at runtime: repro.runtime's package
-    # init pulls the trial cache, which reaches back into the diffusion
-    # package — importing it here would close that cycle at package load.
-    from repro.runtime.config import RuntimeConfig
 
 
 def resolve_budget_kwargs(
@@ -84,8 +87,6 @@ def check_runtime(name: str, runtime: Optional[RuntimeConfig]) -> None:
     """
     if runtime is None:
         return
-    from repro.runtime.config import RuntimeConfig
-
     if not isinstance(runtime, RuntimeConfig):
         raise ConfigError(
             f"runtime must be a RuntimeConfig or None, got {type(runtime).__name__}"
@@ -185,29 +186,19 @@ class DetectionResult:
     def to_json(self) -> dict:
         """Full round-trip encoding, cascade trees included.
 
-        Initiators and states are emitted repr-sorted and node
-        identifiers as ``[typecode, value]`` pairs (the artifact-cache
-        codec), so encoding the same result always produces the same
-        JSON — the serving tier's identity gate compares these payloads
-        bit-for-bit. Inverse: :meth:`from_json`.
+        Initiators and states are emitted repr-sorted in the
+        :mod:`repro.codec` spelling, so encoding the same result always
+        produces the same JSON — the serving tier's identity gate
+        compares these payloads bit-for-bit. Inverse: :meth:`from_json`.
 
         Raises:
             CacheCodecError: when a node identifier is not int or str.
         """
-        # Imported lazily: repro.pipeline imports this module back.
-        from repro.pipeline.cache import encode_graph
-        from repro.runtime.cache import _encode_node
-
         return {
             "format": self.JSON_FORMAT,
             "method": self.method,
-            "initiators": [
-                _encode_node(n) for n in sorted(self.initiators, key=repr)
-            ],
-            "states": [
-                [_encode_node(n), int(s)]
-                for n, s in sorted(self.states.items(), key=lambda kv: repr(kv[0]))
-            ],
+            "initiators": [encode_node(n) for n in sorted(self.initiators, key=repr)],
+            "states": encode_states(dict(sorted(self.states.items(), key=lambda kv: repr(kv[0])))),
             "trees": [encode_graph(t) for t in self.trees],
             "objective": self.objective,
         }
@@ -218,28 +209,29 @@ class DetectionResult:
 
         Raises:
             ResultFormatError: on a non-dict payload, a wrong/missing
-                format tag, or malformed fields.
+                format tag, or a missing or malformed field (the method
+                is a string, the objective a JSON number or null).
         """
-        from repro.pipeline.cache import decode_graph
-        from repro.runtime.cache import _decode_node
-
         if not isinstance(payload, dict) or payload.get("format") != cls.JSON_FORMAT:
             raise ResultFormatError(
                 f"payload is not a serialised DetectionResult "
                 f"(expected format {cls.JSON_FORMAT!r})"
             )
         try:
-            objective = payload["objective"]
+            method, initiators = payload["method"], payload["initiators"]
+            trees, objective = payload["trees"], payload["objective"]
+            if type(method) is not str or type(objective) not in (int, float, type(None)):
+                raise CacheCodecError("'method' must be a string, 'objective' a number or null")
+            if type(initiators) is not list or type(trees) is not list:
+                raise CacheCodecError("'initiators' and 'trees' must be lists")
             return cls(
-                method=payload["method"],
-                initiators={_decode_node(n) for n in payload["initiators"]},
-                states={
-                    _decode_node(n): NodeState(s) for n, s in payload["states"]
-                },
-                trees=[decode_graph(t) for t in payload["trees"]],
+                method=method,
+                initiators={decode_node(n) for n in initiators},
+                states=decode_states(payload["states"]),
+                trees=[decode_graph(t) for t in trees],
                 objective=None if objective is None else float(objective),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, CacheCodecError, OverflowError) as exc:
             raise ResultFormatError(
                 f"malformed DetectionResult payload: {exc}"
             ) from exc

@@ -19,16 +19,14 @@ instance reuse the cached per-component trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.binarize import find_tree_root
 from repro.detectors.base import DetectionResult, Detector, check_runtime
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.graphs.transforms import positive_subgraph
 from repro.obs.recorder import Recorder, resolve_recorder
-
-if TYPE_CHECKING:  # runtime import deferred — see repro.detectors.base
-    from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import RuntimeConfig
 
 
 @dataclass

@@ -32,7 +32,7 @@ import abc
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.components import infected_components
 from repro.detectors.base import (
@@ -46,10 +46,8 @@ from repro.detectors.base import (
 from repro.errors import ConfigError, NotATreeError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder
+from repro.runtime.config import RuntimeConfig
 from repro.types import Node
-
-if TYPE_CHECKING:  # runtime import deferred — see repro.detectors.base
-    from repro.runtime.config import RuntimeConfig
 
 
 @dataclass

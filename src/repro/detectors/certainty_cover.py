@@ -19,7 +19,7 @@ are graded it under-explains and RID's probabilistic machinery wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, TYPE_CHECKING
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.detectors.base import (
     DetectionResult,
@@ -30,10 +30,8 @@ from repro.detectors.base import (
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder
+from repro.runtime.config import RuntimeConfig
 from repro.types import Node, NodeState
-
-if TYPE_CHECKING:  # runtime import deferred — see repro.detectors.base
-    from repro.runtime.config import RuntimeConfig
 
 
 @dataclass

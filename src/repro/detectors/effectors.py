@@ -20,7 +20,7 @@ unsigned state of the art" comparison point for RID.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Set
 
 from repro.core.components import infected_components
 from repro.detectors.base import (
@@ -32,11 +32,9 @@ from repro.detectors.base import (
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder
+from repro.runtime.config import RuntimeConfig
 from repro.types import Node, NodeState
 from repro.utils.rng import derive_seed
-
-if TYPE_CHECKING:  # runtime import deferred — see repro.detectors.base
-    from repro.runtime.config import RuntimeConfig
 
 
 @dataclass

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Set
 
 from repro.core.components import infected_components
 from repro.detectors.base import (
@@ -44,11 +44,9 @@ from repro.detectors.centrality import select_with_budget
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder
+from repro.runtime.config import RuntimeConfig
 from repro.types import Node
 from repro.utils.rng import derive_seed
-
-if TYPE_CHECKING:  # runtime import deferred — see repro.detectors.base
-    from repro.runtime.config import RuntimeConfig
 
 #: Diffusion models the MAP likelihood can be estimated under.
 MAP_MODELS = ("mfc", "ic", "sir")

@@ -29,7 +29,7 @@ Jordan-center selection all break ties repr-sorted, independent of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.components import infected_components
 from repro.detectors.base import (
@@ -44,10 +44,8 @@ from repro.detectors.centrality import undirected_distances
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder
+from repro.runtime.config import RuntimeConfig
 from repro.types import Node
-
-if TYPE_CHECKING:  # runtime import deferred — see repro.detectors.base
-    from repro.runtime.config import RuntimeConfig
 
 
 @dataclass

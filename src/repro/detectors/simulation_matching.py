@@ -14,7 +14,7 @@ small snapshots and as a reference point in ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional
 
 from repro.core.components import infected_components
 from repro.detectors.base import (
@@ -27,11 +27,9 @@ from repro.detectors.effectors import spreader_candidates
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder
+from repro.runtime.config import RuntimeConfig
 from repro.types import Node, NodeState
 from repro.utils.rng import derive_seed
-
-if TYPE_CHECKING:  # runtime import deferred — see repro.detectors.base
-    from repro.runtime.config import RuntimeConfig
 
 
 @dataclass

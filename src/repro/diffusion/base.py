@@ -15,6 +15,14 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.codec import (
+    CacheCodecError,
+    decode_node,
+    decode_state,
+    decode_states,
+    encode_node,
+    encode_states,
+)
 from repro.errors import InvalidSeedError, ResultFormatError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import INITIATOR_STATES, Node, NodeState
@@ -124,21 +132,28 @@ class DiffusionResult:
     JSON_FORMAT = "repro.diffusion-result/v1"
 
     def to_json(self) -> dict:
-        """Full round-trip encoding (seeds, final states, event log).
-
-        Node identifiers are stored as ``[typecode, value]`` pairs —
-        the same codec as the on-disk trial cache — so int and str
-        nodes survive without ambiguity. Inverse: :meth:`from_json`.
+        """Full round-trip encoding (seeds, final states, event log) in
+        the :mod:`repro.codec` spelling. Inverse: :meth:`from_json`.
 
         Raises:
             CacheCodecError: when a node identifier is not int or str.
         """
-        # Imported lazily: repro.runtime.cache imports this module.
-        from repro.runtime.cache import encode_diffusion_result
-
-        payload = encode_diffusion_result(self)
-        payload["format"] = self.JSON_FORMAT
-        return payload
+        return {
+            "seeds": encode_states(self.seeds),
+            "final_states": encode_states(self.final_states),
+            "events": [
+                [
+                    e.round,
+                    None if e.source is None else encode_node(e.source),
+                    encode_node(e.target),
+                    int(e.state),
+                    bool(e.was_flip),
+                ]
+                for e in self.events
+            ],
+            "rounds": self.rounds,
+            "format": self.JSON_FORMAT,
+        }
 
     @classmethod
     def from_json(cls, payload: dict) -> "DiffusionResult":
@@ -146,21 +161,37 @@ class DiffusionResult:
 
         Raises:
             ResultFormatError: on a non-dict payload, a wrong/missing
-                format tag, or malformed fields.
+                format tag, or a missing or malformed field (rounds are
+                non-negative JSON ints, flip flags JSON bools).
         """
-        from repro.runtime.cache import decode_diffusion_result
-
         if not isinstance(payload, dict) or payload.get("format") != cls.JSON_FORMAT:
             raise ResultFormatError(
                 f"payload is not a serialised DiffusionResult "
                 f"(expected format {cls.JSON_FORMAT!r})"
             )
         try:
-            return decode_diffusion_result(payload)
-        except (KeyError, TypeError, ValueError) as exc:
+            events, rounds = payload["events"], payload["rounds"]
+            if type(events) is not list or type(rounds) is not int or rounds < 0:
+                raise CacheCodecError("'events' must be a list, 'rounds' an int >= 0")
+            return cls(
+                seeds=decode_states(payload["seeds"]),
+                final_states=decode_states(payload["final_states"]),
+                events=[_decode_event(item) for item in events],
+                rounds=rounds,
+            )
+        except (KeyError, CacheCodecError) as exc:
             raise ResultFormatError(
                 f"malformed DiffusionResult payload: {exc}"
             ) from exc
+
+
+def _decode_event(item: object) -> ActivationEvent:
+    if type(item) is list and len(item) == 5:
+        rnd, source, target, state, flip = item
+        if type(rnd) is int and rnd >= 0 and type(flip) is bool:
+            source = None if source is None else decode_node(source)
+            return ActivationEvent(rnd, source, decode_node(target), decode_state(state), flip)
+    raise CacheCodecError("an event must be [round, source or null, target, state, was_flip]")
 
 
 def check_seeds(diffusion: SignedDiGraph, seeds: Dict[Node, NodeState]) -> Dict[Node, NodeState]:

@@ -30,8 +30,6 @@ from repro.kernel.compile import compile_graph
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.runtime.cache import (
     TrialCache,
-    decode_diffusion_result,
-    encode_diffusion_result,
     graph_digest,
     model_digest,
     seeds_digest,
@@ -142,8 +140,8 @@ def simulate_many_outcome(
             config=runtime,
             cache=cache,
             key_fn=key_fn,
-            encode=encode_diffusion_result,
-            decode=decode_diffusion_result,
+            encode=DiffusionResult.to_json,
+            decode=DiffusionResult.from_json,
             label=f"simulate:{model.name}",
             recorder=rec,
         )

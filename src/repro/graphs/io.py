@@ -8,8 +8,8 @@ Two formats are supported:
   ``FromNodeId  ToNodeId  Sign`` rows with sign in ``{-1, 1}``. Weights are
   not part of that format; they are assigned afterwards by
   :mod:`repro.weights.jaccard`, mirroring the paper's setup (Sec. IV-B3).
-* **JSON** — a faithful round-trip format for this library's graphs,
-  including weights and node states.
+* **JSON** — the :func:`repro.codec.encode_graph` payload the wire, the
+  event log and the caches share (names, weights and node states).
 
 Gzip-compressed files (``.gz`` suffix) are handled transparently, since the
 SNAP downloads ship gzipped.
@@ -23,9 +23,9 @@ import json
 from pathlib import Path
 from typing import IO, Iterator, Union
 
+from repro.codec import CacheCodecError, decode_graph, encode_graph
 from repro.errors import GraphFormatError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.types import NodeState
 
 PathLike = Union[str, Path]
 
@@ -109,55 +109,31 @@ def write_snap_signed_edgelist(graph: SignedDiGraph, path: PathLike) -> None:
 # JSON round-trip format
 # --------------------------------------------------------------------------
 
-_JSON_VERSION = 1
-
-
-def graph_to_dict(graph: SignedDiGraph) -> dict:
-    """Serialise a graph (with weights and states) to plain dicts."""
-    return {
-        "format": "repro-signed-digraph",
-        "version": _JSON_VERSION,
-        "name": graph.name,
-        "nodes": [
-            {"id": node, "state": int(graph.state(node))} for node in graph.nodes()
-        ],
-        "edges": [
-            {"from": u, "to": v, "sign": int(d.sign), "weight": d.weight}
-            for u, v, d in graph.iter_edges()
-        ],
-    }
-
-
-def graph_from_dict(payload: dict) -> SignedDiGraph:
-    """Inverse of :func:`graph_to_dict`.
-
-    Raises:
-        GraphFormatError: when the payload is not a serialised graph.
-    """
-    if not isinstance(payload, dict) or payload.get("format") != "repro-signed-digraph":
-        raise GraphFormatError("payload is not a serialised SignedDiGraph")
-    graph = SignedDiGraph(name=payload.get("name", ""))
-    try:
-        for node in payload["nodes"]:
-            graph.add_node(node["id"], NodeState(node.get("state", 0)))
-        for edge in payload["edges"]:
-            graph.add_edge(edge["from"], edge["to"], edge["sign"], edge["weight"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"malformed graph payload: {exc}") from exc
-    return graph
-
 
 def save_graph_json(graph: SignedDiGraph, path: PathLike) -> None:
-    """Write the JSON round-trip format (gzip if the path ends in .gz)."""
+    """Write the :func:`~repro.codec.encode_graph` payload (gzip if the
+    path ends in .gz).
+
+    Raises:
+        CacheCodecError: when a node identifier is not int or str.
+    """
     with _open_text(path, "w") as handle:
-        json.dump(graph_to_dict(graph), handle)
+        json.dump(encode_graph(graph), handle)
 
 
 def load_graph_json(path: PathLike) -> SignedDiGraph:
-    """Read the JSON round-trip format."""
+    """Read a graph written by :func:`save_graph_json`.
+
+    Raises:
+        GraphFormatError: on invalid JSON or a payload
+            :func:`~repro.codec.decode_graph` rejects.
+    """
     with _open_text(path, "r") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return graph_from_dict(payload)
+    try:
+        return decode_graph(payload)
+    except CacheCodecError as exc:
+        raise GraphFormatError(f"malformed graph payload: {exc}") from exc

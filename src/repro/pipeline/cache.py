@@ -25,10 +25,10 @@ Two layers:
   Edmonds/binarise/DP work already done.
 * an optional on-disk layer via :class:`~repro.runtime.cache.TrialCache`
   (``RuntimeConfig.cache_dir``): persistable artifacts are JSON-encoded
-  with the codecs below and survive across processes. Artifacts whose
-  node identifiers are not int/str raise
-  :class:`~repro.runtime.cache.CacheCodecError` and simply stay
-  memory-only.
+  with the artifact codecs below, built on :mod:`repro.codec`, and
+  survive across processes. Artifacts whose node identifiers are not
+  int/str raise :class:`~repro.codec.CacheCodecError` and simply stay
+  memory-only; an entry the codecs reject reads as a miss.
 
 Artifacts must be treated as immutable once cached: the engine hands the
 *same* tree objects to every caller that hits the cache.
@@ -39,13 +39,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List
 
+from repro.codec import CacheCodecError, decode_graph, decode_states, encode_graph, encode_states
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.runtime.cache import (
-    _decode_node,
-    _encode_node,
-    stable_digest,
-)
-from repro.types import NodeState
+from repro.runtime.cache import stable_digest
 
 #: Sentinel distinguishing "cached None" from "miss".
 MISS = object()
@@ -143,40 +139,6 @@ def artifact_key(stage: str, version: int, config_digest: str, content_digest: s
 # ---------------------------------------------------------------------------
 
 
-def encode_graph(graph: SignedDiGraph) -> dict:
-    """JSON-ready encoding of a graph (topology, signs, weights, states).
-
-    Nodes and edges are emitted repr-sorted; node iteration order is not
-    semantically meaningful anywhere in the pipeline (all consumers sort).
-
-    Raises:
-        CacheCodecError: when a node identifier is not int or str.
-    """
-    return {
-        "name": graph.name,
-        "nodes": [
-            [_encode_node(n), int(graph.state(n))]
-            for n in sorted(graph.nodes(), key=repr)
-        ],
-        "edges": [
-            [_encode_node(u), _encode_node(v), int(d.sign), d.weight]
-            for u, v, d in sorted(
-                graph.edges(), key=lambda e: (repr(e[0]), repr(e[1]))
-            )
-        ],
-    }
-
-
-def decode_graph(payload: dict) -> SignedDiGraph:
-    """Inverse of :func:`encode_graph`."""
-    graph = SignedDiGraph(name=payload.get("name", ""))
-    for node, state in payload["nodes"]:
-        graph.add_node(_decode_node(node), NodeState(state))
-    for u, v, sign, weight in payload["edges"]:
-        graph.add_edge(_decode_node(u), _decode_node(v), sign, weight)
-    return graph
-
-
 def encode_graph_list(graphs: List[SignedDiGraph]) -> dict:
     """Encode an ordered list of graphs (e.g. a component's cascade trees)."""
     return {"graphs": [encode_graph(g) for g in graphs]}
@@ -184,17 +146,10 @@ def encode_graph_list(graphs: List[SignedDiGraph]) -> dict:
 
 def decode_graph_list(payload: dict) -> List[SignedDiGraph]:
     """Inverse of :func:`encode_graph_list` (order preserved)."""
-    return [decode_graph(p) for p in payload["graphs"]]
-
-
-def encode_state_map(states: Dict[Any, NodeState]) -> list:
-    """Encode a node→state mapping, insertion order preserved."""
-    return [[_encode_node(n), int(s)] for n, s in states.items()]
-
-
-def decode_state_map(pairs: list) -> Dict[Any, NodeState]:
-    """Inverse of :func:`encode_state_map`."""
-    return {_decode_node(n): NodeState(s) for n, s in pairs}
+    graphs = payload["graphs"]
+    if type(graphs) is not list:
+        raise CacheCodecError(f"'graphs' must be a list, got {type(graphs).__name__}")
+    return [decode_graph(p) for p in graphs]
 
 
 def encode_selection(selection: "Any") -> dict:
@@ -204,7 +159,7 @@ def encode_selection(selection: "Any") -> dict:
         "k": selection.k,
         "score": selection.score,
         "penalized_objective": selection.penalized_objective,
-        "initiators": encode_state_map(selection.initiators),
+        "initiators": encode_states(selection.initiators),
         "scanned_k": selection.scanned_k,
     }
 
@@ -218,7 +173,7 @@ def decode_selection(payload: dict) -> "Any":
         k=payload["k"],
         score=payload["score"],
         penalized_objective=payload["penalized_objective"],
-        initiators=decode_state_map(payload["initiators"]),
+        initiators=decode_states(payload["initiators"]),
         scanned_k=payload["scanned_k"],
     )
 
@@ -228,7 +183,7 @@ def encode_curve(curve: "Any") -> dict:
     return {
         "tree_size": curve.tree_size,
         "curve": [
-            {"k": r.k, "score": r.score, "initiators": encode_state_map(r.initiators)}
+            {"k": r.k, "score": r.score, "initiators": encode_states(r.initiators)}
             for r in curve.results
         ],
     }
@@ -245,7 +200,7 @@ def decode_curve(payload: dict) -> "Any":
             TreeDPResult(
                 k=entry["k"],
                 score=entry["score"],
-                initiators=decode_state_map(entry["initiators"]),
+                initiators=decode_states(entry["initiators"]),
             )
             for entry in payload["curve"]
         ],

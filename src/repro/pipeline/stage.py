@@ -37,10 +37,11 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.codec import CacheCodecError
 from repro.core.rid import RIDConfig
 from repro.obs.recorder import NULL, Recorder
 from repro.pipeline.cache import MISS, ArtifactCache, artifact_key
-from repro.runtime.cache import CacheCodecError, TrialCache, stable_digest
+from repro.runtime.cache import TrialCache, stable_digest
 from repro.runtime.config import SERIAL, RuntimeConfig
 
 

@@ -18,11 +18,9 @@ Entry points:
 * :class:`TrialCache` — content-addressed on-disk JSON result store.
 """
 
+from repro.codec import CacheCodecError
 from repro.runtime.cache import (
-    CacheCodecError,
     TrialCache,
-    decode_diffusion_result,
-    encode_diffusion_result,
     graph_digest,
     model_digest,
     seeds_digest,
@@ -48,6 +46,4 @@ __all__ = [
     "graph_digest",
     "model_digest",
     "seeds_digest",
-    "encode_diffusion_result",
-    "decode_diffusion_result",
 ]

@@ -4,10 +4,9 @@ A cached trial is keyed by a stable :func:`blake2b <hashlib.blake2b>`
 digest of everything that determines its outcome — the graph (nodes,
 states, signs, weights), the model parameters, the seed assignment, the
 base seed and the trial index — so a key hit is safe to reuse across
-runs and processes. Payloads are plain JSON; node identifiers are
-stored as ``[typecode, value]`` pairs so integer and string nodes
-round-trip without ambiguity. Anything else (tuples, frozensets, …)
-raises :class:`CacheCodecError` and the executor simply skips caching
+runs and processes. Payloads are whatever the caller encodes
+(``simulate_many`` stores ``DiffusionResult.to_json``); a
+:class:`~repro.codec.CacheCodecError` makes the executor skip caching
 that trial instead of failing the run.
 """
 
@@ -19,15 +18,10 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
-from repro.diffusion.base import ActivationEvent, DiffusionResult
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import Node, NodeState
-
-
-class CacheCodecError(TypeError):
-    """A value cannot be represented in the JSON trial cache."""
 
 
 def stable_digest(*parts: object) -> str:
@@ -132,87 +126,6 @@ def model_digest(model: object) -> str:
 def seeds_digest(seeds: Dict[Node, NodeState]) -> str:
     """Digest of a seed assignment."""
     return stable_digest(tuple(sorted(((repr(n), int(s)) for n, s in seeds.items()))))
-
-
-# ---------------------------------------------------------------------------
-# Node / DiffusionResult JSON codec
-# ---------------------------------------------------------------------------
-
-
-def _encode_node(node: Node) -> List[Any]:
-    if isinstance(node, bool) or not isinstance(node, (int, str)):
-        raise CacheCodecError(
-            f"only int and str nodes are cacheable, got {type(node).__name__}"
-        )
-    return ["i", node] if isinstance(node, int) else ["s", node]
-
-
-#: The exact type each node typecode carries (a ``bool`` is not an ``int``).
-_NODE_TYPES = {"i": int, "s": str}
-
-
-def _decode_node(pair: Any) -> Node:
-    """Inverse of :func:`_encode_node`; only ``["i", int]`` or ``["s", str]``.
-
-    Anything else raises :class:`CacheCodecError` instead of being
-    coerced: a float, bool or string under ``"i"`` or a number under
-    ``"s"`` would otherwise decode to a different node than was sent.
-    """
-    try:
-        code, value = pair
-        if type(value) is _NODE_TYPES[code] and type(pair) is list:
-            return value
-    except (KeyError, TypeError, ValueError):
-        pass
-    raise CacheCodecError(
-        f"malformed node id {pair!r}: expected ['i', int] or ['s', str]"
-    )
-
-
-def encode_diffusion_result(result: DiffusionResult) -> dict:
-    """JSON-ready encoding of a :class:`DiffusionResult`.
-
-    Raises:
-        CacheCodecError: when a node identifier is not int or str.
-    """
-    return {
-        "seeds": [[_encode_node(n), int(s)] for n, s in result.seeds.items()],
-        "final_states": [
-            [_encode_node(n), int(s)] for n, s in result.final_states.items()
-        ],
-        "events": [
-            [
-                e.round,
-                None if e.source is None else _encode_node(e.source),
-                _encode_node(e.target),
-                int(e.state),
-                bool(e.was_flip),
-            ]
-            for e in result.events
-        ],
-        "rounds": result.rounds,
-    }
-
-
-def decode_diffusion_result(payload: dict) -> DiffusionResult:
-    """Inverse of :func:`encode_diffusion_result`."""
-    return DiffusionResult(
-        seeds={_decode_node(n): NodeState(s) for n, s in payload["seeds"]},
-        final_states={
-            _decode_node(n): NodeState(s) for n, s in payload["final_states"]
-        },
-        events=[
-            ActivationEvent(
-                round=rnd,
-                source=None if src is None else _decode_node(src),
-                target=_decode_node(tgt),
-                state=NodeState(state),
-                was_flip=flip,
-            )
-            for rnd, src, tgt, state, flip in payload["events"]
-        ],
-        rounds=payload["rounds"],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.codec import CacheCodecError
 from repro.obs.metrics import Metrics, MetricsRecorder
 from repro.obs.recorder import Recorder, resolve_recorder, using_recorder
-from repro.runtime.cache import CacheCodecError, TrialCache
+from repro.runtime.cache import TrialCache
 from repro.runtime.config import SERIAL, RuntimeConfig
 
 

@@ -18,18 +18,13 @@ import json
 from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
+from repro.codec import encode_graph, encode_states
 from repro.detectors.base import DetectionResult
 from repro.diffusion.base import DiffusionResult
 from repro.errors import ConfigError, ServeClientError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.serve import wire
 from repro.types import Node, NodeState
-
-
-def _encode_seeds(seeds: Dict[Node, NodeState]) -> List[list]:
-    from repro.runtime.cache import _encode_node
-
-    return [[_encode_node(node), int(NodeState(state))] for node, state in seeds.items()]
 
 
 def _encode_config(config: Any) -> Optional[Dict[str, Any]]:
@@ -177,8 +172,6 @@ class ServeClient:
         ``result.to_json()``); otherwise the decoded
         :class:`DetectionResult`.
         """
-        from repro.pipeline.cache import encode_graph
-
         body: Dict[str, Any] = {"graph": encode_graph(graph)}
         if budget is not None:
             body["budget"] = budget
@@ -205,11 +198,9 @@ class ServeClient:
         raw: bool = False,
     ) -> Union[DiffusionResult, List[DiffusionResult], Dict[str, Any]]:
         """Remote :func:`repro.simulate` (registry-name models only)."""
-        from repro.pipeline.cache import encode_graph
-
         body: Dict[str, Any] = {
             "graph": encode_graph(graph),
-            "seeds": _encode_seeds(seeds),
+            "seeds": encode_states(seeds),
             "rng": rng,
         }
         if model is not None:
@@ -260,8 +251,6 @@ class ServeClient:
 
         ``detector=`` names the registry entry that re-detects after
         each delta (server default: the incremental RID path)."""
-        from repro.pipeline.cache import encode_graph
-
         body: Dict[str, Any] = {"session": name, "graph": encode_graph(graph)}
         if config is not None:
             body["config"] = _encode_config(config)

@@ -43,6 +43,7 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.codec import CacheCodecError, decode_states
 from repro.detectors.registry import detector_digest, resolve_detector
 from repro.errors import (
     ConfigError,
@@ -55,7 +56,7 @@ from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.metrics import Metrics, MetricsRecorder
 from repro.obs.recorder import using_recorder
 from repro.serve import wire
-from repro.types import NodeState
+from repro.stream.delta import SnapshotDelta
 from repro.utils.validation import config_from_dict
 
 _SHUTDOWN = object()
@@ -178,20 +179,6 @@ class WorkerHost:
 # ---------------------------------------------------------------------------
 
 
-def _decode_seeds(raw: Any) -> Dict[Any, NodeState]:
-    from repro.runtime.cache import _decode_node
-
-    if not isinstance(raw, list):
-        raise WireFormatError(
-            f"request field 'seeds' must be a list of [node, state] pairs, "
-            f"got {type(raw).__name__}"
-        )
-    try:
-        return {_decode_node(node): NodeState(state) for node, state in raw}
-    except (TypeError, ValueError, KeyError) as exc:
-        raise WireFormatError(f"malformed seeds payload: {exc}") from exc
-
-
 def _handle_detect(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
     name = wire.detector_request(payload)
     graph_payload = wire.require(payload, "graph", dict)
@@ -227,7 +214,10 @@ def _handle_simulate(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any
 
     graph_payload = wire.require(payload, "graph", dict)
     graph, graph_hot = host.graph(wire.payload_digest(graph_payload), graph_payload)
-    seeds = _decode_seeds(payload.get("seeds"))
+    try:
+        seeds = decode_states(payload.get("seeds"))
+    except CacheCodecError as exc:
+        raise WireFormatError(f"malformed seeds payload: {exc}") from exc
     name = payload.get("model") or "mfc"
     params = payload.get("params") or {}
     if not isinstance(params, dict):
@@ -313,13 +303,11 @@ def _handle_session_create(host: WorkerHost, payload: Dict[str, Any]) -> Dict[st
 
 
 def _handle_session_delta(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.stream.delta import SnapshotDelta
-
     name, engine = _session_engine(host, payload)
     raw = wire.require(payload, "delta", dict)
     try:
         delta = SnapshotDelta.from_json(raw)
-    except (TypeError, ValueError, KeyError) as exc:
+    except CacheCodecError as exc:
         raise WireFormatError(f"malformed delta payload: {exc}") from exc
     budget = wire.optional_int(payload, "budget")
     step = engine.step(delta, budget=budget)

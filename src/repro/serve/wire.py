@@ -2,15 +2,17 @@
 
 Everything that crosses the HTTP boundary is plain JSON tagged with
 :data:`WIRE_SCHEMA`. The payload codecs are *not* reimplemented here —
-graphs travel as :func:`repro.pipeline.cache.encode_graph` payloads and
-results as ``DetectionResult.to_json`` / ``DiffusionResult.to_json``,
-so a served response is byte-for-byte the same JSON a caller gets from
+graphs travel as :func:`repro.codec.encode_graph` payloads, results as
+``DetectionResult.to_json`` / ``DiffusionResult.to_json`` and deltas as
+``SnapshotDelta.to_json``, all built on :mod:`repro.codec` — so a
+served response is byte-for-byte the same JSON a caller gets from
 encoding a direct :func:`repro.detect` call (the identity gate).
 
 This module owns the three things the codecs don't:
 
 * request parsing / schema-tag enforcement (:func:`parse_body`,
-  :func:`graph_from_json`, :func:`detector_config_from_json`);
+  :func:`graph_from_json`, :func:`detector_config_from_json`): invalid
+  or over-deep JSON and payloads the codec rejects are a 400;
 * the error envelope — every failure maps to one HTTP status and a
   ``{"schema": ..., "error": {"type", "message", "status"}}`` body
   (:func:`error_envelope`, :data:`ERROR_STATUS`);
@@ -26,6 +28,7 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 from repro import errors as _errors
+from repro.codec import CacheCodecError, decode_graph
 from repro.errors import (
     ConfigError,
     DeltaApplicationError,
@@ -99,12 +102,13 @@ def parse_body(raw: bytes) -> Dict[str, Any]:
     """Decode and schema-check a request body.
 
     Raises:
-        WireFormatError: on non-JSON, non-object, or wrong/missing
-            ``schema`` tag — the version handshake every request pays.
+        WireFormatError: on non-JSON (over-deep nesting included),
+            non-object, or wrong/missing ``schema`` tag — the version
+            handshake every request pays.
     """
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WireFormatError(f"request body is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise WireFormatError(
@@ -144,17 +148,9 @@ def optional_int(payload: Dict[str, Any], field: str) -> Optional[int]:
 
 def graph_from_json(payload: Any) -> SignedDiGraph:
     """Decode a wire graph payload, failing with a 400-mapped error."""
-    from repro.pipeline.cache import decode_graph
-
-    if not isinstance(payload, dict):
-        raise WireFormatError(
-            f"graph payload must be a JSON object, got {type(payload).__name__}"
-        )
     try:
         return decode_graph(payload)
-    except ReproError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except CacheCodecError as exc:
         raise WireFormatError(f"malformed graph payload: {exc}") from exc
 
 

@@ -16,10 +16,10 @@ Deltas are value objects: :func:`apply_delta` mutates a live
 :class:`~repro.graphs.signed_digraph.SignedDiGraph` in place and returns
 the set of touched nodes, which is what the incremental component
 maintenance in :mod:`repro.stream.engine` keys its dirty-tracking on.
-The JSON codec (``to_json`` / ``from_json``) uses the same
-``[typecode, value]`` node encoding as the artifact cache, so a delta
+The JSON codec (``to_json`` / ``from_json``) spells node ids, states
+and signed edges as :mod:`repro.codec` does for graphs, so a delta
 round-trips through the JSONL event log (:mod:`repro.stream.events`)
-without int/str ambiguity.
+without int/str ambiguity and nothing it reads is coerced.
 """
 
 from __future__ import annotations
@@ -27,9 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
+from repro.codec import (
+    CacheCodecError,
+    decode_edge,
+    decode_node,
+    decode_states,
+    encode_node,
+    encode_states,
+)
 from repro.errors import DeltaApplicationError, EdgeNotFoundError, NodeNotFoundError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.runtime.cache import _decode_node, _encode_node
 from repro.types import Node, NodeState
 
 
@@ -79,36 +86,52 @@ class SnapshotDelta:
         """
         return {
             "type": "delta",
-            "states": [
-                [_encode_node(n), int(NodeState(s))] for n, s in self.states.items()
-            ],
+            "states": encode_states(self.states),
             "add_edges": [
-                [_encode_node(u), _encode_node(v), int(sign), float(weight)]
+                [encode_node(u), encode_node(v), int(sign), float(weight)]
                 for u, v, sign, weight in self.add_edges
             ],
             "remove_edges": [
-                [_encode_node(u), _encode_node(v)] for u, v in self.remove_edges
+                [encode_node(u), encode_node(v)] for u, v in self.remove_edges
             ],
-            "remove_nodes": [_encode_node(n) for n in self.remove_nodes],
+            "remove_nodes": [encode_node(n) for n in self.remove_nodes],
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "SnapshotDelta":
-        """Inverse of :meth:`to_json` (unknown keys are ignored)."""
+        """Inverse of :meth:`to_json` (unknown keys are ignored, missing
+        fields are empty).
+
+        Raises:
+            CacheCodecError: on anything :meth:`to_json` cannot write.
+        """
+        if type(payload) is not dict:
+            raise CacheCodecError(
+                f"a delta must be a JSON object, got {type(payload).__name__}"
+            )
         return cls(
-            states={
-                _decode_node(n): NodeState(s) for n, s in payload.get("states", [])
-            },
-            add_edges=[
-                (_decode_node(u), _decode_node(v), int(sign), float(weight))
-                for u, v, sign, weight in payload.get("add_edges", [])
-            ],
-            remove_edges=[
-                (_decode_node(u), _decode_node(v))
-                for u, v in payload.get("remove_edges", [])
-            ],
-            remove_nodes=[_decode_node(n) for n in payload.get("remove_nodes", [])],
+            states=decode_states(payload.get("states", [])),
+            add_edges=[decode_edge(item) for item in _list(payload, "add_edges")],
+            remove_edges=[_decode_link(item) for item in _list(payload, "remove_edges")],
+            remove_nodes=[decode_node(n) for n in _list(payload, "remove_nodes")],
         )
+
+
+def _list(payload: dict, name: str) -> list:
+    """A delta's list field (empty when absent)."""
+    value = payload.get(name, [])
+    if type(value) is not list:
+        raise CacheCodecError(
+            f"delta field {name!r} must be a list, got {type(value).__name__}"
+        )
+    return value
+
+
+def _decode_link(item: object) -> Tuple[Node, Node]:
+    """A removed edge's endpoints from ``[u, v]``."""
+    if type(item) is not list or len(item) != 2:
+        raise CacheCodecError("malformed removed edge: expected [node, node]")
+    return decode_node(item[0]), decode_node(item[1])
 
 
 def apply_delta(graph: SignedDiGraph, delta: SnapshotDelta) -> Set[Node]:

@@ -10,16 +10,16 @@ record (the initial infected network); every following line is a
     {"type": "delta", "states": [[["i", 7], -1]], "add_edges": [], ...}
     {"type": "delta", ...}
 
-Graphs are encoded with the artifact-cache codec
-(:func:`repro.pipeline.cache.encode_graph`) and deltas with
-:meth:`~repro.stream.delta.SnapshotDelta.to_json`, so a log is
+Graphs are encoded with :func:`repro.codec.encode_graph` and deltas
+with :meth:`~repro.stream.delta.SnapshotDelta.to_json`, so a log is
 self-contained: ``repro.detect_stream("events.jsonl")`` replays it with
 no other input. Node identifiers must be int or str (the same
 restriction as the on-disk artifact store).
 
 Logs without a snapshot record are valid — the caller then supplies the
 initial network separately (``detect_stream(events, graph=...)``).
-Malformed lines raise :class:`~repro.errors.EventLogFormatError` with
+Malformed lines — invalid or over-deep JSON, or a graph or delta the
+codec rejects — raise :class:`~repro.errors.EventLogFormatError` with
 the offending line number.
 """
 
@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
+from repro.codec import CacheCodecError, decode_graph, encode_graph
 from repro.errors import EventLogFormatError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.pipeline.cache import decode_graph, encode_graph
 from repro.stream.delta import SnapshotDelta
 
 #: Format tag stamped on snapshot records; readers accept only this.
@@ -80,9 +80,10 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a JSONL event log written by :func:`write_event_log`.
 
     Raises:
-        EventLogFormatError: on malformed JSON, an unknown record type,
-            a snapshot record that is not the first line, or an
-            unsupported format tag.
+        EventLogFormatError: on malformed or over-deep JSON, an unknown
+            record type, a snapshot record that is not the first line,
+            an unsupported format tag, or a graph or delta the codec
+            rejects.
     """
     log = EventLog()
     with Path(path).open("r", encoding="utf-8") as handle:
@@ -92,7 +93,7 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise EventLogFormatError(f"invalid JSON: {exc}", line_number) from None
             if not isinstance(record, dict):
                 raise EventLogFormatError(
@@ -113,14 +114,14 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                     )
                 try:
                     log.snapshot = decode_graph(record["graph"])
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, CacheCodecError) as exc:
                     raise EventLogFormatError(
                         f"bad snapshot record: {exc}", line_number
                     ) from None
             elif kind == "delta":
                 try:
                     log.deltas.append(SnapshotDelta.from_json(record))
-                except (KeyError, TypeError, ValueError) as exc:
+                except CacheCodecError as exc:
                     raise EventLogFormatError(
                         f"bad delta record: {exc}", line_number
                     ) from None

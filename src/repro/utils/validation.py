@@ -22,7 +22,7 @@ def check_weight(weight: float, context: str = "edge weight") -> float:
     """
     try:
         value = float(weight)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidWeightError(f"{context} must be a real number, got {weight!r}") from None
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise InvalidWeightError(f"{context} must lie in [0, 1], got {value!r}")

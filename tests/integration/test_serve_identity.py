@@ -210,6 +210,37 @@ class TestErrorSurface:
         finally:
             conn.close()
 
+    def test_over_deep_body_maps_to_400(self, served):
+        client, _ = served
+        import http.client
+
+        # Nested past the recursion limit, far below the body cap.
+        raw = b'{"schema": "repro.serve/v1", "graph": ' + b"[" * 50_000 + b"]" * 50_000 + b"}"
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        try:
+            conn.request("POST", "/v1/detect", body=raw)
+            response = conn.getresponse()
+            envelope = json.loads(response.read())
+            assert response.status == 400
+            assert envelope["error"]["type"] == "WireFormatError"
+        finally:
+            conn.close()
+
+    def test_coerced_delta_values_map_to_400(self, served):
+        # A sign of 1.9 and a weight of "0.5" are refused, not applied as
+        # a +1 link of weight 0.5.
+        client, handle = served
+        snapshot, _ = synthetic_stream(components=2, size=6, deltas=1, seed=4)
+        name = f"strict-{handle.server.config.workers}"
+        with client.open_session(name, snapshot):
+            delta = {"add_edges": [[["i", 10_000], ["i", 10_001], 1.9, "0.5"]]}
+            status, envelope = post_raw(
+                client, f"/v1/sessions/{name}/delta", {"delta": delta}
+            )
+            assert status == 400
+            assert envelope["error"]["type"] == "WireFormatError"
+            assert client.session_info(name)["nodes"] == snapshot.number_of_nodes()
+
     def test_zero_evaluate_trials_maps_to_400(self, served):
         client, _ = served
         import http.client
@@ -232,7 +263,7 @@ class TestErrorSurface:
             conn.close()
 
     def test_negative_simulate_trials_maps_to_400(self, served, network):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         client, _ = served
         body = {
@@ -258,7 +289,7 @@ class TestErrorSurface:
     def test_wrong_typed_detector_config_maps_to_400(
         self, served, infected, detector, config
     ):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         client, _ = served
         body = {"graph": encode_graph(infected), "detector": detector, "config": config}

@@ -3,11 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.io import (
-    graph_from_dict,
-    graph_to_dict,
-    iter_snap_edges,
-)
+from repro.codec import decode_graph, encode_graph
+from repro.graphs.io import iter_snap_edges
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
 
@@ -48,7 +45,7 @@ class TestJsonRoundTripProperties:
     @given(serialisable_graphs())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_preserves_everything(self, graph):
-        clone = graph_from_dict(graph_to_dict(graph))
+        clone = decode_graph(encode_graph(graph))
         assert clone.name == graph.name
         assert set(clone.nodes()) == set(graph.nodes())
         assert clone.states() == graph.states()

@@ -1,13 +1,13 @@
 """Unit tests for graph (de)serialisation."""
 
 import gzip
+import json
 
 import pytest
 
+from repro.codec import decode_graph, encode_graph
 from repro.errors import GraphFormatError
 from repro.graphs.io import (
-    graph_from_dict,
-    graph_to_dict,
     iter_snap_edges,
     load_graph_json,
     read_snap_signed_edgelist,
@@ -94,7 +94,7 @@ class TestJsonRoundTrip:
 
     def test_dict_round_trip(self):
         g = self.build()
-        clone = graph_from_dict(graph_to_dict(g))
+        clone = decode_graph(encode_graph(g))
         assert clone.name == "json-rt"
         assert clone.weight("a", "b") == 0.25
         assert clone.sign("b", "c") is Sign.NEGATIVE
@@ -115,15 +115,25 @@ class TestJsonRoundTrip:
         save_graph_json(g, path)
         assert load_graph_json(path).number_of_edges() == 2
 
-    def test_rejects_wrong_format(self):
-        with pytest.raises(GraphFormatError):
-            graph_from_dict({"format": "something-else"})
+    def test_file_holds_the_codec_payload(self, tmp_path):
+        g = self.build()
+        path = tmp_path / "g.json"
+        save_graph_json(g, path)
+        assert json.loads(path.read_text()) == encode_graph(g)
 
-    def test_rejects_malformed_payload(self):
+    def test_rejects_wrong_format(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(GraphFormatError):
-            graph_from_dict(
-                {"format": "repro-signed-digraph", "version": 1, "nodes": [{}], "edges": []}
-            )
+            load_graph_json(path)
+
+    def test_rejects_malformed_payload(self, tmp_path):
+        path = tmp_path / "malformed.json"
+        path.write_text(
+            json.dumps({"format": "repro-signed-digraph", "version": 1, "nodes": [{}], "edges": []})
+        )
+        with pytest.raises(GraphFormatError):
+            load_graph_json(path)
 
     def test_rejects_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -44,6 +44,24 @@ def graphs_equal(a: SignedDiGraph, b: SignedDiGraph) -> bool:
     return edges_a == edges_b
 
 
+#: A well-formed payload the malformed cases below each break in one field.
+VALID_DETECTION = {
+    "format": DetectionResult.JSON_FORMAT,
+    "method": "rid",
+    "initiators": [["i", 1]],
+    "states": [[["i", 1], 1]],
+    "trees": [{"name": "", "nodes": [[["i", 1], 1]], "edges": []}],
+    "objective": 1.5,
+}
+VALID_DIFFUSION = {
+    "format": DiffusionResult.JSON_FORMAT,
+    "seeds": [[["i", 1], 1]],
+    "final_states": [[["i", 1], 1], [["s", "b"], -1]],
+    "events": [[0, None, ["i", 1], 1, False], [1, ["i", 1], ["s", "b"], -1, True]],
+    "rounds": 1,
+}
+
+
 class TestDetectionResultCodec:
     def detection_result(self, network, cascade) -> DetectionResult:
         import repro
@@ -116,11 +134,39 @@ class TestDetectionResultCodec:
                 "trees": [],
                 "objective": None,
             },
+        ]
+        # Fields of the wrong JSON type are rejected, never coerced.
+        + [
+            dict(VALID_DETECTION, **fields)
+            for fields in (
+                {"trees": [[1]]},  # a tree that is an array, not an object
+                {"objective": "1.5"},
+                {"objective": True},
+                {"objective": 10**400},
+                {"method": 7},
+                {"states": [[["i", 1], True]]},
+                {"initiators": {}},
+                # A graph listing a node twice, an edge whose endpoint is
+                # not a node, and an edge listed twice.
+                {"trees": [{"nodes": [[["i", 1], 1], [["i", 1], 1]], "edges": []}]},
+                {"trees": [{"nodes": [[["i", 1], 1]], "edges": [[["i", 1], ["i", 2], 1, 0.5]]}]},
+                {
+                    "trees": [
+                        {
+                            "nodes": [[["i", 1], 1], [["i", 2], 1]],
+                            "edges": [[["i", 1], ["i", 2], 1, 0.5], [["i", 1], ["i", 2], 1, 0.5]],
+                        }
+                    ]
+                },
+            )
         ],
     )
     def test_malformed_payloads_raise(self, payload):
         with pytest.raises(ResultFormatError):
             DetectionResult.from_json(payload)
+
+    def test_valid_template_decodes(self):
+        assert DetectionResult.from_json(VALID_DETECTION).initiators == {1}
 
 
 class TestDiffusionResultCodec:
@@ -138,11 +184,30 @@ class TestDiffusionResultCodec:
 
     @pytest.mark.parametrize(
         "payload",
-        ["nope", {}, {"format": "repro.detection-result/v1"}, {"format": None}],
+        ["nope", {}, {"format": "repro.detection-result/v1"}, {"format": None}]
+        # Fields of the wrong JSON type are rejected, never coerced.
+        + [
+            dict(VALID_DIFFUSION, **fields)
+            for fields in (
+                {"rounds": "3"},
+                {"rounds": True},
+                {"rounds": -1},
+                {"events": [[0, None, ["i", 1], 1, "yes"]]},
+                {"events": [["0", None, ["i", 1], 1, False]]},
+                {"events": [[0, None, ["i", 1], 1.0, False]]},
+                {"events": [[0, None, ["i", 1], 1]]},
+                {"events": {}},
+                {"seeds": [[["i", 1], True]]},
+            )
+        ],
     )
     def test_malformed_payloads_raise(self, payload):
         with pytest.raises(ResultFormatError):
             DiffusionResult.from_json(payload)
+
+    def test_valid_template_decodes(self):
+        decoded = DiffusionResult.from_json(VALID_DIFFUSION)
+        assert decoded.to_json() == VALID_DIFFUSION
 
     def test_missing_fields_raise(self):
         with pytest.raises(ResultFormatError, match="malformed"):

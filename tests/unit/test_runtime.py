@@ -12,8 +12,6 @@ from repro.runtime import (
     CacheCodecError,
     RuntimeConfig,
     TrialCache,
-    decode_diffusion_result,
-    encode_diffusion_result,
     graph_digest,
     model_digest,
     run_trials,
@@ -138,6 +136,15 @@ class TestTrialCache:
             {"seeds": [[["i", 0], 7]], "final_states": [], "events": [], "rounds": 0},
             {"seeds": [[["i", 1.5], 1]], "final_states": [], "events": [], "rounds": 0},
             {"seeds": 3, "final_states": [], "events": [], "rounds": 0},
+            # Decodable but for the wrong types: a coerced entry would be
+            # used instead of recomputed.
+            {"seeds": [], "final_states": [], "events": [], "rounds": "3"},
+            {
+                "seeds": [[["i", 0], 1]],
+                "final_states": [[["i", 0], 1]],
+                "events": [[0, None, ["i", 0], 1, "yes"]],
+                "rounds": 0,
+            },
         ],
     )
     def test_undecodable_entry_is_recomputed_and_overwritten(self, tmp_path, entry):
@@ -148,15 +155,63 @@ class TestTrialCache:
         model = MFCModel(alpha=2.0)
         first = simulate_many(model, graph, seeds, 3, base_seed=4, runtime=runtime)
         victim = sorted(tmp_path.glob("*.json"))[0]
-        victim.write_text(json.dumps(entry))
+        victim.write_text(json.dumps(dict(entry, format=DiffusionResult.JSON_FORMAT)))
         again = simulate_many(model, graph, seeds, 3, base_seed=4, runtime=runtime)
-        assert [encode_diffusion_result(r) for r in again] == [
-            encode_diffusion_result(r) for r in first
-        ]
-        repaired = decode_diffusion_result(json.loads(victim.read_text()))
-        assert encode_diffusion_result(repaired) in [
-            encode_diffusion_result(r) for r in first
-        ]
+        assert [r.to_json() for r in again] == [r.to_json() for r in first]
+        repaired = DiffusionResult.from_json(json.loads(victim.read_text()))
+        assert repaired.to_json() in [r.to_json() for r in first]
+
+    def test_untagged_entry_is_a_miss_not_a_misread(self, tmp_path):
+        # An entry in the untagged layout (no "format" key), decodable
+        # field by field, holding another trial's result: reading it
+        # would replace this trial's result with the wrong one.
+        from repro.diffusion.monte_carlo import simulate_many
+
+        graph, seeds = ring(), {0: NodeState.POSITIVE, 5: NodeState.NEGATIVE}
+        runtime = RuntimeConfig(cache_dir=str(tmp_path))
+        model = MFCModel(alpha=2.0)
+        first = simulate_many(model, graph, seeds, 3, base_seed=4, runtime=runtime)
+        stale = model.run(graph, {0: NodeState.NEGATIVE}, rng=99).to_json()
+        del stale["format"]
+        for victim in tmp_path.glob("*.json"):
+            victim.write_text(json.dumps(stale))
+        again = simulate_many(model, graph, seeds, 3, base_seed=4, runtime=runtime)
+        assert [r.to_json() for r in again] == [r.to_json() for r in first]
+        for victim in tmp_path.glob("*.json"):
+            assert json.loads(victim.read_text())["format"] == DiffusionResult.JSON_FORMAT
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"graphs": [[1]]},  # a tree that is a JSON array, not an object
+            {"graphs": {}},  # not a list: would read as a component without trees
+            {"graphs": [{"nodes": [[["i", 0], 1], [["i", 0], 1]], "edges": []}]},
+            {"graphs": [{"nodes": [[["i", 0], 1]], "edges": [[["i", 0], ["i", 9], 1, 0.5]]}]},
+            {
+                "graphs": [
+                    {
+                        "nodes": [[["i", 0], 1], [["i", 1], 1]],
+                        "edges": [[["i", 0], ["i", 1], 1, 0.5], [["i", 0], ["i", 1], 1, 0.9]],
+                    }
+                ]
+            },
+        ],
+    )
+    def test_undecodable_artifact_is_recomputed_and_overwritten(self, tmp_path, entry):
+        import repro
+        from repro.stream import synthetic_snapshot
+
+        snapshot = synthetic_snapshot(components=2, size=6, seed=1)
+        runtime = RuntimeConfig(cache_dir=str(tmp_path))
+        first = repro.detect(snapshot, runtime=runtime)
+        entries = sorted((tmp_path / "pipeline").glob("*.json"))
+        assert entries
+        for victim in entries:
+            victim.write_text(json.dumps(entry))
+        again = repro.detect(snapshot, runtime=runtime)
+        assert again.to_json() == first.to_json()
+        for victim in entries:
+            assert json.loads(victim.read_text()) != entry
 
     def test_run_trials_uses_cache(self, tmp_path):
         cache = TrialCache(tmp_path)
@@ -221,9 +276,9 @@ class TestDiffusionResultCodec:
     def test_round_trip(self):
         model = MFCModel(alpha=2.0)
         result = model.run(ring(), {0: NodeState.POSITIVE, 5: NodeState.NEGATIVE}, rng=3)
-        payload = encode_diffusion_result(result)
+        payload = result.to_json()
         json.dumps(payload)  # genuinely JSON-serialisable
-        decoded = decode_diffusion_result(payload)
+        decoded = DiffusionResult.from_json(payload)
         assert decoded.seeds == result.seeds
         assert decoded.final_states == result.final_states
         assert decoded.events == result.events
@@ -241,7 +296,7 @@ class TestDiffusionResultCodec:
             ],
             rounds=1,
         )
-        decoded = decode_diffusion_result(encode_diffusion_result(result))
+        decoded = DiffusionResult.from_json(result.to_json())
         assert decoded == result
 
     def test_exotic_nodes_rejected(self):
@@ -250,7 +305,7 @@ class TestDiffusionResultCodec:
             final_states={("tuple", "node"): NodeState.POSITIVE},
         )
         with pytest.raises(CacheCodecError):
-            encode_diffusion_result(result)
+            result.to_json()
 
     def test_bool_nodes_rejected(self):
         # bool is an int subclass; a silent int round-trip would change
@@ -260,4 +315,4 @@ class TestDiffusionResultCodec:
             final_states={True: NodeState.POSITIVE},
         )
         with pytest.raises(CacheCodecError):
-            encode_diffusion_result(result)
+            result.to_json()

@@ -51,7 +51,7 @@ class TestShardAffinity:
             assert 0 <= first < pool.workers
 
     def test_same_graph_lands_on_same_worker(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         payload = {"graph": encode_graph(synthetic_snapshot(2, 6, seed=1))}
         digest = wire.payload_digest(payload)
@@ -120,7 +120,7 @@ class TestCoalescing:
             pool.shutdown()
 
     def test_uncoalesced_requests_each_compute(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         payload = {"graph": encode_graph(synthetic_snapshot(2, 6, seed=1))}
         digest = wire.payload_digest(payload)
@@ -158,7 +158,7 @@ class TestAbandonedRequests:
 
 class TestWarmCaches:
     def test_graph_and_engine_go_hot_on_second_request(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         payload = {"graph": encode_graph(synthetic_snapshot(3, 8, seed=2))}
         digest = wire.payload_digest(payload)
@@ -178,7 +178,7 @@ class TestWarmCaches:
     def test_engine_cache_is_lru_bounded(self):
         pool = WorkerPool(1, queue_size=16, engine_cache=1)
         try:
-            from repro.pipeline.cache import encode_graph
+            from repro.codec import encode_graph
 
             payload = {"graph": encode_graph(synthetic_snapshot(2, 6, seed=3))}
             digest = wire.payload_digest(payload)
@@ -222,7 +222,7 @@ class TestDrain:
 
 class TestMetricsMerge:
     def test_worker_metrics_fold_into_one_snapshot(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         for seed in (1, 2, 3):
             payload = {"graph": encode_graph(synthetic_snapshot(2, 6, seed=seed))}
@@ -257,7 +257,7 @@ class TestServeConfigValidation:
 
 class TestSessionHandlers:
     def test_session_lifecycle_on_one_worker(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
         from repro.stream.synthetic import synthetic_stream
 
         snapshot, deltas = synthetic_stream(components=3, size=8, deltas=2, seed=5)
@@ -279,7 +279,7 @@ class TestSessionHandlers:
 
     def test_duplicate_and_missing_sessions(self, pool):
         from repro.errors import SessionExistsError, SessionNotFoundError
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         snapshot = synthetic_snapshot(2, 6, seed=6)
         key = "session:dup"
@@ -295,7 +295,7 @@ class TestSessionHandlers:
 
 class TestConfigOnTheWireMatters:
     def test_config_changes_the_detector(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         payload = {"graph": encode_graph(synthetic_snapshot(3, 10, seed=7))}
         digest = wire.payload_digest(payload)
@@ -313,7 +313,7 @@ class TestNamedDetectorRouting:
         return pool.submit("detect", payload, digest)[1].result(timeout=30.0)
 
     def test_default_detector_is_rid(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         payload = {"graph": encode_graph(synthetic_snapshot(2, 8, seed=8))}
         body = self._detect(pool, payload)
@@ -323,7 +323,7 @@ class TestNamedDetectorRouting:
         assert pool.metrics().counters["detector.resolved.rid"] == 1.0
 
     def test_named_detector_travels(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         payload = {
             "graph": encode_graph(synthetic_snapshot(2, 8, seed=8)),
@@ -336,7 +336,7 @@ class TestNamedDetectorRouting:
 
     def test_tier_routing(self, pool):
         from repro.detectors.registry import TIER_ROUTING
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         graph = encode_graph(synthetic_snapshot(2, 8, seed=8))
         fast = self._detect(pool, {"graph": graph, "tier": "fast"})
@@ -345,7 +345,7 @@ class TestNamedDetectorRouting:
         assert accurate["detector"] == TIER_ROUTING["accurate"]
 
     def test_detector_and_tier_conflict(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         payload = {
             "graph": encode_graph(synthetic_snapshot(2, 6, seed=8)),
@@ -357,7 +357,7 @@ class TestNamedDetectorRouting:
             fut.result(timeout=30.0)
 
     def test_unknown_tier_and_detector(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         graph = encode_graph(synthetic_snapshot(2, 6, seed=8))
         _, fut = pool.submit("detect", {"graph": graph, "tier": "turbo"}, "k1")
@@ -368,7 +368,7 @@ class TestNamedDetectorRouting:
             fut.result(timeout=30.0)
 
     def test_named_config_separates_warm_instances(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         graph = encode_graph(synthetic_snapshot(2, 8, seed=9))
         base = {"graph": graph, "detector": "map_suspect", "config": {"trials": 2}}
@@ -380,7 +380,7 @@ class TestNamedDetectorRouting:
         assert cold["cache"]["engine"] == "cold"
 
     def test_session_accepts_named_detector(self, pool):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         snapshot = synthetic_snapshot(2, 6, seed=10)
         key = "session:named"
@@ -404,7 +404,7 @@ class TestCacheTTL:
         return host, clock
 
     def graph_payload(self):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         payload = encode_graph(synthetic_snapshot(2, 6, seed=11))
         return wire.payload_digest({"graph": payload}), payload
@@ -458,7 +458,7 @@ class TestCacheTTL:
         clock = {"now": 0.0}
         pool = WorkerPool(1, queue_size=8, cache_ttl_s=5.0, clock=lambda: clock["now"])
         try:
-            from repro.pipeline.cache import encode_graph
+            from repro.codec import encode_graph
 
             payload = {"graph": encode_graph(synthetic_snapshot(2, 6, seed=12))}
             digest = wire.payload_digest(payload)

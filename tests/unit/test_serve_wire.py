@@ -41,6 +41,12 @@ class TestParseBody:
         with pytest.raises(WireFormatError):
             wire.parse_body(raw)
 
+    def test_over_deep_body_is_a_wire_format_error(self):
+        # Nesting past the recursion limit, well under any body cap.
+        raw = b'{"schema": "repro.serve/v1", "graph": ' + b"[" * 50_000 + b"]" * 50_000 + b"}"
+        with pytest.raises(WireFormatError, match="not valid JSON"):
+            wire.parse_body(raw)
+
     def test_wrong_schema_message_names_both_versions(self):
         raw = json.dumps({"schema": "repro.serve/v999"}).encode()
         with pytest.raises(WireFormatError, match="v999.*repro.serve/v1"):
@@ -70,7 +76,7 @@ class TestFieldHelpers:
 
 class TestGraphCodec:
     def test_graph_round_trips_via_wire(self):
-        from repro.pipeline.cache import encode_graph
+        from repro.codec import encode_graph
 
         g = SignedDiGraph()
         g.add_edge("a", "b", 1, 0.5)
@@ -86,9 +92,35 @@ class TestGraphCodec:
         + [
             {"nodes": [[pair, 1]], "edges": []}
             for pair in (["q", 0], ["s", 5], ["i", 1.9], ["i", True], ["i", "7"])
-        ],
+        ]
+        # Signs, weights and states are decoded strictly too.
+        + [
+            {"nodes": [[["i", 1], 1], [["i", 2], 1]], "edges": [[["i", 1], ["i", 2], sign, weight]]}
+            for sign, weight in ((1.9, 0.5), (True, 0.5), (1.0, 0.5), (2, 0.5), (1, "0.5"), (1, False), (1, 1.5))
+        ]
+        + [{"nodes": [[["i", 1], state]], "edges": []} for state in (True, 1.0, "1", 3)],
     )
     def test_malformed_graph_payloads(self, payload):
+        with pytest.raises(WireFormatError):
+            wire.graph_from_json(payload)
+
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # a node listed twice (the second entry must not be dropped)
+            {"nodes": [[["i", 1], 1], [["i", 1], -1]], "edges": []},
+            # an edge endpoint missing from "nodes" (must not appear as inactive)
+            {"nodes": [[["i", 1], 1]], "edges": [[["i", 1], ["i", 2], 1, 0.5]]},
+            # an edge listed twice (the second must not overwrite the first)
+            {
+                "nodes": [[["i", 1], 1], [["i", 2], 1]],
+                "edges": [[["i", 1], ["i", 2], 1, 0.5], [["i", 1], ["i", 2], -1, 0.5]],
+            },
+        ],
+        ids=["duplicate-node", "missing-endpoint", "duplicate-edge"],
+    )
+    def test_malformed_graph_structure(self, payload):
         with pytest.raises(WireFormatError):
             wire.graph_from_json(payload)
 

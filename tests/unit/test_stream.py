@@ -1,7 +1,10 @@
 """Unit tests for repro.stream: deltas, event logs, incremental engine."""
 
+import json
+
 import pytest
 
+from repro.codec import CacheCodecError
 from repro.core.rid import RID, RIDConfig
 from repro.errors import (
     ConfigError,
@@ -9,7 +12,6 @@ from repro.errors import (
     EventLogFormatError,
 )
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.runtime.cache import CacheCodecError
 from repro.stream import (
     EventLog,
     SnapshotDelta,
@@ -70,6 +72,30 @@ class TestSnapshotDelta:
         # ["i", 1.9] would otherwise decode as node 1.
         with pytest.raises(CacheCodecError):
             SnapshotDelta.from_json({"remove_nodes": [["i", 1.9]]})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # A sign is a JSON int in {-1, 1}: 1.9 and true are not +1.
+            {"add_edges": [[["i", 1], ["i", 2], 1.9, 0.5]]},
+            {"add_edges": [[["i", 1], ["i", 2], True, 0.5]]},
+            {"add_edges": [[["i", 1], ["i", 2], 1.0, 0.5]]},
+            # A weight is a JSON number in [0, 1], never a string or bool.
+            {"add_edges": [[["i", 1], ["i", 2], 1, "0.5"]]},
+            {"add_edges": [[["i", 1], ["i", 2], 1, True]]},
+            {"add_edges": [[["i", 1], ["i", 2], 1, 1.5]]},
+            # A state is a JSON int in {-1, 0, 1, 2}.
+            {"states": [[["i", 1], True]]},
+            {"states": [[["i", 1], 1.0]]},
+            {"states": [[["i", 1], 1], [["i", 1], -1]]},  # a node listed twice
+            {"remove_edges": [[["i", 1]]]},
+            {"remove_nodes": {"i": 1}},
+            [],
+        ],
+    )
+    def test_from_json_rejects_values_it_would_coerce(self, payload):
+        with pytest.raises(CacheCodecError):
+            SnapshotDelta.from_json(payload)
 
     def test_apply_creates_unknown_state_node(self):
         g = two_component_snapshot()
@@ -137,6 +163,31 @@ class TestEventLog:
         path = tmp_path / "events.jsonl"
         path.write_text('{"type": "snapshot", "format": "repro.stream/v99", "graph": {}}\n')
         with pytest.raises(EventLogFormatError, match="v99"):
+            read_event_log(path)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            [],  # an array, not a graph object
+            {"nodes": [[["i", 1], 1], [["i", 1], 1]], "edges": []},
+            {"nodes": [[["i", 1], 1]], "edges": [[["i", 1], ["i", 2], 1, 0.5]]},
+            {
+                "nodes": [[["i", 1], 1], [["i", 2], 1]],
+                "edges": [[["i", 1], ["i", 2], 1, 0.5], [["i", 1], ["i", 2], -1, 0.5]],
+            },
+        ],
+    )
+    def test_malformed_snapshot_graph_reports_line_number(self, tmp_path, graph):
+        path = tmp_path / "events.jsonl"
+        record = {"type": "snapshot", "format": "repro.stream/v1", "graph": graph}
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(EventLogFormatError, match="line 1"):
+            read_event_log(path)
+
+    def test_over_deep_line_reports_line_number(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"type": "delta"}\n' + "[" * 50_000 + "]" * 50_000 + "\n")
+        with pytest.raises(EventLogFormatError, match="line 2"):
             read_event_log(path)
 
 
