@@ -88,7 +88,10 @@ class MFCModel(DiffusionModel):
             )
         if max_rounds < 1:
             raise InvalidModelParameterError(f"max_rounds must be >= 1, got {max_rounds}")
-        self.alpha = float(alpha)
+        try:
+            self.alpha = float(alpha)
+        except OverflowError:  # an int such as 10**400, from JSON
+            raise InvalidModelParameterError(f"alpha must fit in a float, got {alpha!r}") from None
         self.allow_flips = allow_flips
         self.max_rounds = max_rounds
         # Underscored, and special-cased by model_digest: only a backend

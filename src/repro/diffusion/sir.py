@@ -47,11 +47,20 @@ class SIRModel(DiffusionModel):
             raise InvalidModelParameterError(
                 f"infection_scale must be >= 0, got {infection_scale}"
             )
-        check_probability(recovery_probability, "recovery_probability")
+        try:
+            self.recovery_probability = check_probability(
+                recovery_probability, "recovery_probability"
+            )
+        except ValueError as exc:
+            raise InvalidModelParameterError(str(exc)) from None
         if max_rounds < 1:
             raise InvalidModelParameterError(f"max_rounds must be >= 1, got {max_rounds}")
-        self.infection_scale = float(infection_scale)
-        self.recovery_probability = float(recovery_probability)
+        try:
+            self.infection_scale = float(infection_scale)
+        except OverflowError:  # an int such as 10**400, from JSON
+            raise InvalidModelParameterError(
+                f"infection_scale must fit in a float, got {infection_scale!r}"
+            ) from None
         self.max_rounds = max_rounds
 
     def run(

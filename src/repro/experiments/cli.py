@@ -249,7 +249,7 @@ def run_detect_stream(
             f"initiators={len(step.result.initiators)}"
         )
     if engine.engine is not None:  # only RID's incremental path caches
-        stats = engine.engine.cache_stats()
+        stats = engine.engine.cache.stats()
         print(
             f"artifact cache: {stats['hits']} hits / {stats['misses']} misses "
             f"({stats['entries']} entries)"

@@ -1,22 +1,25 @@
 """Staged RID detection pipeline with caching and per-component fan-out.
 
-The paper's detection pipeline (Sec. III-E) as an explicit stage graph:
+The paper's detection pipeline (Sec. III-E) as five cached steps, each
+one :class:`Stage` row in :mod:`repro.pipeline.stages`:
 
-    PruneStage -> ComponentSplitStage
-        -> [per component]  ArborescenceStage
-        -> [per tree]       TreeDPStage (binarize + k-ISOMIT-BT DP)
+    prune -> components
+        -> [per component]  arborescence
+        -> [per tree]       tree_dp[greedy] (β scan) or tree_dp[curve]
+                            (budget curve): binarize + k-ISOMIT-BT DP
         -> SelectionStage   (β merge, or budget knapsack; never cached)
 
-composed by :class:`DetectionEngine`, which treats every infected
-component (and every cascade tree) as an independent work unit:
+run by :class:`DetectionEngine` through one cached-step loop, which
+treats every infected component (and every cascade tree) as an
+independent work unit:
 
 * **parallelism** — work units fan out over the PR-1 process-pool
   runtime (``RuntimeConfig(workers=N)``), bit-identical to serial runs;
-* **artifact caching** — stage outputs are content-addressed and reused
+* **artifact caching** — step outputs are content-addressed and reused
   across detect calls, budgets and processes
   (:mod:`repro.pipeline.cache`);
-* **observability** — every stage records the established ``rid.*``
-  spans and counters (docs/architecture.md maps span names to stages).
+* **observability** — every step records the established ``rid.*``
+  spans and counters (docs/architecture.md maps span names to steps).
 
 ``RID.detect`` / ``RID.detect_with_budget`` are thin wrappers over
 :meth:`DetectionEngine.detect`, and the RID-Tree / RID-Positive
@@ -27,15 +30,7 @@ caches or custom wiring.
 
 from repro.pipeline.cache import ArtifactCache, artifact_key
 from repro.pipeline.engine import DetectionEngine, EngineOutcome
-from repro.pipeline.stage import Stage, StageContext
-from repro.pipeline.stages import (
-    ArborescenceStage,
-    ComponentSplitStage,
-    CurveArtifact,
-    PruneStage,
-    SelectionStage,
-    TreeDPStage,
-)
+from repro.pipeline.stages import CurveArtifact, SelectionStage, Stage
 
 __all__ = [
     "ArtifactCache",
@@ -43,11 +38,6 @@ __all__ = [
     "DetectionEngine",
     "EngineOutcome",
     "Stage",
-    "StageContext",
-    "PruneStage",
-    "ComponentSplitStage",
-    "ArborescenceStage",
-    "TreeDPStage",
     "SelectionStage",
     "CurveArtifact",
 ]

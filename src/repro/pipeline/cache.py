@@ -1,10 +1,11 @@
 """Content-addressed artifact caching for the detection pipeline.
 
-Every stage output the engine may want to reuse — pruned graphs,
+Every step output the engine may want to reuse — pruned graphs,
 component splits, extracted cascade trees, per-tree DP solutions — is
-addressed by a stable blake2b digest of *everything that determines it*:
+addressed by a stable blake2b digest of *everything that determines it*
+(:meth:`repro.pipeline.stages.Stage.key`):
 
-``key = H(stage name, stage schema version, stage config digest,
+``key = H(step name, step schema version, step config digest,
           input-graph content digest)``
 
 The input-graph digest comes from :func:`repro.runtime.cache.graph_digest`,
@@ -12,23 +13,24 @@ which is memoized against the graph's mutation
 :attr:`~repro.graphs.signed_digraph.SignedDiGraph.version` counter — so
 on an unmutated graph instance the key costs one counter comparison, and
 across instances (or processes) identical content maps to identical
-keys. The stage config digest folds in exactly the
-:class:`~repro.core.rid.RIDConfig` fields that stage reads, so e.g. a
+keys. The config digest folds in exactly the
+:class:`~repro.core.rid.RIDConfig` fields the step's row lists, so e.g. a
 ``beta`` change invalidates greedy k-search artifacts but *not* the
 extracted trees or the budget-mode OPT curves.
 
 Two layers:
 
-* :class:`ArtifactCache` — in-process LRU, shared by all stages of one
+* :class:`ArtifactCache` — in-process LRU, shared by all steps of one
   :class:`~repro.pipeline.engine.DetectionEngine`. This is what makes
   k-search sweeps, robustness re-runs and repeated CLI detections skip
   Edmonds/binarise/DP work already done.
 * an optional on-disk layer via :class:`~repro.runtime.cache.TrialCache`
-  (``RuntimeConfig.cache_dir``): persistable artifacts are JSON-encoded
-  with the artifact codecs below, built on :mod:`repro.codec`, and
+  (``RuntimeConfig.cache_dir``): the artifacts of rows with a codec are
+  JSON-encoded with the codecs below, built on :mod:`repro.codec`, and
   survive across processes. Artifacts whose node identifiers are not
   int/str raise :class:`~repro.codec.CacheCodecError` and simply stay
-  memory-only; an entry the codecs reject reads as a miss.
+  memory-only. The decoders accept only what the encoders write, so an
+  entry they reject reads as a miss and is recomputed and overwritten.
 
 Artifacts must be treated as immutable once cached: the engine hands the
 *same* tree objects to every caller that hits the cache.
@@ -36,6 +38,7 @@ Artifacts must be treated as immutable once cached: the engine hands the
 
 from __future__ import annotations
 
+import reprlib
 from collections import OrderedDict
 from typing import Any, Dict, List
 
@@ -58,9 +61,9 @@ class ArtifactCache:
 
     Example:
         >>> cache = ArtifactCache(max_entries=2)
-        >>> cache.put("k1", [1, 2]); cache.get("k1")
+        >>> cache.put("k1", [1, 2]); cache.lookup("k1")
         [1, 2]
-        >>> cache.get("absent") is None
+        >>> cache.lookup("absent") is MISS
         True
     """
 
@@ -84,11 +87,6 @@ class ArtifactCache:
         self.hits += 1
         return value
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """Dict-style accessor (cannot distinguish a cached ``default``)."""
-        value = self.lookup(key)
-        return default if value is MISS else value
-
     def put(self, key: str, value: Any) -> None:
         """Insert (or refresh) an artifact, evicting LRU entries."""
         self._entries[key] = value
@@ -96,24 +94,6 @@ class ArtifactCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def discard(self, key: str) -> bool:
-        """Drop one entry; True when it existed."""
-        if key not in self._entries:
-            return False
-        del self._entries[key]
-        return True
-
-    def clear(self) -> None:
-        """Drop every entry (hit/miss counters are kept)."""
-        self._entries.clear()
-
-    def keys(self) -> List[str]:
-        """Current keys, LRU first (for eviction-order tests/forensics)."""
-        return list(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -152,6 +132,22 @@ def decode_graph_list(payload: dict) -> List[SignedDiGraph]:
     return [decode_graph(p) for p in graphs]
 
 
+def _int(payload: dict, name: str) -> int:
+    """``payload[name]`` when it is a JSON int (a bool is not)."""
+    value = payload[name]
+    if type(value) is not int:
+        raise CacheCodecError(f"artifact field {name!r} must be an int, got {reprlib.repr(value)}")
+    return value
+
+
+def _number(payload: dict, name: str) -> float:
+    """``payload[name]`` when it is a JSON number (a bool is not)."""
+    value = payload[name]
+    if type(value) not in (int, float):
+        raise CacheCodecError(f"artifact field {name!r} must be a number, got {reprlib.repr(value)}")
+    return value
+
+
 def encode_selection(selection: "Any") -> dict:
     """Encode a :class:`~repro.core.rid.TreeSelection` (greedy artifact)."""
     return {
@@ -169,12 +165,12 @@ def decode_selection(payload: dict) -> "Any":
     from repro.core.rid import TreeSelection
 
     return TreeSelection(
-        tree_size=payload["tree_size"],
-        k=payload["k"],
-        score=payload["score"],
-        penalized_objective=payload["penalized_objective"],
+        tree_size=_int(payload, "tree_size"),
+        k=_int(payload, "k"),
+        score=_number(payload, "score"),
+        penalized_objective=_number(payload, "penalized_objective"),
         initiators=decode_states(payload["initiators"]),
-        scanned_k=payload["scanned_k"],
+        scanned_k=_int(payload, "scanned_k"),
     )
 
 
@@ -190,18 +186,22 @@ def encode_curve(curve: "Any") -> dict:
 
 
 def decode_curve(payload: dict) -> "Any":
-    """Inverse of :func:`encode_curve`."""
+    """Inverse of :func:`encode_curve`; entry ``i`` must solve ``k = i + 1``."""
     from repro.kernel.tree_dp import TreeDPResult
     from repro.pipeline.stages import CurveArtifact
 
-    return CurveArtifact(
-        tree_size=payload["tree_size"],
-        results=[
+    entries = payload["curve"]
+    if type(entries) is not list:
+        raise CacheCodecError(f"'curve' must be a list, got {type(entries).__name__}")
+    results = []
+    for k, entry in enumerate(entries, start=1):
+        if _int(entry, "k") != k:
+            raise CacheCodecError(f"curve entry {k - 1} must solve k = {k}")
+        results.append(
             TreeDPResult(
-                k=entry["k"],
-                score=entry["score"],
+                k=k,
+                score=_number(entry, "score"),
                 initiators=decode_states(entry["initiators"]),
             )
-            for entry in payload["curve"]
-        ],
-    )
+        )
+    return CurveArtifact(tree_size=_int(payload, "tree_size"), results=results)

@@ -1,7 +1,8 @@
 """The staged detection engine.
 
-:class:`DetectionEngine` composes the concrete stages of
-:mod:`repro.pipeline.stages` into RID's entry points:
+:class:`DetectionEngine` runs the cached steps of
+:mod:`repro.pipeline.stages` (one :class:`~repro.pipeline.stages.Stage`
+row each) as RID's entry points:
 
 * :meth:`DetectionEngine.detect` — β-penalised model selection, or the
   exact-k knapsack when a ``budget`` is given;
@@ -12,36 +13,42 @@
   baselines.
 
 ``detect`` and ``detect_components`` hand their components to one back
-half (per-component Arborescence, per-tree DP, cross-tree selection,
+half (per-component arborescence, per-tree DP, cross-tree selection,
 result assembly) that owns the budget-range rule.
 
+Every step goes through one loop, :meth:`DetectionEngine._cached`:
+in-process :class:`ArtifactCache` first, then the on-disk store under
+``RuntimeConfig.cache_dir`` for rows with a codec, then compute. Stage
+outputs are content-addressed (see :mod:`repro.pipeline.cache`), so
+repeated detections over the same snapshot — budget sweeps, robustness
+re-runs, CLI re-invocations with a cache dir — skip the Edmonds /
+binarise / DP work already done; in particular the budget-mode OPT
+curves are keyed *without* the budget, so an entire k-search sweep pays
+for each tree's DP exactly once.
+
 Infected components — and, downstream, individual cascade trees — are
-independent work units by construction (Sec. III-E1), so the engine fans
-them out through :func:`repro.runtime.executor.run_trials` when the
+independent work units by construction (Sec. III-E1), so the loop fans
+the misses out through :func:`repro.runtime.executor.run_trials` when the
 caller passes a ``RuntimeConfig(workers > 1)``. Results are
 **bit-identical** to serial execution (and to the pre-refactor
 sequential implementation, kept as a test oracle under
 ``tests/oracles/``): work units carry no shared state and the engine
 reassembles outputs in input order.
 
-Stage outputs are content-addressed (see :mod:`repro.pipeline.cache`)
-and cached in the engine's in-process :class:`ArtifactCache`, plus
-optionally on disk via ``RuntimeConfig.cache_dir``. Repeated detections
-over the same snapshot — budget sweeps, robustness re-runs, CLI
-re-invocations with a cache dir — skip the Edmonds / binarise / DP work
-already done; in particular the budget-mode OPT curves are keyed
-*without* the budget, so an entire k-search sweep pays for each tree's
-DP exactly once.
-
 Execution modes and observability:
 
-* serial (default): stages run inline with the caller's recorder —
+* serial (default): compute runs inline with the caller's recorder —
   spans, traces and counters land exactly as in the sequential
   implementation;
 * parallel: per-unit spans and counters are recorded into per-chunk
   worker recorders and merged commutatively (the PR-1 runtime
   machinery), so merged counter totals match serial runs; the fan-out
   additionally emits the standard ``runtime.*`` counters.
+
+Structural counters (``rid.components``, ``rid.trees``, ...) are the
+engine's job, outside the cached compute, so metric totals do not
+depend on cache temperature; spans live inside the compute functions
+and are only emitted when work actually happens.
 """
 
 from __future__ import annotations
@@ -50,25 +57,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.codec import CacheCodecError
 from repro.core.rid import TreeSelection
 from repro.detectors.base import DetectionResult
 from repro.errors import ConfigError, EmptyInfectionError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder
+from repro.pipeline import stages
 from repro.pipeline.cache import MISS, ArtifactCache
-from repro.pipeline.stage import Stage, StageContext
-from repro.pipeline.stages import (
-    ArborescenceStage,
-    ComponentSplitStage,
-    CurveArtifact,
-    PruneStage,
-    SelectionStage,
-    TreeDPStage,
-    extract_component_trees,
-    greedy_tree_selection,
-    tree_curve,
-)
-from repro.runtime.cache import TrialCache, graph_digest
+from repro.pipeline.stages import CurveArtifact, Stage
+from repro.runtime.cache import TrialCache
 from repro.runtime.config import SERIAL, RuntimeConfig
 from repro.runtime.executor import run_trials
 
@@ -84,24 +82,6 @@ class EngineOutcome:
 def _require_infected(infected: SignedDiGraph) -> None:
     if infected.number_of_nodes() == 0:
         raise EmptyInfectionError("infected network has no nodes")
-
-
-# ---------------------------------------------------------------------------
-# Pool-worker bodies (module-level so they pickle by reference). Each
-# resolves the ambient recorder installed by the runtime's chunk runner,
-# so worker-side spans/counters merge back deterministically.
-# ---------------------------------------------------------------------------
-
-
-def _component_trees_unit(config: Any, component: SignedDiGraph) -> List[SignedDiGraph]:
-    return extract_component_trees(component, config.score)
-
-
-def _tree_dp_unit(payload: Any, tree: SignedDiGraph) -> Any:
-    config, mode = payload
-    if mode == "greedy":
-        return greedy_tree_selection(config, tree)
-    return tree_curve(config, tree)
 
 
 class DetectionEngine:
@@ -129,108 +109,104 @@ class DetectionEngine:
     ) -> None:
         self.cache = cache if cache is not None else ArtifactCache()
         self.runtime = runtime if runtime is not None else SERIAL
-        self.prune = PruneStage()
-        self.split = ComponentSplitStage()
-        self.arborescence = ArborescenceStage()
-        self.greedy_dp = TreeDPStage("greedy")
-        self.curve_dp = TreeDPStage("curve")
-        self.selection = SelectionStage()
+        self.selection = stages.SelectionStage()
 
     # ------------------------------------------------------------------
 
-    def cache_stats(self) -> dict:
-        """In-process artifact-cache hit/miss statistics."""
-        return self.cache.stats()
-
-    def _context(
-        self,
-        config: Any,
-        recorder: Optional[Recorder],
-        runtime: Optional[RuntimeConfig],
-    ) -> StageContext:
+    def _runtime(self, runtime: Optional[RuntimeConfig]) -> RuntimeConfig:
         runtime = runtime if runtime is not None else self.runtime
         runtime.validate()
-        store = None
-        if runtime.cache_dir is not None:
-            store = TrialCache(Path(runtime.cache_dir) / "pipeline")
-        return StageContext(
-            config=config,
-            recorder=resolve_recorder(recorder),
-            cache=self.cache,
-            store=store,
-            runtime=runtime,
-        )
+        return runtime
 
-    def _batched(
+    def _cached(
         self,
-        ctx: StageContext,
         stage: Stage,
-        items: Sequence[Any],
-        payload: Any,
-        worker: Callable[[Any, Any], Any],
-        label: str,
+        compute: Callable[..., Any],
+        items: Sequence[SignedDiGraph],
+        config: Any,
+        rec: Recorder,
+        runtime: RuntimeConfig,
     ) -> List[Any]:
-        """Run ``stage`` over ``items`` with caching and optional fan-out.
+        """``compute(config, item)`` for every item, through the cache.
 
-        Cache hits are resolved up front; only misses are computed —
-        inline (serial, full trace fidelity) or via the process pool
-        when the context requests ``workers > 1`` and more than one unit
-        is pending. Outputs come back in ``items`` order either way.
+        Each item's artifact comes from memory, else from the on-disk
+        store (rows with a codec, when ``runtime.cache_dir`` is set),
+        else from ``compute``: inline with ``rec``, or through
+        :func:`run_trials` when ``runtime`` asks for workers and more
+        than one item missed. Outputs come back in ``items`` order.
         """
-        keys = [stage.cache_key(ctx, graph_digest(item)) for item in items]
-        values: List[Any] = [stage.lookup(ctx, key) for key in keys]
+        store = None
+        if stage.codec is not None and runtime.cache_dir is not None:
+            store = TrialCache(Path(runtime.cache_dir) / "pipeline")
+        keys = [stage.key(config, item) for item in items]
+        values: List[Any] = []
+        for key in keys:
+            value = self.cache.lookup(key)
+            payload = store.load(key) if value is MISS and store is not None else None
+            if payload is not None:
+                try:
+                    value = stage.codec[1](payload)
+                except (CacheCodecError, KeyError, TypeError, ValueError):
+                    pass  # corrupt or stale entry: recompute and overwrite it
+                else:
+                    self.cache.put(key, value)
+            values.append(value)
         pending = [i for i, value in enumerate(values) if value is MISS]
-        if not pending:
-            return values
-        if ctx.runtime.parallel and len(pending) > 1:
-            outcome = run_trials(
-                worker,
-                payload,
+        if runtime.parallel and len(pending) > 1:
+            computed = run_trials(
+                compute,
+                config,
                 [items[i] for i in pending],
-                config=RuntimeConfig(
-                    workers=ctx.runtime.workers, chunk_size=ctx.runtime.chunk_size
-                ),
-                label=label,
-                recorder=ctx.recorder,
-            )
-            computed = outcome.results
+                config=runtime,
+                label=stage.label,
+                recorder=rec,
+            ).results
         else:
-            computed = [stage.run(ctx, items[i]) for i in pending]
+            computed = [compute(config, items[i], rec) for i in pending]
         for index, value in zip(pending, computed):
             values[index] = value
-            stage.commit(ctx, keys[index], value)
+            self.cache.put(keys[index], value)
+            if store is not None:
+                try:
+                    store.store(keys[index], stage.codec[0](value))
+                except CacheCodecError:
+                    pass  # node ids the codec cannot write: memory only
         return values
 
     # ------------------------------------------------------------------
     # Stage graph: prune -> components -> arborescences -> DP -> selection
     # ------------------------------------------------------------------
 
-    def _components(self, ctx: StageContext, infected: SignedDiGraph) -> List[SignedDiGraph]:
+    def _components(
+        self, config: Any, infected: SignedDiGraph, rec: Recorder, runtime: RuntimeConfig
+    ) -> List[SignedDiGraph]:
         """Prune (when the config asks for it), then split into components."""
-        rec = ctx.recorder
-        if ctx.config.prune_inconsistent:
+        if config.prune_inconsistent:
             edges_before = infected.number_of_edges()
-            pruned = self.prune.execute(ctx, infected, graph_digest(infected))
+            (pruned,) = self._cached(
+                stages.PRUNE, stages.prune_graph, [infected], config, rec, runtime
+            )
             if rec.enabled:
                 rec.incr("rid.pruned_links", edges_before - pruned.number_of_edges())
         else:
             pruned = infected
-        return self.split.execute(ctx, pruned, graph_digest(pruned))
+        (components,) = self._cached(
+            stages.COMPONENTS, stages.split_components, [pruned], config, rec, runtime
+        )
+        return components
 
     def _trees(
-        self, ctx: StageContext, components: Sequence[SignedDiGraph]
+        self,
+        config: Any,
+        components: Sequence[SignedDiGraph],
+        rec: Recorder,
+        runtime: RuntimeConfig,
     ) -> List[SignedDiGraph]:
         """Every component's cascade trees, in component order."""
-        per_component = self._batched(
-            ctx,
-            self.arborescence,
-            components,
-            payload=ctx.config,
-            worker=_component_trees_unit,
-            label="rid.arborescence",
+        per_component = self._cached(
+            stages.ARBORESCENCE, stages.extract_component_trees, components, config, rec, runtime
         )
         trees = [tree for component_trees in per_component for tree in component_trees]
-        rec = ctx.recorder
         if rec.enabled:
             rec.incr("rid.components", len(components))
             rec.incr("rid.trees", len(trees))
@@ -238,10 +214,12 @@ class DetectionEngine:
 
     def _detect_partition(
         self,
-        ctx: StageContext,
+        config: Any,
         components: Sequence[SignedDiGraph],
         budget: Optional[int],
         label: Optional[str],
+        rec: Recorder,
+        runtime: RuntimeConfig,
     ) -> EngineOutcome:
         """The back half both detect entry points share: trees, per-tree
         DP, cross-tree selection, result assembly.
@@ -252,19 +230,12 @@ class DetectionEngine:
         in ``[trees, infected nodes]`` — ``[0, 0]`` for an empty
         partition.
         """
-        config = ctx.config
-        rec = ctx.recorder
-        trees = self._trees(ctx, components)
+        trees = self._trees(config, components, rec, runtime)
         if budget is None:
-            selections = self._batched(
-                ctx,
-                self.greedy_dp,
-                trees,
-                payload=(config, "greedy"),
-                worker=_tree_dp_unit,
-                label="rid.tree_dp",
+            selections = self._cached(
+                stages.TREE_DP_GREEDY, stages.greedy_tree_selection, trees, config, rec, runtime
             )
-            initiators, objective = self.selection.merge_greedy(ctx, selections)
+            initiators, objective = self.selection.merge_greedy(selections)
             if rec.enabled:
                 rec.incr("rid.detected_initiators", len(initiators))
             method = f"rid(beta={config.beta})"
@@ -275,15 +246,10 @@ class DetectionEngine:
                     f"budget must be in [{len(trees)}, {total_nodes}] "
                     f"({len(trees)} cascade trees were extracted), got {budget}"
                 )
-            curves: List[CurveArtifact] = self._batched(
-                ctx,
-                self.curve_dp,
-                trees,
-                payload=(config, "curve"),
-                worker=_tree_dp_unit,
-                label="rid.tree_dp",
+            curves: List[CurveArtifact] = self._cached(
+                stages.TREE_DP_CURVE, stages.tree_curve, trees, config, rec, runtime
             )
-            per_tree_budgets, objective = self.selection.knapsack(ctx, curves, budget)
+            per_tree_budgets, objective = self.selection.knapsack(curves, budget, rec)
             if per_tree_budgets is None:
                 raise ConfigError(
                     f"budget {budget} is infeasible for the extracted trees "
@@ -327,8 +293,8 @@ class DetectionEngine:
     ) -> List[SignedDiGraph]:
         """The front half alone: the snapshot's cascade trees.
 
-        Prune (when ``config.prune_inconsistent``), ComponentSplit, then
-        per-component Arborescence, with the same caching as
+        The ``prune`` step (when ``config.prune_inconsistent``), then
+        ``components`` and per-component ``arborescence``, with the same caching as
         :meth:`detect`. Only ``config.score`` and
         ``config.prune_inconsistent`` matter here; the RID-Tree and
         RID-Positive baselines call it with exactly those two set.
@@ -337,9 +303,9 @@ class DetectionEngine:
             EmptyInfectionError: when ``infected`` has no nodes.
         """
         config.validate()
-        ctx = self._context(config, recorder, None)
+        rec, runtime = resolve_recorder(recorder), self._runtime(None)
         _require_infected(infected)
-        return self._trees(ctx, self._components(ctx, infected))
+        return self._trees(config, self._components(config, infected, rec, runtime), rec, runtime)
 
     def detect(
         self,
@@ -362,12 +328,11 @@ class DetectionEngine:
         other budget raises :class:`ConfigError`.
         """
         config.validate()
-        ctx = self._context(config, recorder, runtime)
+        rec, runtime = resolve_recorder(recorder), self._runtime(runtime)
         if budget is None:
             _require_infected(infected)
-        return self._detect_partition(
-            ctx, self._components(ctx, infected), budget, label
-        )
+        components = self._components(config, infected, rec, runtime)
+        return self._detect_partition(config, components, budget, label, rec, runtime)
 
     def detect_components(
         self,
@@ -382,9 +347,9 @@ class DetectionEngine:
         """Detection over a pre-split component partition.
 
         The streaming layer maintains the infected-component partition
-        incrementally; this entry point skips the whole-graph Prune and
-        ComponentSplit stages and goes straight to the per-component
-        cached stages, so untouched components resolve to artifact-cache
+        incrementally; this entry point skips the whole-graph ``prune``
+        and ``components`` steps and goes straight to the per-component
+        cached steps, so untouched components resolve to artifact-cache
         hits. Output is bit-identical to :meth:`detect` on the
         materialised snapshot as long as ``components`` equals the cold
         pipeline's split (same member sets, same live edges, same order).
@@ -394,6 +359,6 @@ class DetectionEngine:
         result rather than :class:`EmptyInfectionError`.
         """
         config.validate()
-        ctx = self._context(config, recorder, runtime)
-        return self._detect_partition(ctx, components, budget, label)
+        rec, runtime = resolve_recorder(recorder), self._runtime(runtime)
+        return self._detect_partition(config, components, budget, label, rec, runtime)
 

@@ -1,34 +1,40 @@
-"""Concrete stages of the RID detection pipeline.
+"""The cached steps of RID's detection pipeline, one row each.
 
-Each cached paper step (Sec. III-E) is one
-:class:`~repro.pipeline.stage.Stage` subclass, built on a module-level
-*compute function* so the same code runs three ways:
+RID's detection (Sec. III-E) is five cached steps. Each is a
+:class:`Stage` row (name, schema version, the
+:class:`~repro.core.rid.RIDConfig` fields it reads, an optional JSON
+codec) plus a module-level compute function with the one signature
+``(config, item, recorder=None)``:
 
-* serially in-process (``Stage.run`` with the caller's recorder),
-* inside a process-pool worker (the engine's fan-out ships the compute
-  function via :func:`repro.runtime.executor.run_trials`, which installs
-  a per-chunk metrics recorder ambiently), and
-* standalone (``RID.select_initiators_for_tree`` delegates to
-  :func:`greedy_tree_selection` so per-tree diagnostics keep working).
+* ``PRUNE``, :func:`prune_graph`: snapshot -> pruned graph;
+* ``COMPONENTS``, :func:`split_components`: graph -> infected components;
+* ``ARBORESCENCE``, :func:`extract_component_trees`: component -> its
+  cascade trees;
+* ``TREE_DP_GREEDY``, :func:`greedy_tree_selection`: tree -> the β
+  scan's ``TreeSelection``;
+* ``TREE_DP_CURVE``, :func:`tree_curve`: tree -> its budget-mode
+  :class:`CurveArtifact`.
 
-The uncached last step, cross-tree selection, is the plain
-:class:`SelectionStage`. Prune, ComponentSplit and Arborescence are the
-front half every cascade forest in the library comes from:
-``DetectionEngine.forest`` for the RID-Tree and RID-Positive baselines,
-``DetectionEngine.detect`` for RID itself.
+:class:`~repro.pipeline.engine.DetectionEngine` runs every row through
+one cached-step loop. A compute function runs inline with the caller's
+recorder, or as it is in a process-pool worker:
+:func:`repro.runtime.executor.run_trials` calls ``compute(config,
+item)`` under a per-chunk recorder it installs ambiently.
+``RID.select_initiators_for_tree`` calls :func:`greedy_tree_selection`
+directly. The uncached last step, cross-tree selection, is the plain
+:class:`SelectionStage`.
 
-The binarize/DP seam is looked up **dynamically** on
-:mod:`repro.core.rid` (``rid_module.binarize_cascade_tree`` /
-``rid_module.TreeDPKernel``) rather than imported by value. That
-module attribute is the library's long-standing monkeypatch point for
-stubbing the DP in tests; the pipeline must honour it exactly like the
-pre-refactor sequential implementation did.
+The engine looks each compute function up on this module at call time,
+and the compute functions look the binarize/DP seam up on
+:mod:`repro.core.rid` (``binarize_cascade_tree``, ``TreeDPKernel``) the
+same way: those module attributes are where tests stub the DP and where
+the end-to-end benchmark's traced run wraps each layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.arborescence import maximum_spanning_branching, split_branching_into_trees
 from repro.core.components import infected_components
@@ -36,8 +42,7 @@ from repro.graphs.signed_digraph import SignedDiGraph
 from repro.graphs.transforms import prune_inconsistent_links
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.pipeline import cache as codecs
-from repro.pipeline.stage import Stage, StageContext
-from repro.runtime.cache import stable_digest
+from repro.runtime.cache import graph_digest, stable_digest
 
 
 @dataclass
@@ -55,19 +60,75 @@ class CurveArtifact:
     results: List["Any"]  # List[TreeDPResult]
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One cached pipeline step: what its artifacts are addressed by.
+
+    Attributes:
+        name: the step's identity in every cache key.
+        version: schema version, also in every key. Bump it when the
+            step's output changes, so artifacts written by older code
+            are never addressed again.
+        fields: the :class:`~repro.core.rid.RIDConfig` fields the step
+            reads, in digest order.
+        codec: ``(encode, decode)`` for the on-disk store; ``None`` keeps
+            the step's artifacts in memory only.
+    """
+
+    name: str
+    version: int
+    fields: Tuple[str, ...] = ()
+    codec: Optional[Tuple[Callable[[Any], dict], Callable[[dict], Any]]] = None
+
+    @property
+    def label(self) -> str:
+        """The fan-out label: ``rid.`` plus the name without its
+        ``[mode]`` suffix, so both tree-DP rows time as ``runtime.rid.tree_dp``."""
+        return "rid." + self.name.partition("[")[0]
+
+    def key(self, config: "Any", item: SignedDiGraph) -> str:
+        """The content address of this step's output for ``item``."""
+        config_digest = stable_digest(self.name, *(getattr(config, f) for f in self.fields))
+        return codecs.artifact_key(self.name, self.version, config_digest, graph_digest(item))
+
+
+_DP_FIELDS = ("alpha", "inconsistent_value", "max_k_per_tree")
+
+PRUNE = Stage("prune", 1)
+COMPONENTS = Stage("components", 1)
+ARBORESCENCE = Stage(
+    "arborescence", 1, ("score",), (codecs.encode_graph_list, codecs.decode_graph_list)
+)
+# The curve key leaves out beta, k_strategy and the budget, so a budget
+# sweep computes each tree's curve once.
+TREE_DP_GREEDY = Stage(
+    "tree_dp[greedy]",
+    4,
+    _DP_FIELDS + ("beta", "k_strategy"),
+    (codecs.encode_selection, codecs.decode_selection),
+)
+TREE_DP_CURVE = Stage(
+    "tree_dp[curve]", 4, _DP_FIELDS, (codecs.encode_curve, codecs.decode_curve)
+)
+
+
 # ---------------------------------------------------------------------------
-# Compute functions (shared by Stage.run, pool workers and RID)
+# Compute functions: (config, item, recorder=None)
 # ---------------------------------------------------------------------------
 
 
-def prune_graph(infected: SignedDiGraph, recorder: Optional[Recorder] = None) -> SignedDiGraph:
+def prune_graph(
+    config: "Any", infected: SignedDiGraph, recorder: Optional[Recorder] = None
+) -> SignedDiGraph:
     """Sec. III-E1 pruning: drop sign-inconsistent activation links."""
     rec = resolve_recorder(recorder)
     with rec.span("rid.prune"):
         return prune_inconsistent_links(infected)
 
 
-def split_components(graph: SignedDiGraph, recorder: Optional[Recorder] = None) -> List[SignedDiGraph]:
+def split_components(
+    config: "Any", graph: SignedDiGraph, recorder: Optional[Recorder] = None
+) -> List[SignedDiGraph]:
     """Sec. III-E1 component detection over the (pruned) infected network."""
     rec = resolve_recorder(recorder)
     with rec.span("rid.components"):
@@ -75,12 +136,12 @@ def split_components(graph: SignedDiGraph, recorder: Optional[Recorder] = None) 
 
 
 def extract_component_trees(
-    component: SignedDiGraph, score: str, recorder: Optional[Recorder] = None
+    config: "Any", component: SignedDiGraph, recorder: Optional[Recorder] = None
 ) -> List[SignedDiGraph]:
     """Sec. III-E2 per component: Chu-Liu/Edmonds branching -> cascade trees."""
     rec = resolve_recorder(recorder)
     with rec.span("rid.extract_trees", components=1):
-        branching = maximum_spanning_branching(component, score=score)
+        branching = maximum_spanning_branching(component, score=config.score)
         return split_branching_into_trees(branching)
 
 
@@ -179,112 +240,16 @@ def tree_curve(
     return CurveArtifact(tree_size=binary.num_real, results=per_k)
 
 
-# ---------------------------------------------------------------------------
-# Stage classes
-# ---------------------------------------------------------------------------
-
-
-class PruneStage(Stage):
-    """Whole-graph consistency pruning (skipped when the config disables it)."""
-
-    name = "prune"
-    version = 1
-
-    def run(self, ctx: StageContext, item: SignedDiGraph) -> SignedDiGraph:
-        return prune_graph(item, ctx.recorder)
-
-
-class ComponentSplitStage(Stage):
-    """Weakly-connected-component split of the pruned infected network."""
-
-    name = "components"
-    version = 1
-
-    def run(self, ctx: StageContext, item: SignedDiGraph) -> List[SignedDiGraph]:
-        return split_components(item, ctx.recorder)
-
-
-class ArborescenceStage(Stage):
-    """Per-component max-likelihood branching + split into cascade trees."""
-
-    name = "arborescence"
-    version = 1
-    persist = True
-
-    def config_digest(self, config: "Any") -> str:
-        return stable_digest(self.name, config.score)
-
-    def run(self, ctx: StageContext, item: SignedDiGraph) -> List[SignedDiGraph]:
-        return extract_component_trees(item, ctx.config.score, ctx.recorder)
-
-    def encode(self, value: List[SignedDiGraph]) -> dict:
-        return codecs.encode_graph_list(value)
-
-    def decode(self, payload: dict) -> List[SignedDiGraph]:
-        return codecs.decode_graph_list(payload)
-
-
-class TreeDPStage(Stage):
-    """Per-tree binarize + k-ISOMIT-BT DP work unit.
-
-    ``mode='greedy'`` runs the β-penalised k search and yields a
-    :class:`~repro.core.rid.TreeSelection`; ``mode='curve'`` solves the
-    full per-k ``OPT`` curve for the budget knapsack and yields a
-    :class:`CurveArtifact`. The two modes cache independently — but the
-    curve key deliberately excludes ``budget``, so one k-search sweep
-    computes each tree's curve exactly once.
-
-    Version 2: the DP runs on the compiled flat-array kernel by default
-    (bit-identical output, but the bump keeps cache keys disjoint from
-    artifacts computed by the recursive pre-kernel code).
-
-    Version 3 folded the resolved kernel backend into the config digest;
-    version 4 drops it again (the DP has one implementation). Each bump
-    keeps new keys disjoint from artifacts computed by older code.
-    """
-
-    persist = True
-    version = 4
-
-    def __init__(self, mode: str) -> None:
-        if mode not in ("greedy", "curve"):
-            raise ValueError(f"mode must be 'greedy' or 'curve', got {mode!r}")
-        self.mode = mode
-        self.name = f"tree_dp[{mode}]"
-
-    def config_digest(self, config: "Any") -> str:
-        common = (config.alpha, config.inconsistent_value, config.max_k_per_tree)
-        if self.mode == "greedy":
-            return stable_digest(self.name, *common, config.beta, config.k_strategy)
-        return stable_digest(self.name, *common)
-
-    def run(self, ctx: StageContext, item: SignedDiGraph) -> "Any":
-        if self.mode == "greedy":
-            return greedy_tree_selection(ctx.config, item, ctx.recorder)
-        return tree_curve(ctx.config, item, ctx.recorder)
-
-    def encode(self, value: "Any") -> dict:
-        if self.mode == "greedy":
-            return codecs.encode_selection(value)
-        return codecs.encode_curve(value)
-
-    def decode(self, payload: dict) -> "Any":
-        if self.mode == "greedy":
-            return codecs.decode_selection(payload)
-        return codecs.decode_curve(payload)
-
-
 class SelectionStage:
     """Cross-tree aggregation: β-mode merge or budgeted knapsack.
 
-    A plain class, not a :class:`~repro.pipeline.stage.Stage`: it is
-    never cached — it is linear in the number of trees (β mode) or one
-    exact knapsack over the per-tree curves (budget mode), and its
-    inputs already come from cached artifacts. The engine calls the two
-    methods directly.
+    Not a :class:`Stage` row: it is never cached. It is linear in the
+    number of trees (β mode) or one exact knapsack over the per-tree
+    curves (budget mode), and its inputs already come from cached
+    artifacts. The engine calls the two methods directly.
     """
 
-    def merge_greedy(self, ctx: StageContext, selections: List["Any"]) -> Tuple:
+    def merge_greedy(self, selections: List["Any"]) -> Tuple:
         """Union per-tree selections in tree order (β-penalised mode)."""
         initiators: dict = {}
         total_objective = 0.0
@@ -294,7 +259,7 @@ class SelectionStage:
         return initiators, total_objective
 
     def knapsack(
-        self, ctx: StageContext, curves: List[CurveArtifact], budget: int
+        self, curves: List[CurveArtifact], budget: int, recorder: Optional[Recorder] = None
     ) -> Tuple:
         """Exact budget split across trees over the per-tree OPT curves.
 
@@ -303,7 +268,7 @@ class SelectionStage:
         tree consumes at least 1). ``best_total`` is ``-inf`` when the
         budget is infeasible under the per-tree caps.
         """
-        rec = ctx.recorder
+        rec = resolve_recorder(recorder)
         with rec.span("rid.knapsack", budget=budget, trees=len(curves)):
             neg_inf = float("-inf")
             best: List[float] = [0.0] + [neg_inf] * budget

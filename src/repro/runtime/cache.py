@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import tempfile
-import warnings
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -35,37 +34,6 @@ def stable_digest(*parts: object) -> str:
     return hashlib.blake2b(material, digest_size=16).hexdigest()
 
 
-#: Graph types already warned about for lacking a ``version`` counter.
-_UNMEMOIZED_WARNED: set = set()
-
-
-def _warn_unmemoized_digest(graph: object) -> None:
-    """Flag (once per type) a graph that defeats digest memoization.
-
-    Every :func:`graph_digest` call on such a graph re-sorts and
-    re-hashes all ``V + E`` items. That is silent O(V + E) work per
-    cached-run lookup — visible only as mysteriously slow cache hits —
-    so it warrants a :class:`RuntimeWarning` the first time plus a
-    ``runtime.digest_unmemoized`` counter every time (the ambient
-    recorder is a no-op ``NullRecorder`` unless observability is on).
-    """
-    from repro.obs.recorder import current_recorder
-
-    recorder = current_recorder()
-    if recorder.enabled:
-        recorder.incr("runtime.digest_unmemoized")
-    kind = type(graph)
-    if kind not in _UNMEMOIZED_WARNED:
-        _UNMEMOIZED_WARNED.add(kind)
-        warnings.warn(
-            f"{kind.__name__} has no 'version' mutation counter; every "
-            "graph_digest call re-hashes all nodes and edges instead of "
-            "memoizing",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def graph_digest(graph: SignedDiGraph) -> str:
     """Digest of a graph's full content (topology, signs, weights, states).
 
@@ -75,21 +43,17 @@ def graph_digest(graph: SignedDiGraph) -> str:
     re-sort and re-hash all ``V + E`` items every time; now only the
     first call (and the first call after any mutation) pays for it.
     """
-    version = getattr(graph, "version", None)
-    if version is not None:
-        cached = getattr(graph, "_digest_cache", None)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-    else:
-        _warn_unmemoized_digest(graph)
+    version = graph.version
+    cached = getattr(graph, "_digest_cache", None)
+    if cached is not None and cached[0] == version:
+        return cached[1]
     h = hashlib.blake2b(digest_size=16)
     for node in sorted(graph.nodes(), key=repr):
         h.update(repr((node, int(graph.state(node)))).encode("utf-8"))
     for u, v, data in sorted(graph.edges(), key=lambda e: (repr(e[0]), repr(e[1]))):
         h.update(repr((u, v, int(data.sign), data.weight)).encode("utf-8"))
     digest = h.hexdigest()
-    if version is not None:
-        graph._digest_cache = (version, digest)
+    graph._digest_cache = (version, digest)
     return digest
 
 

@@ -62,7 +62,7 @@ from repro.detectors.registry import resolve_detector
 from repro.core.rid import RID, RIDConfig
 from repro.graphs.signed_digraph import EdgeData, SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder, using_recorder
-from repro.pipeline.engine import DetectionEngine, EngineOutcome
+from repro.pipeline.engine import DetectionEngine
 from repro.runtime.config import RuntimeConfig
 from repro.stream.delta import SnapshotDelta, apply_delta
 from repro.types import Node
@@ -209,7 +209,6 @@ class StreamingDetectionEngine:
         self._delta_count = 0
         self.last_reused_artifacts = 0
         self.last_computed_artifacts = 0
-        self.last_outcome: Optional[EngineOutcome] = None
         self._rebuild_partition()
 
     # ------------------------------------------------------------------
@@ -428,7 +427,6 @@ class StreamingDetectionEngine:
             rec.incr("stream.computed_artifacts", computed)
         self.last_reused_artifacts = reused
         self.last_computed_artifacts = computed
-        self.last_outcome = outcome
         return outcome.result
 
     def _detect_named(
@@ -470,7 +468,6 @@ class StreamingDetectionEngine:
                     )
         self.last_reused_artifacts = 0
         self.last_computed_artifacts = 0
-        self.last_outcome = None
         return result
 
     def step(

@@ -33,7 +33,7 @@ def check_probability(p: float, context: str = "probability") -> float:
     """Validate a probability in ``[0, 1]`` and return it as float."""
     try:
         value = float(p)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{context} must be a real number, got {p!r}") from None
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{context} must lie in [0, 1], got {value!r}")
@@ -59,7 +59,10 @@ def check_state_value(state: int, context: str = "node state") -> int:
 
 def check_positive(value: float, context: str = "value") -> float:
     """Validate a strictly positive real number and return it as float."""
-    number = float(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{context} must be a real number, got {value!r}") from None
     if math.isnan(number) or number <= 0:
         raise ValueError(f"{context} must be > 0, got {value!r}")
     return number

@@ -83,7 +83,7 @@ class TestDetectIdentity:
         expected, _ = reference_detect(config, golden_infected)
         detector = RID(config)
         detector.detect(golden_infected)  # warm every artifact
-        assert detector.engine.cache_stats()["entries"] > 0
+        assert detector.engine.cache.stats()["entries"] > 0
         actual = detector.detect(golden_infected)
         assert_results_identical(actual, expected)
 

@@ -276,6 +276,19 @@ class TestErrorSurface:
         assert envelope["error"]["type"] == "ConfigError"
         assert "trials must be >= 1, got -3" in envelope["error"]["message"]
 
+    def test_simulate_param_past_float_range_maps_to_400(self, served, network):
+        from repro.codec import encode_graph
+
+        client, _ = served
+        body = {
+            "graph": encode_graph(network),
+            "seeds": [[["i", 0], 1]],
+            "params": {"alpha": 10**400},
+        }
+        status, envelope = post_raw(client, "/v1/simulate", body)
+        assert status == 400
+        assert envelope["error"]["type"] == "InvalidModelParameterError"
+
     @pytest.mark.parametrize(
         "detector, config",
         [

@@ -65,8 +65,8 @@ def attempt(run) -> tuple:
 
 
 def cold_partition(config, infected):
-    pruned = prune_graph(infected) if config.prune_inconsistent else infected
-    return split_components(pruned)
+    pruned = prune_graph(config, infected) if config.prune_inconsistent else infected
+    return split_components(config, pruned)
 
 
 def entry_points(config, infected, budget) -> dict:

@@ -1,5 +1,6 @@
 """Tests for the stable facade (:mod:`repro.api`) and compatibility shims."""
 
+import inspect
 import warnings
 
 import pytest
@@ -14,7 +15,7 @@ from repro.detectors import (
     resolve_detector,
 )
 from repro.diffusion.mfc import MFCModel
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InvalidModelParameterError
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.runner import AggregatedEvaluation, DetectorEvaluation
 from repro.experiments.workload import build_workload
@@ -95,6 +96,20 @@ class TestSimulate:
                 network, {0: NodeState.POSITIVE}, trials=trials, recorder=recorder
             )
         assert "mc.trials" not in recorder.metrics.counters
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            (name, param)
+            for name, factory in sorted(api.MODEL_REGISTRY.items())
+            for param, spec in inspect.signature(factory).parameters.items()
+            if spec.annotation in ("float", float)
+        ],
+    )
+    def test_float_param_past_float_range_rejected(self, name, param):
+        # A JSON int such as 10**400 reaches the constructors from /v1/simulate.
+        with pytest.raises(InvalidModelParameterError):
+            api.MODEL_REGISTRY[name](**{param: 10**400})
 
     def test_multi_trial_needs_integer_seed(self, network):
         import random

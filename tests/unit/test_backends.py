@@ -213,30 +213,6 @@ class TestPicklableProbe:
 
 
 class TestGraphDigestWarning:
-    def test_versionless_graph_warns_once_per_type(self):
-        class BareGraph:
-            def nodes(self):
-                return [1]
-
-            def state(self, node):
-                return NodeState.POSITIVE
-
-            def edges(self):
-                return []
-
-        from repro.runtime import cache as cache_module
-
-        cache_module._UNMEMOIZED_WARNED.discard(BareGraph)
-        recorder = MetricsRecorder()
-        with using_recorder(recorder):
-            with pytest.warns(RuntimeWarning, match="version"):
-                first = graph_digest(BareGraph())
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                second = graph_digest(BareGraph())
-        assert first == second
-        assert recorder.metrics.counters.get("runtime.digest_unmemoized") == 2
-
     def test_real_graph_stays_silent(self):
         graph = signed_erdos_renyi(10, 0.2, rng=1)
         with warnings.catch_warnings():

@@ -139,9 +139,9 @@ class TestArtifactCaching:
         snapshot = multi_component_snapshot()
         detector = RID()
         first = detector.detect(snapshot)
-        misses_after_first = detector.engine.cache_stats()["misses"]
+        misses_after_first = detector.engine.cache.stats()["misses"]
         second = detector.detect(snapshot)
-        stats = detector.engine.cache_stats()
+        stats = detector.engine.cache.stats()
         assert stats["hits"] > 0
         assert stats["misses"] == misses_after_first  # no new work
         assert second.initiators == first.initiators
@@ -153,10 +153,10 @@ class TestArtifactCaching:
         snapshot = multi_component_snapshot()
         detector = RID()
         detector.detect_with_budget(snapshot, budget=3)
-        misses_after_first = detector.engine.cache_stats()["misses"]
+        misses_after_first = detector.engine.cache.stats()["misses"]
         for budget in (4, 5, 6):
             detector.detect_with_budget(snapshot, budget=budget)
-        assert detector.engine.cache_stats()["misses"] == misses_after_first
+        assert detector.engine.cache.stats()["misses"] == misses_after_first
 
     def test_structural_counters_survive_cache_hits(self):
         """rid.components / rid.trees etc. are emitted outside cached
@@ -186,14 +186,14 @@ class TestArtifactCaching:
         first.detect(snapshot)
         second = RID()
         second.detect(snapshot)
-        assert second.engine.cache_stats()["hits"] == 0
+        assert second.engine.cache.stats()["hits"] == 0
 
     def test_shared_engine_shares_artifacts(self):
         snapshot = multi_component_snapshot()
         engine = DetectionEngine()
         RID(engine=engine).detect(snapshot)
         RID(engine=engine).detect(snapshot)
-        assert engine.cache_stats()["hits"] > 0
+        assert engine.cache.stats()["hits"] > 0
 
     def test_persistent_store_round_trip(self, tmp_path):
         snapshot = multi_component_snapshot()
@@ -230,12 +230,6 @@ class TestArtifactCacheUnit:
         assert stats["misses"] == 1
         assert stats["entries"] == 1
 
-    def test_clear(self):
-        cache = ArtifactCache()
-        cache.put("k", "v")
-        cache.clear()
-        assert cache.lookup("k") is MISS
-
     def test_eviction_order_is_lru_not_insertion(self):
         """Eviction must follow recency (lookups and puts refresh), not
         insertion order."""
@@ -246,10 +240,10 @@ class TestArtifactCacheUnit:
         assert cache.lookup("a") == 1   # a most recent
         cache.put("b", 20)              # b refreshed
         cache.put("d", 4)               # evicts c (the true LRU), not a
-        assert cache.keys() == ["a", "b", "d"]
         assert cache.lookup("c") is MISS
         assert cache.stats()["evictions"] == 1
-
-    def test_discard_unknown_key_is_false(self):
-        cache = ArtifactCache()
-        assert not cache.discard("absent")
+        # The survivors leave in recency order: a, then b, then d.
+        for survivor, newcomer in (("a", "e"), ("b", "f"), ("d", "g")):
+            cache.put(newcomer, 0)
+            assert cache.lookup(survivor) is MISS
+        assert cache.stats()["evictions"] == 4

@@ -213,6 +213,65 @@ class TestTrialCache:
         for victim in entries:
             assert json.loads(victim.read_text()) != entry
 
+    @pytest.mark.parametrize(
+        "budget, mutate",
+        [
+            (None, lambda entry: entry.update(tree_size=True)),
+            (None, lambda entry: entry.update(k="1")),
+            (None, lambda entry: entry.update(score="0.5")),
+            (None, lambda entry: entry.update(penalized_objective="0.5")),
+            (None, lambda entry: entry.update(scanned_k=1.0)),
+            (4, lambda entry: entry.update(tree_size=True)),
+            (4, lambda entry: entry.update(curve={})),
+            (4, lambda entry: [p.update(score=str(p["score"])) for p in entry["curve"]]),
+            (4, lambda entry: [p.update(k=p["k"] + 1) for p in entry["curve"]]),
+        ],
+        ids=[
+            "greedy-tree_size-bool",
+            "greedy-k-str",
+            "greedy-score-str",
+            "greedy-objective-str",
+            "greedy-scanned_k-float",
+            "curve-tree_size-bool",
+            "curve-not-a-list",
+            "curve-score-str",
+            "curve-k-shifted",
+        ],
+    )
+    def test_mistyped_tree_dp_artifact_is_recomputed_and_overwritten(
+        self, tmp_path, budget, mutate
+    ):
+        # A tree_dp entry whose fields have the wrong JSON type must not
+        # be used (or crash the selection); it is recomputed and rewritten.
+        from repro.core.rid import RID
+        from repro.stream import synthetic_snapshot
+
+        snapshot = synthetic_snapshot(components=2, size=6, seed=1)
+        runtime = RuntimeConfig(cache_dir=str(tmp_path))
+
+        def detect():
+            detector = RID(runtime=runtime)  # a fresh memory cache: read the disk
+            if budget is None:
+                result = detector.detect(snapshot)
+            else:
+                result = detector.detect_with_budget(snapshot, budget=budget)
+            return result.to_json(), detector.last_selections
+
+        first = detect()
+        originals = {
+            path: path.read_text()
+            for path in (tmp_path / "pipeline").glob("*.json")
+            if "tree_size" in json.loads(path.read_text())
+        }
+        assert originals
+        for path, text in originals.items():
+            entry = json.loads(text)
+            mutate(entry)
+            path.write_text(json.dumps(entry))
+        assert detect() == first
+        for path, text in originals.items():
+            assert path.read_text() == text
+
     def test_run_trials_uses_cache(self, tmp_path):
         cache = TrialCache(tmp_path)
         key_fn = lambda spec: stable_digest("t", spec)  # noqa: E731

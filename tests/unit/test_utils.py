@@ -154,3 +154,8 @@ class TestValidators:
             check_positive(0)
         with pytest.raises(ValueError):
             check_positive(float("nan"))
+
+    @pytest.mark.parametrize("check", [check_probability, check_positive])
+    def test_past_float_range_is_a_value_error(self, check):
+        with pytest.raises(ValueError, match="real number"):
+            check(10**400)
