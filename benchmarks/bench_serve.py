@@ -22,21 +22,25 @@ than cold p50** and writes ``BENCH_serve.json``:
     PYTHONPATH=src python benchmarks/bench_serve.py
 
 ``--tiny`` is the CI gate: a seconds-scale run (small graphs, few
-requests) that checks identity — served detect (cold and warm), a
-streamed session, and an error envelope — with no timing assertions
-(CI boxes are noisy).
+requests) that checks identity — served detect (cold and warm; a
+byte-identical repeat of one body, which must find its graph hot, and
+a key-reordered copy of it), a streamed session, and an error envelope
+— with no timing assertions (CI boxes are noisy).
 """
 
 from __future__ import annotations
 
 import argparse
+import http.client
+import json
 import threading
 import time
 
 import repro
 from _harness import Gate, canonical, timed
+from repro.codec import encode_graph
 from repro.errors import ConfigError
-from repro.serve import ServeClient, ServeConfig, start_in_thread
+from repro.serve import ServeClient, ServeConfig, start_in_thread, wire
 from repro.stream import StreamingDetectionEngine, synthetic_snapshot, synthetic_stream
 
 
@@ -52,6 +56,42 @@ def check_identity(client: ServeClient, graph) -> None:
     payload = client.detect(graph, raw=True)
     if canonical(payload["result"]) != canonical(direct.to_json()):
         raise AssertionError("served response diverged from the direct call")
+
+
+def post_detect(client: ServeClient, raw: bytes):
+    """POST raw ``/v1/detect`` body bytes; the decoded 200 payload."""
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=client.timeout)
+    try:
+        conn.request("POST", "/v1/detect", body=raw)
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+    finally:
+        conn.close()
+    if response.status != 200:
+        raise AssertionError(f"detect answered HTTP {response.status}: {payload}")
+    return payload
+
+
+def check_repeat_identity(client: ServeClient, graph) -> None:
+    """One detect body, its byte-identical repeat and a key-reordered copy
+    must all serve the direct result; the repeat must find its graph hot."""
+
+    def reordered(value):
+        if isinstance(value, dict):
+            return {key: reordered(value[key]) for key in reversed(list(value))}
+        return value
+
+    direct = canonical(repro.detect(graph).to_json())
+    payload = wire.envelope({"graph": encode_graph(graph)})
+    raw = json.dumps(payload).encode("utf-8")
+    shuffled = json.dumps(reordered(payload)).encode("utf-8")
+    served = {label: post_detect(client, body)
+              for label, body in (("first", raw), ("repeat", raw), ("reordered", shuffled))}
+    for label, response in served.items():
+        if canonical(response["result"]) != direct:
+            raise AssertionError(f"{label} served response diverged from the direct call")
+    if served["repeat"]["cache"]["graph"] != "hot":
+        raise AssertionError("a byte-identical repeat did not find its graph hot")
 
 
 def timed_detect(client: ServeClient, graph) -> float:
@@ -158,7 +198,13 @@ def main() -> int:
 
             checked = check_stream_identity(client, deltas_n=3 if args.tiny else 6)
             check_error_envelope(client, warm_graph)
-            print(f"identity: detect + {checked} stream deltas + error envelope ok")
+            check_repeat_identity(
+                client, synthetic_snapshot(args.components, args.size, seed=11)
+            )
+            print(
+                f"identity: detect + repeat + reordered body + {checked} stream "
+                "deltas + error envelope ok"
+            )
 
             cold = bench_cold(client, args.components, args.size, args.cold_requests)
             warm = bench_warm(client, warm_graph, args.warm_requests)

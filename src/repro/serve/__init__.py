@@ -1,9 +1,10 @@
 """Detection-as-a-service: serve :func:`repro.detect` over HTTP.
 
 A stdlib-only asyncio server (:class:`DetectionServer`) with a
-warm-cache worker pool — requests shard onto workers by graph content,
-so each worker compiles a graph once and keeps its detection engine and
-artifact cache hot across requests — plus a versioned JSON wire schema
+warm-cache worker pool — requests shard onto workers by the digest of
+their body bytes, so each worker compiles a graph once and keeps its
+detection engine and artifact cache hot across requests — plus a
+versioned JSON wire schema
 (:data:`WIRE_SCHEMA` = ``repro.serve/v1``) and a thin client
 (:class:`ServeClient`). Served responses are bit-identical to calling
 the library directly on the same snapshot.

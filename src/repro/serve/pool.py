@@ -5,10 +5,10 @@ The serving tier's compute plane. Each worker thread owns a
 per ``(name, config)``; RID, RID-Tree and RID-Positive instances keep
 their engine's :class:`~repro.pipeline.cache.ArtifactCache` hot across
 requests), and the live streaming sessions. Requests are sharded onto
-workers by a content digest of what they touch (graph payload, or
-session name), so the same graph always lands on the worker that
-already compiled it — that affinity is what makes the cache warm
-instead of merely present.
+workers by a digest of what they touch (the request body's bytes, or
+the session name), so a repeated request always lands on the worker
+that already compiled its graph — that affinity is what makes the cache
+warm instead of merely present.
 
 Mechanics worth knowing:
 
@@ -17,9 +17,13 @@ Mechanics worth knowing:
   :class:`~repro.errors.ServerOverloadedError` (→ 503 + ``Retry-After``)
   when the shard is full.
 * **Micro-batching** — a worker drains up to ``batch_max`` queued
-  requests per wakeup and coalesces byte-identical ones (same digest)
-  into a single computation fanned out to every waiting future.
+  requests per wakeup and coalesces byte-identical ones (same body
+  digest) into a single computation fanned out to every waiting future.
   Detection is deterministic, so coalescing is exact, not approximate.
+* **Two graph keys** — the decoded-graph LRU is found first by the
+  request body's digest, which a byte-identical repeat hits without
+  serialising anything, then by the graph payload's canonical digest,
+  so a new config or budget on a known graph still skips the decode.
 * **Thread-safe metrics without locks** —
   :class:`~repro.obs.metrics.MetricsRecorder` is not thread-safe, so
   each worker records into its own private recorder and
@@ -61,10 +65,27 @@ from repro.utils.validation import config_from_dict
 
 _SHUTDOWN = object()
 
+#: Body digests remembered per decoded-graph slot. Each maps a request
+#: body to its graph's canonical digest; it is a pointer, not a copy of
+#: the graph, so it takes no ``engine_cache`` slot.
+BODY_KEYS_PER_GRAPH = 16
+
+#: The longest run ``/v1/simulate`` accepts from a model whose round cap
+#: is its run length: ``voter`` runs all ``rounds``, and ``sir`` with
+#: ``recovery_probability`` 0 runs all ``max_rounds`` (SIR's default is
+#: this limit, so every default passes). The other models stop when
+#: their activation attempts run out, so their caps stay unchecked.
+MAX_SERVED_ROUNDS = 10_000
+_ROUND_CAPS = {"voter": "rounds", "sir": "max_rounds"}
+
 
 @dataclasses.dataclass
 class ServeRequest:
-    """One queued unit of work, resolved through ``future``."""
+    """One queued unit of work, resolved through ``future``.
+
+    ``coalesce_key`` is the request body's digest for stateless requests
+    (None for session traffic); the worker passes it to the handler as
+    the body key of its graph cache."""
 
     kind: str
     payload: Dict[str, Any]
@@ -97,6 +118,7 @@ class WorkerHost:
         self.recorder = MetricsRecorder()
         self.sessions: Dict[str, Any] = {}
         self._graphs: "OrderedDict[str, Tuple[SignedDiGraph, float]]" = OrderedDict()
+        self._graph_keys: "OrderedDict[str, str]" = OrderedDict()
         self._detectors: "OrderedDict[str, Tuple[Any, float]]" = OrderedDict()
         self._cap = max(1, engine_cache)
         self._ttl = cache_ttl_s
@@ -116,8 +138,31 @@ class WorkerHost:
         cache.move_to_end(key)
         return value
 
-    def graph(self, key: str, payload: Dict[str, Any]) -> Tuple[SignedDiGraph, bool]:
-        """The decoded graph for a wire payload; LRU-cached by digest."""
+    def graph(
+        self, body_key: Optional[str], payload: Dict[str, Any]
+    ) -> Tuple[SignedDiGraph, bool]:
+        """The decoded graph for a wire graph payload, and whether it was
+        cached.
+
+        Decoded graphs are LRU-cached under the payload's canonical
+        digest (:func:`~repro.serve.wire.payload_digest`). ``body_key``,
+        the digest of the request body that carried ``payload`` (or
+        None), is looked up first: it remembers that canonical digest,
+        so a byte-identical repeat serialises nothing. A new body pays
+        one canonical digest, which still finds the graph when only the
+        config, budget or detector differ. Expiry and the hit/miss
+        counters belong to the graph entry, so each counts once per
+        request whichever key found it.
+        """
+        key = self._graph_keys.get(body_key) if body_key is not None else None
+        if key is None:
+            key = wire.payload_digest(payload)
+            if body_key is not None:
+                self._graph_keys[body_key] = key
+                while len(self._graph_keys) > self._cap * BODY_KEYS_PER_GRAPH:
+                    self._graph_keys.popitem(last=False)
+        else:
+            self._graph_keys.move_to_end(body_key)
         cached = self._fresh(self._graphs, key)
         if cached is not None:
             self.recorder.incr("serve.graph_cache.hits")
@@ -179,10 +224,11 @@ class WorkerHost:
 # ---------------------------------------------------------------------------
 
 
-def _handle_detect(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
+def _handle_detect(
+    host: WorkerHost, payload: Dict[str, Any], body_key: Optional[str]
+) -> Dict[str, Any]:
     name = wire.detector_request(payload)
-    graph_payload = wire.require(payload, "graph", dict)
-    graph, graph_hot = host.graph(wire.payload_digest(graph_payload), graph_payload)
+    graph, graph_hot = host.graph(body_key, wire.require(payload, "graph", dict))
     detector, engine_hot = host.detector(name, payload.get("config"))
     budget = wire.optional_int(payload, "budget")
     cache = getattr(getattr(detector, "engine", None), "cache", None)
@@ -209,11 +255,12 @@ def _handle_detect(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _handle_simulate(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
+def _handle_simulate(
+    host: WorkerHost, payload: Dict[str, Any], body_key: Optional[str]
+) -> Dict[str, Any]:
     from repro import api
 
-    graph_payload = wire.require(payload, "graph", dict)
-    graph, graph_hot = host.graph(wire.payload_digest(graph_payload), graph_payload)
+    graph, graph_hot = host.graph(body_key, wire.require(payload, "graph", dict))
     try:
         seeds = decode_states(payload.get("seeds"))
     except CacheCodecError as exc:
@@ -229,6 +276,17 @@ def _handle_simulate(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any
             f"unknown diffusion model {name!r}; expected one of "
             f"{sorted(api.MODEL_REGISTRY)}"
         ) from None
+    field = _ROUND_CAPS.get(name)
+    rounds = params.get(field) if field is not None else None
+    if (
+        isinstance(rounds, (int, float))
+        and not isinstance(rounds, bool)
+        and rounds > MAX_SERVED_ROUNDS
+    ):
+        raise ConfigError(
+            f"{name} {field} must be <= {MAX_SERVED_ROUNDS} on /v1/simulate, "
+            f"got {rounds}"
+        )
     try:
         model = factory(**params)
     except TypeError as exc:
@@ -250,7 +308,9 @@ def _handle_simulate(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any
     return body
 
 
-def _handle_evaluate(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
+def _handle_evaluate(
+    host: WorkerHost, payload: Dict[str, Any], _body_key: Optional[str]
+) -> Dict[str, Any]:
     from repro import api
     from repro.experiments.config import WorkloadConfig
 
@@ -278,7 +338,9 @@ def _session_engine(host: WorkerHost, payload: Dict[str, Any]):
     return name, engine
 
 
-def _handle_session_create(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
+def _handle_session_create(
+    host: WorkerHost, payload: Dict[str, Any], _body_key: Optional[str]
+) -> Dict[str, Any]:
     from repro.stream.engine import StreamingDetectionEngine
 
     name = wire.require(payload, "session", str)
@@ -302,7 +364,9 @@ def _handle_session_create(host: WorkerHost, payload: Dict[str, Any]) -> Dict[st
     }
 
 
-def _handle_session_delta(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
+def _handle_session_delta(
+    host: WorkerHost, payload: Dict[str, Any], _body_key: Optional[str]
+) -> Dict[str, Any]:
     name, engine = _session_engine(host, payload)
     raw = wire.require(payload, "delta", dict)
     try:
@@ -328,7 +392,9 @@ def _handle_session_delta(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str
     }
 
 
-def _handle_session_info(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
+def _handle_session_info(
+    host: WorkerHost, payload: Dict[str, Any], _body_key: Optional[str]
+) -> Dict[str, Any]:
     name, engine = _session_engine(host, payload)
     return {
         "session": name,
@@ -338,14 +404,20 @@ def _handle_session_info(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str,
     }
 
 
-def _handle_session_close(host: WorkerHost, payload: Dict[str, Any]) -> Dict[str, Any]:
+def _handle_session_close(
+    host: WorkerHost, payload: Dict[str, Any], _body_key: Optional[str]
+) -> Dict[str, Any]:
     name, _ = _session_engine(host, payload)
     del host.sessions[name]
     host.recorder.incr("serve.sessions.closed")
     return {"session": name, "closed": True, "worker": host.index}
 
 
-HANDLERS: Dict[str, Callable[[WorkerHost, Dict[str, Any]], Dict[str, Any]]] = {
+#: Request kind -> handler ``(host, payload, body_key)``; ``body_key`` is
+#: the request's :attr:`ServeRequest.coalesce_key`.
+HANDLERS: Dict[
+    str, Callable[[WorkerHost, Dict[str, Any], Optional[str]], Dict[str, Any]]
+] = {
     "detect": _handle_detect,
     "simulate": _handle_simulate,
     "evaluate": _handle_evaluate,
@@ -413,6 +485,10 @@ class WorkerPool:
         coalesce: Optional[str] = None,
     ) -> Tuple[int, Future]:
         """Enqueue a request on its affinity shard; never blocks.
+
+        ``coalesce`` (the body digest of a stateless request, None for
+        session traffic) groups byte-identical requests within a batch,
+        and is the body key the handler's graph lookup tries first.
 
         Raises:
             ServerOverloadedError: shard queue full or pool shut down —
@@ -548,9 +624,11 @@ class WorkerPool:
                     raise WireFormatError(f"unknown request kind {primary.kind!r}")
                 with using_recorder(recorder):
                     with recorder.span(f"serve.{primary.kind}"):
-                        response = handler(host, primary.payload)
-            except BaseException as exc:  # resolved, not raised: the
-                recorder.incr("serve.errors")  # future carries it back
+                        response = handler(
+                            host, primary.payload, primary.coalesce_key
+                        )
+            except BaseException as exc:  # resolved, not raised: the future
+                # carries it back, and the server counts the error it writes.
                 for request in live:
                     request.future.set_exception(exc)
             else:

@@ -22,7 +22,10 @@ shard queue answers 503 with ``Retry-After``; a request that outlives
 ``timeout`` answers 504 (its future is cancelled, so the worker skips
 the stale computation instead of wasting a warm engine on it);
 :mod:`repro.errors` types map to 4xx/5xx via
-:func:`repro.serve.wire.error_envelope`.
+:func:`repro.serve.wire.error_envelope`. Each read from a client is
+bounded by :data:`READ_TIMEOUT_S` (a stalled request answers 408), and
+every error envelope written counts as ``serve.errors`` and
+``serve.errors.<type>``.
 
 Shutdown is graceful by default: stop accepting, let queued work drain
 (bounded by ``drain_timeout``), then join the workers.
@@ -42,6 +45,37 @@ from repro.serve import wire
 from repro.serve.pool import WorkerPool
 
 _MAX_HEADERS = 100
+
+#: Seconds the server waits on each read from a client: the request
+#: line, the header block, and the body. A connection that sends no
+#: request line in that time is closed without a response; a request
+#: that stalls in its headers or body answers 408 and is closed.
+READ_TIMEOUT_S = 30.0
+
+#: The POST routes that carry no state: they shard and coalesce on the
+#: digest of the request body's bytes.
+_STATELESS = ("detect", "simulate", "evaluate")
+
+
+class _FramingError(Exception):
+    """A request the Content-Length framing cannot read: answered with
+    ``status`` and a ``RouteError`` envelope, then the connection closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
+    """Up to ``_MAX_HEADERS`` header lines, then the blank line."""
+    headers: Dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raise _FramingError(431, f"more than {_MAX_HEADERS} header lines")
 
 
 @dataclasses.dataclass
@@ -186,63 +220,15 @@ class DetectionServer:
     ) -> None:
         while True:
             try:
-                request_line = await reader.readline()
-                if not request_line:
-                    return
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
-                    await self._respond(
-                        writer, *wire.route_error(400, "malformed request line"), close=True
-                    )
-                    return
-                method, target, _version = parts
-                headers: Dict[str, str] = {}
-                # Up to _MAX_HEADERS header lines, then the blank line.
-                for _ in range(_MAX_HEADERS + 1):
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                else:
-                    await self._respond(
-                        writer,
-                        *wire.route_error(431, f"more than {_MAX_HEADERS} header lines"),
-                        close=True,
-                    )
-                    return
-            except ValueError:
-                # StreamReader.readline raises ValueError on a line longer
-                # than the reader's limit (asyncio's default: 64 KiB).
+                request = await self._read_request(reader)
+            except _FramingError as exc:
                 await self._respond(
-                    writer,
-                    *wire.route_error(431, "request line or header line too long"),
-                    close=True,
+                    writer, *wire.route_error(exc.status, str(exc)), close=True
                 )
                 return
-            if "transfer-encoding" in headers:
-                # Only Content-Length framing is implemented; reading a
-                # chunked body as empty would desynchronise the connection.
-                await self._respond(
-                    writer,
-                    *wire.route_error(
-                        501, "Transfer-Encoding is not supported; send Content-Length"
-                    ),
-                    close=True,
-                )
+            if request is None:
                 return
-            try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
-                length = -1
-            if length < 0 or length > self.config.max_body:
-                await self._respond(
-                    writer,
-                    *wire.route_error(413, f"body exceeds {self.config.max_body} bytes"),
-                    close=True,
-                )
-                return
-            body = await reader.readexactly(length) if length else b""
+            method, target, headers, body = request
             keep_alive = (
                 headers.get("connection", "").lower() != "close"
                 and not self._draining
@@ -251,6 +237,56 @@ class DetectionServer:
             await self._respond(writer, status, payload, extra, close=not keep_alive)
             if not keep_alive:
                 return
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """Read one request: ``(method, target, headers, body)``, or None
+        when the client closed, or sent no request line within
+        :data:`READ_TIMEOUT_S`.
+
+        Raises:
+            _FramingError: a request that cannot be read (400, 408,
+                413, 431, 501).
+        """
+        try:
+            try:
+                request_line = await asyncio.wait_for(reader.readline(), READ_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                return None
+            if not request_line:
+                return None
+            parts = request_line.decode("latin-1").strip().split()
+            if len(parts) != 3:
+                raise _FramingError(400, "malformed request line")
+            method, target, _version = parts
+            headers = await asyncio.wait_for(_read_headers(reader), READ_TIMEOUT_S)
+            if "transfer-encoding" in headers:
+                # Only Content-Length framing is implemented; reading a
+                # chunked body as empty would desynchronise the connection.
+                raise _FramingError(
+                    501, "Transfer-Encoding is not supported; send Content-Length"
+                )
+            try:
+                length = int(headers.get("content-length", "0"))
+            except ValueError:
+                length = -1
+            if length < 0 or length > self.config.max_body:
+                raise _FramingError(413, f"body exceeds {self.config.max_body} bytes")
+            body = (
+                await asyncio.wait_for(reader.readexactly(length), READ_TIMEOUT_S)
+                if length
+                else b""
+            )
+        except ValueError:
+            # StreamReader.readline raises ValueError on a line longer
+            # than the reader's limit (asyncio's default: 64 KiB).
+            raise _FramingError(431, "request line or header line too long") from None
+        except asyncio.TimeoutError:
+            raise _FramingError(
+                408, f"request not received within {READ_TIMEOUT_S:g}s"
+            ) from None
+        return method, target, headers, body
 
     async def _respond(
         self,
@@ -261,6 +297,11 @@ class DetectionServer:
         *,
         close: bool,
     ) -> None:
+        if status >= 400:
+            # Every error envelope the server writes counts here, once:
+            # framing, routing and parse errors as well as worker errors.
+            self.control.incr("serve.errors")
+            self.control.incr(f"serve.errors.{payload['error']['type']}")
         blob = json.dumps(payload).encode("utf-8")
         lines = [
             f"HTTP/1.1 {status} {wire.reason(status)}",
@@ -280,24 +321,23 @@ class DetectionServer:
     ) -> Tuple[str, Dict[str, Any], str, Optional[str]]:
         """Map an HTTP request to ``(kind, payload, affinity, coalesce)``.
 
-        Stateless requests (detect/simulate/evaluate) coalesce on their
-        content digest; session requests never coalesce (each delta is a
-        distinct state transition) and shard on the session name, so one
-        session's whole lifetime stays on one worker.
+        Stateless requests (detect/simulate/evaluate) shard and coalesce
+        on the digest of their body bytes, which is also the first key of
+        the worker's graph cache; only byte-identical bodies share it.
+        Session requests never coalesce (each delta is a distinct state
+        transition) and shard on the session name, so one session's whole
+        lifetime stays on one worker.
         """
         segments = [s for s in path.split("/") if s]
-        if method == "POST" and segments == ["v1", "detect"]:
+        if (
+            method == "POST"
+            and len(segments) == 2
+            and segments[0] == "v1"
+            and segments[1] in _STATELESS
+        ):
             payload = wire.parse_body(body)
-            digest = wire.payload_digest(payload)
-            return "detect", payload, digest, digest
-        if method == "POST" and segments == ["v1", "simulate"]:
-            payload = wire.parse_body(body)
-            digest = wire.payload_digest(payload)
-            return "simulate", payload, digest, digest
-        if method == "POST" and segments == ["v1", "evaluate"]:
-            payload = wire.parse_body(body)
-            digest = wire.payload_digest(payload)
-            return "evaluate", payload, digest, digest
+            digest = wire.body_digest(body)
+            return segments[1], payload, digest, digest
         if method == "POST" and segments == ["v1", "sessions"]:
             payload = wire.parse_body(body)
             name = wire.require(payload, "session", str)

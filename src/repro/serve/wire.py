@@ -67,6 +67,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
@@ -90,10 +91,19 @@ def envelope(payload: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def body_digest(raw: bytes) -> str:
+    """Digest of a request's raw body bytes: the shard-affinity and
+    coalescing key of stateless requests, and the first key of a
+    worker's decoded-graph cache. Hashing the bytes as received costs no
+    serialisation, so only byte-identical bodies share a key."""
+    return hashlib.blake2b(raw, digest_size=16).hexdigest()
+
+
 def payload_digest(payload: Any) -> str:
-    """Content digest of a JSON payload: the shard-affinity / coalescing
-    key. Canonical (sorted-key) serialisation, so two requests that mean
-    the same thing hash the same regardless of dict insertion order."""
+    """Content digest of a JSON payload: the canonical key of a worker's
+    decoded-graph cache. Canonical (sorted-key) serialisation, so two
+    payloads that mean the same thing hash the same regardless of dict
+    insertion order or whitespace."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
@@ -247,8 +257,8 @@ def error_envelope(
 
 
 def route_error(status: int, message: str) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-    """An envelope for routing- and framing-level failures (404/405/413/
-    431/501) that never reach the worker pool."""
+    """An envelope for routing- and framing-level failures (400/404/405/
+    408/413/431/501) that never reach the worker pool."""
     body = envelope(
         {"error": {"type": "RouteError", "message": message, "status": status}}
     )

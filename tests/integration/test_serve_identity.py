@@ -18,6 +18,7 @@ import pytest
 import repro
 from repro.core.rid import RIDConfig
 from repro.diffusion.mfc import MFCModel
+from repro.diffusion.sir import SIRModel
 from repro.errors import (
     ConfigError,
     EmptyInfectionError,
@@ -27,6 +28,7 @@ from repro.errors import (
 )
 from repro.graphs.generators.random_graphs import signed_erdos_renyi
 from repro.serve import ServeClient, ServeConfig, start_in_thread
+from repro.serve.pool import MAX_SERVED_ROUNDS
 from repro.stream import StreamingDetectionEngine, synthetic_stream
 from repro.types import NodeState
 
@@ -288,6 +290,54 @@ class TestErrorSurface:
         status, envelope = post_raw(client, "/v1/simulate", body)
         assert status == 400
         assert envelope["error"]["type"] == "InvalidModelParameterError"
+
+    @pytest.fixture(scope="class")
+    def triangle(self):
+        from repro.graphs.signed_digraph import SignedDiGraph
+
+        graph = SignedDiGraph()
+        graph.add_edge(0, 1, 1, 0.5)
+        graph.add_edge(1, 2, 1, 0.5)
+        graph.add_edge(2, 0, -1, 0.5)
+        return graph
+
+    @pytest.mark.parametrize(
+        "model, params, field",
+        [
+            ("voter", {"rounds": MAX_SERVED_ROUNDS + 1}, "rounds"),
+            (
+                "sir",
+                {"max_rounds": MAX_SERVED_ROUNDS + 1, "recovery_probability": 0},
+                "max_rounds",
+            ),
+        ],
+    )
+    def test_simulate_rounds_past_the_limit_map_to_400(
+        self, served, triangle, model, params, field
+    ):
+        from repro.codec import encode_graph
+
+        client, _ = served
+        body = {
+            "graph": encode_graph(triangle),
+            "seeds": [[["i", 0], 1]],
+            "model": model,
+            "params": params,
+        }
+        status, envelope = post_raw(client, "/v1/simulate", body)
+        assert status == 400
+        assert envelope["error"]["type"] == "ConfigError"
+        message = envelope["error"]["message"]
+        assert field in message and str(MAX_SERVED_ROUNDS) in message
+
+    def test_simulate_rounds_at_the_limit_are_served(self, served, triangle):
+        client, _ = served
+        seeds = {0: NodeState.POSITIVE}
+        params = {"max_rounds": MAX_SERVED_ROUNDS, "recovery_probability": 0}
+        remote = client.simulate(triangle, seeds, model="sir", params=params, rng=1)
+        direct = repro.simulate(triangle, seeds, model=SIRModel(**params), rng=1)
+        assert remote.events == direct.events
+        assert remote.rounds == MAX_SERVED_ROUNDS
 
     @pytest.mark.parametrize(
         "detector, config",

@@ -8,17 +8,22 @@ timing-dependent. :class:`TestHttpFraming` speaks raw bytes to an
 in-process server, for requests no well-behaved client would send.
 """
 
+import http.client
+import json
 import socket
 import threading
 import time
 
 import pytest
 
+import repro
+import repro.serve.server as server_module
+from repro.codec import encode_graph
 from repro.core.rid import RIDConfig
 from repro.detectors import detector_config_to_json
 from repro.errors import ConfigError, ServerOverloadedError, WireFormatError
-from repro.serve import wire
-from repro.serve.pool import HANDLERS, WorkerPool
+from repro.serve import ServeClient, wire
+from repro.serve.pool import BODY_KEYS_PER_GRAPH, HANDLERS, WorkerHost, WorkerPool
 from repro.serve.server import _MAX_HEADERS, ServeConfig, start_in_thread
 from repro.stream.synthetic import synthetic_snapshot
 
@@ -35,7 +40,7 @@ def blockable(monkeypatch):
     """Register a handler that blocks until released; returns the gate."""
     gate = threading.Event()
 
-    def _blocked(host, payload):
+    def _blocked(host, payload, _body_key):
         gate.wait(timeout=10.0)
         return {"echo": payload.get("x"), "worker": host.index}
 
@@ -93,7 +98,7 @@ class TestCoalescing:
     def test_identical_requests_compute_once(self, blockable, monkeypatch):
         calls = []
 
-        def _counting(host, payload):
+        def _counting(host, payload, _body_key):
             calls.append(payload["x"])
             blockable.wait(timeout=10.0)
             return {"echo": payload["x"]}
@@ -135,7 +140,7 @@ class TestAbandonedRequests:
     def test_cancelled_future_is_skipped_not_computed(self, blockable, monkeypatch):
         computed = []
 
-        def _tracking(host, payload):
+        def _tracking(host, payload, _body_key):
             computed.append(payload["x"])
             return {"echo": payload["x"]}
 
@@ -197,7 +202,9 @@ class TestErrorsTravelThroughFutures:
         _, fut = pool.submit("detect", {"graph": "nope"}, "key")
         with pytest.raises(WireFormatError):
             fut.result(timeout=10.0)
-        assert pool.metrics().counters["serve.errors"] == 1.0
+        # Workers count no errors: the server counts each error envelope
+        # it writes, once (TestErrorCounters).
+        assert "serve.errors" not in pool.metrics().counters
 
     def test_unknown_kind_is_a_wire_error(self, pool):
         _, fut = pool.submit("test.nope", {}, "key")
@@ -530,3 +537,210 @@ class TestHttpFraming:
             + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
         )
         self.assert_single_closing_response(exchange(server.port, request), 501)
+
+    @pytest.fixture
+    def read_limit(self, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.3)
+
+    def test_silent_client_is_closed_without_a_response(self, server, read_limit):
+        assert exchange(server.port, b"") == b""
+
+    def test_stalled_header_is_408(self, server, read_limit):
+        request = b"GET /v1/health HTTP/1.1\r\nX-Pad: 1\r\n"
+        self.assert_single_closing_response(exchange(server.port, request), 408)
+
+    def test_stalled_body_is_408(self, server, read_limit):
+        request = b"POST /v1/detect HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"x" * 10
+        self.assert_single_closing_response(exchange(server.port, request), 408)
+
+    def test_keep_alive_requests_spaced_under_the_limit_share_a_connection(
+        self, server, monkeypatch
+    ):
+        # Three requests 0.3 s apart: the connection outlives the 0.5 s
+        # limit, because the limit bounds each read, not the connection.
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.5)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10.0) as sock:
+            stream = sock.makefile("rb")
+            for _ in range(3):
+                time.sleep(0.3)
+                sock.sendall(b"GET /v1/health HTTP/1.1\r\n\r\n")
+                status_line = stream.readline()
+                headers = {}
+                for line in iter(stream.readline, b"\r\n"):
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                body = json.loads(stream.read(int(headers["content-length"])))
+                assert status_line.startswith(b"HTTP/1.1 200 ")
+                assert headers["connection"] == "keep-alive"
+                assert body["status"] == "ok"
+
+    def test_client_reconnects_after_an_idle_close(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        with ServeClient(server.url, timeout=10.0) as client:
+            assert client.health()["status"] == "ok"
+            time.sleep(0.5)  # the server closes the idle keep-alive connection
+            assert client.health()["status"] == "ok"
+
+
+def post(port, route, raw):
+    """POST raw body bytes; returns ``(status, decoded body)``."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request("POST", route, body=raw)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def detect_body(graph, **fields):
+    """A ``/v1/detect`` body as :class:`ServeClient` writes it."""
+    return json.dumps(wire.envelope(dict(graph=encode_graph(graph), **fields))).encode()
+
+
+def canonical(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Count calls to the canonical payload digest."""
+    calls = []
+    original = wire.payload_digest
+
+    def _counting(payload):
+        calls.append(payload)
+        return original(payload)
+
+    monkeypatch.setattr(wire, "payload_digest", _counting)
+    return calls
+
+
+class TestTwoKeyGraphCache:
+    """Decoded graphs are found by the request body's digest first, then
+    by the graph payload's canonical digest."""
+
+    @pytest.fixture
+    def served(self):
+        with start_in_thread(ServeConfig(workers=1)) as handle:
+            yield handle
+
+    def test_byte_identical_repeat_computes_no_canonical_digest(self, served, digest_calls):
+        graph = synthetic_snapshot(3, 8, seed=2)
+        raw = detect_body(graph)
+        status, first = post(served.port, "/v1/detect", raw)
+        assert status == 200 and first["cache"]["graph"] == "cold"
+        del digest_calls[:]
+        status, repeat = post(served.port, "/v1/detect", raw)
+        assert status == 200
+        assert digest_calls == []
+        assert repeat["cache"]["graph"] == "hot"
+        assert canonical(repeat["result"]) == canonical(repro.detect(graph).to_json())
+
+    def test_reordered_body_is_graph_hot_through_the_canonical_key(
+        self, served, digest_calls
+    ):
+        def reversed_keys(value):
+            if isinstance(value, dict):
+                return {k: reversed_keys(v) for k, v in reversed(list(value.items()))}
+            return value
+
+        graph = synthetic_snapshot(3, 8, seed=4)
+        payload = wire.envelope({"graph": encode_graph(graph)})
+        raw, reordered = json.dumps(payload).encode(), json.dumps(reversed_keys(payload)).encode()
+        assert raw != reordered and json.loads(raw) == json.loads(reordered)
+        status, first = post(served.port, "/v1/detect", raw)
+        assert status == 200 and first["cache"]["graph"] == "cold"
+        del digest_calls[:]
+        status, second = post(served.port, "/v1/detect", reordered)
+        assert status == 200
+        assert second["cache"]["graph"] == "hot"
+        assert len(digest_calls) == 1  # the new body's one canonical digest
+        assert canonical(second["result"]) == canonical(first["result"])
+        assert canonical(second["result"]) == canonical(repro.detect(graph).to_json())
+
+    def test_new_budget_on_a_known_graph_is_graph_hot(self, served):
+        graph = synthetic_snapshot(3, 8, seed=6)
+        assert post(served.port, "/v1/detect", detect_body(graph))[0] == 200
+        status, budgeted = post(served.port, "/v1/detect", detect_body(graph, budget=5))
+        assert status == 200
+        assert budgeted["cache"]["graph"] == "hot"
+        assert canonical(budgeted["result"]) == canonical(
+            repro.detect(graph, budget=5).to_json()
+        )
+
+    def test_expiry_counts_once_per_graph_not_per_key(self):
+        clock = {"now": 0.0}
+        host = WorkerHost(0, 8, cache_ttl_s=10.0, clock=lambda: clock["now"])
+        payload = encode_graph(synthetic_snapshot(2, 6, seed=11))
+        assert host.graph("body-a", payload)[1] is False
+        assert host.graph("body-b", payload)[1] is True  # through the canonical key
+        clock["now"] += 11.0
+        assert host.graph("body-a", payload)[1] is False  # expired, rebuilt cold
+        assert host.graph("body-b", payload)[1] is True
+        counters = host.recorder.metrics.counters
+        assert counters["serve.cache_expired"] == 1.0
+        assert counters["serve.graph_cache.misses"] == 2.0
+        assert counters["serve.graph_cache.hits"] == 2.0
+
+    def test_more_configs_than_engine_cache_decode_the_graph_once(self, monkeypatch):
+        decodes = []
+        original = wire.graph_from_json
+        monkeypatch.setattr(
+            wire, "graph_from_json", lambda payload: decodes.append(1) or original(payload)
+        )
+        pool = WorkerPool(1, queue_size=16, engine_cache=2)
+        try:
+            graph = encode_graph(synthetic_snapshot(2, 6, seed=3))
+            for beta in (0.1, 0.2, 0.3, 0.4):
+                payload = wire.envelope({"graph": graph, "config": {"beta": beta}})
+                key = wire.body_digest(json.dumps(payload).encode())
+                pool.submit("detect", payload, key, coalesce=key)[1].result(timeout=30.0)
+            counters = pool.metrics().counters
+        finally:
+            pool.shutdown()
+        assert len(decodes) == 1
+        assert counters["serve.graph_cache.misses"] == 1.0
+        assert counters["serve.graph_cache.hits"] == 3.0
+        assert counters["serve.engine_cache.misses"] == 4.0
+
+    def test_body_keys_are_bounded_pointers(self, digest_calls):
+        host = WorkerHost(0, 1)
+        payload = encode_graph(synthetic_snapshot(2, 6, seed=12))
+        for i in range(BODY_KEYS_PER_GRAPH + 1):
+            host.graph(f"body-{i}", payload)
+        del digest_calls[:]
+        assert host.graph(f"body-{BODY_KEYS_PER_GRAPH}", payload)[1] is True
+        assert digest_calls == []  # still remembered
+        assert host.graph("body-0", payload)[1] is True
+        assert len(digest_calls) == 1  # the oldest pointer was dropped
+        assert host.recorder.metrics.counters["serve.graph_cache.misses"] == 1.0
+
+
+class TestErrorCounters:
+    """Every error envelope the server writes counts once in /v1/stats,
+    as ``serve.errors`` and ``serve.errors.<type>``."""
+
+    def test_parse_route_and_framing_errors_are_counted_by_type(self):
+        with start_in_thread(ServeConfig(workers=1)) as handle:
+            status, envelope = post(handle.port, "/v1/detect", b"not json")
+            assert (status, envelope["error"]["type"]) == (400, "WireFormatError")
+            status, envelope = post(handle.port, "/v2/detect", b"{}")
+            assert (status, envelope["error"]["type"]) == (404, "RouteError")
+            chunked = b"POST /v1/detect HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"
+            assert exchange(handle.port, chunked).startswith(b"HTTP/1.1 501 ")
+            with ServeClient(handle.url) as client:
+                counters = client.stats()["metrics"]["counters"]
+        assert counters["serve.errors.WireFormatError"] == 1.0
+        assert counters["serve.errors.RouteError"] == 2.0
+        assert counters["serve.errors"] == 3.0
+
+    def test_worker_error_counts_once(self):
+        with start_in_thread(ServeConfig(workers=1)) as handle:
+            raw = json.dumps(wire.envelope({"graph": "nope"})).encode()
+            status, envelope = post(handle.port, "/v1/detect", raw)
+            assert (status, envelope["error"]["type"]) == (400, "WireFormatError")
+            with ServeClient(handle.url) as client:
+                counters = client.stats()["metrics"]["counters"]
+        assert counters["serve.errors"] == 1.0
+        assert counters["serve.errors.WireFormatError"] == 1.0
