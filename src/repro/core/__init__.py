@@ -13,29 +13,25 @@ Pipeline stages (Sec. III-E), each its own module:
    for k-ISOMIT-BT (Sec. III-D), compiled to flat arrays;
 5. :mod:`~repro.core.rid` — β-penalised model selection tying it all
    together (Sec. III-E3);
-6. :mod:`~repro.core.likelihood` — the MFC likelihood machinery
-   (Sec. III-B) shared by the DP and by exact brute-force solvers;
-7. :mod:`~repro.core.exact` — exhaustive ISOMIT solvers certifying the
-   pipeline on small instances;
-8. :mod:`~repro.core.imputation` — unknown-state ('?') masking and
+6. :mod:`~repro.core.likelihood` — the per-link factor ``g`` of the
+   MFC likelihood (Sec. III-B), which binarisation stores as each
+   binary-tree slot's incoming-edge factor;
+7. :mod:`~repro.core.imputation` — unknown-state ('?') masking and
    MFC-rule completion.
 
 The staged :class:`~repro.pipeline.engine.DetectionEngine` composes
 these steps; ``DetectionEngine().forest(RIDConfig(...), infected)``
 extracts a snapshot's cascade forest on its own. The detector protocol
 and the paper's comparison methods (RID-Tree, RID-Positive) live in
-:mod:`repro.detectors`.
+:mod:`repro.detectors`. The exact ISOMIT objective is NP-hard
+(Lemma 3.1); its exhaustive solvers and the full noisy-or likelihood
+they score with certify RID on toy snapshots from
+``tests/oracles/exact.py``.
 """
 
 from repro.core.components import infected_components, weakly_connected_components
-from repro.core.exact import exact_isomit_additive, exact_isomit_likelihood
 from repro.core.imputation import impute_unknown_states, mask_states
-from repro.core.likelihood import (
-    g_link,
-    network_likelihood,
-    node_infection_probability,
-    path_probability,
-)
+from repro.core.likelihood import g_link
 from repro.core.rid import RID, RIDConfig
 
 __all__ = [
@@ -44,11 +40,6 @@ __all__ = [
     "infected_components",
     "weakly_connected_components",
     "g_link",
-    "path_probability",
-    "node_infection_probability",
-    "network_likelihood",
-    "exact_isomit_likelihood",
-    "exact_isomit_additive",
     "mask_states",
     "impute_unknown_states",
 ]

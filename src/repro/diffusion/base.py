@@ -12,6 +12,7 @@ activation-link forest (Definition 4) and the infected subgraph
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -23,7 +24,7 @@ from repro.codec import (
     encode_node,
     encode_states,
 )
-from repro.errors import InvalidSeedError, ResultFormatError
+from repro.errors import InvalidModelParameterError, InvalidSeedError, ResultFormatError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import INITIATOR_STATES, Node, NodeState
 from repro.utils.rng import RandomSource, spawn_rng
@@ -214,6 +215,27 @@ def check_seeds(diffusion: SignedDiGraph, seeds: Dict[Node, NodeState]) -> Dict[
             )
         validated[node] = state
     return validated
+
+
+def check_round_cap(value: int, name: str, minimum: int) -> int:
+    """Validate a model's round cap and return it as a plain ``int``.
+
+    A float or a bool is refused, not truncated or counted as 1, so a
+    JSON ``2.5`` or ``true`` from ``/v1/simulate`` is a 400.
+
+    Raises:
+        InvalidModelParameterError: on a non-integer or a value below
+            ``minimum``.
+    """
+    if isinstance(value, bool):
+        raise InvalidModelParameterError(f"{name} must be an int, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidModelParameterError(f"{name} must be an int, got {value!r}") from None
+    if value < minimum:
+        raise InvalidModelParameterError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 class DiffusionModel(abc.ABC):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.diffusion.base import DiffusionModel, DiffusionResult, check_seeds
+from repro.diffusion.base import DiffusionModel, DiffusionResult, check_round_cap, check_seeds
 from repro.errors import InvalidModelParameterError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import Node, NodeState, Sign
@@ -86,8 +86,7 @@ class MFCModel(DiffusionModel):
             raise InvalidModelParameterError(
                 f"alpha must be >= 1 (paper: alpha > 1), got {alpha!r}"
             )
-        if max_rounds < 1:
-            raise InvalidModelParameterError(f"max_rounds must be >= 1, got {max_rounds}")
+        max_rounds = check_round_cap(max_rounds, "max_rounds", 1)
         try:
             self.alpha = float(alpha)
         except OverflowError:  # an int such as 10**400, from JSON

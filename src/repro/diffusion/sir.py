@@ -16,6 +16,7 @@ from repro.diffusion.base import (
     ActivationEvent,
     DiffusionModel,
     DiffusionResult,
+    check_round_cap,
     sorted_nodes,
 )
 from repro.errors import InvalidModelParameterError
@@ -53,8 +54,7 @@ class SIRModel(DiffusionModel):
             )
         except ValueError as exc:
             raise InvalidModelParameterError(str(exc)) from None
-        if max_rounds < 1:
-            raise InvalidModelParameterError(f"max_rounds must be >= 1, got {max_rounds}")
+        max_rounds = check_round_cap(max_rounds, "max_rounds", 1)
         try:
             self.infection_scale = float(infection_scale)
         except OverflowError:  # an int such as 10**400, from JSON

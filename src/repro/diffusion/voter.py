@@ -17,6 +17,7 @@ from repro.diffusion.base import (
     ActivationEvent,
     DiffusionModel,
     DiffusionResult,
+    check_round_cap,
     sorted_nodes,
 )
 from repro.errors import InvalidModelParameterError
@@ -37,8 +38,7 @@ class SignedVoterModel(DiffusionModel):
     name = "voter"
 
     def __init__(self, rounds: int = 10, update_probability: float = 1.0) -> None:
-        if rounds < 0:
-            raise InvalidModelParameterError(f"rounds must be >= 0, got {rounds}")
+        rounds = check_round_cap(rounds, "rounds", 0)
         if not 0.0 <= update_probability <= 1.0:
             raise InvalidModelParameterError(
                 f"update_probability must be in [0,1], got {update_probability}"

@@ -38,10 +38,6 @@ class EdgeNotFoundError(GraphError, KeyError):
         self.edge = (u, v)
 
 
-class DuplicateNodeError(GraphError, ValueError):
-    """Attempted to add a node that already exists (strict mode)."""
-
-
 class InvalidSignError(GraphError, ValueError):
     """A link sign is outside ``{-1, +1}``."""
 
@@ -52,10 +48,6 @@ class InvalidWeightError(GraphError, ValueError):
 
 class NotATreeError(GraphError, ValueError):
     """An operation that requires a (binary) tree received something else."""
-
-
-class NotBinaryTreeError(NotATreeError):
-    """An operation that requires a binary tree received a wider tree."""
 
 
 class GraphFormatError(GraphError, ValueError):

@@ -16,10 +16,8 @@ This subpackage implements the paper's network definitions from scratch:
 
 from repro.graphs.signed_digraph import EdgeData, SignedDiGraph
 from repro.graphs.transforms import (
-    induced_subgraph,
     negative_subgraph,
     positive_subgraph,
-    reverse_graph,
     to_diffusion_network,
 )
 
@@ -27,8 +25,6 @@ __all__ = [
     "EdgeData",
     "SignedDiGraph",
     "to_diffusion_network",
-    "reverse_graph",
     "positive_subgraph",
     "negative_subgraph",
-    "induced_subgraph",
 ]

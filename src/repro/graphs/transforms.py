@@ -8,10 +8,8 @@ B to A when A trusts (follows) B. Signs and weights carry over unchanged.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.types import Node, NodeState, Sign
+from repro.types import NodeState, Sign
 
 
 def to_diffusion_network(social: SignedDiGraph) -> SignedDiGraph:
@@ -29,11 +27,6 @@ def to_diffusion_network(social: SignedDiGraph) -> SignedDiGraph:
         from v to u".
     """
     return social.reverse(name=f"{social.name or 'social'}-diffusion")
-
-
-def reverse_graph(graph: SignedDiGraph) -> SignedDiGraph:
-    """Alias for :meth:`SignedDiGraph.reverse`; reads better in pipelines."""
-    return graph.reverse()
 
 
 def positive_subgraph(graph: SignedDiGraph) -> SignedDiGraph:
@@ -60,11 +53,6 @@ def negative_subgraph(graph: SignedDiGraph) -> SignedDiGraph:
         if data.sign is Sign.NEGATIVE:
             sub.add_edge(u, v, int(data.sign), data.weight)
     return sub
-
-
-def induced_subgraph(graph: SignedDiGraph, nodes: Iterable[Node]) -> SignedDiGraph:
-    """Induced subgraph over ``nodes``; thin functional wrapper."""
-    return graph.subgraph(nodes)
 
 
 def infected_subgraph(diffusion: SignedDiGraph) -> SignedDiGraph:

@@ -31,6 +31,14 @@ class TestExampleSmoke:
         assert "precision=" in out
         assert "cascade tree" in out
 
+    def test_real_data_workflow(self):
+        out = run_example("real_data_workflow.py")
+        assert "forest-fire sample: 800 nodes" in out
+        assert "detection on the sampled real-format data" in out
+        # The stand-in SNAP file's temporary directory is gone afterwards.
+        written = out.split("wrote stand-in SNAP file: ", 1)[1].splitlines()[0]
+        assert not Path(written).parent.exists()
+
     def test_custom_model(self):
         out = run_example("custom_model.py")
         assert "stubborn-majority" in out

@@ -330,6 +330,32 @@ class TestErrorSurface:
         message = envelope["error"]["message"]
         assert field in message and str(MAX_SERVED_ROUNDS) in message
 
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("voter", {"rounds": 2.5}),
+            ("sir", {"max_rounds": 2.5}),
+            ("mfc", {"max_rounds": 2.5}),
+            ("mfc", {"max_rounds": True}),
+        ],
+    )
+    def test_simulate_non_int_round_cap_maps_to_400(
+        self, served, triangle, model, params
+    ):
+        from repro.codec import encode_graph
+
+        client, _ = served
+        body = {
+            "graph": encode_graph(triangle),
+            "seeds": [[["i", 0], 1]],
+            "model": model,
+            "params": params,
+        }
+        status, envelope = post_raw(client, "/v1/simulate", body)
+        assert status == 400
+        assert envelope["error"]["type"] == "InvalidModelParameterError"
+        assert "must be an int" in envelope["error"]["message"]
+
     def test_simulate_rounds_at_the_limit_are_served(self, served, triangle):
         client, _ = served
         seeds = {0: NodeState.POSITIVE}

@@ -12,6 +12,7 @@ from repro.core.rid import RID, RIDConfig
 from repro.diffusion.mfc import MFCModel
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
+from tests.property.reachability import reachable_from
 
 
 @st.composite
@@ -103,8 +104,6 @@ class TestBaselineInvariants:
             # in a source cycle (every in-neighbour reachable FROM the
             # root through the infected graph) — the documented artifact.
             if in_neighbors:
-                from repro.graphs.paths import reachable_from
-
                 assert in_neighbors <= reachable_from(infected, root)
 
     @given(infected_worlds())

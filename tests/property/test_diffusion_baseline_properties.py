@@ -9,6 +9,7 @@ from repro.diffusion.sir import SIRModel
 from repro.diffusion.voter import SignedVoterModel
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
+from tests.property.reachability import reachable_from
 
 MODELS = [
     ICModel(),
@@ -58,8 +59,6 @@ class TestSharedInvariants:
     @given(worlds(), st.sampled_from(range(len(MODELS))))
     @settings(max_examples=80, deadline=None)
     def test_infection_respects_reachability(self, world, model_index):
-        from repro.graphs.paths import reachable_from
-
         graph, seeds, rng_seed = world
         result = MODELS[model_index].run(graph, seeds, rng=rng_seed)
         reachable = set()

@@ -111,6 +111,22 @@ class TestSimulate:
         with pytest.raises(InvalidModelParameterError):
             api.MODEL_REGISTRY[name](**{param: 10**400})
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            (name, param)
+            for name, factory in sorted(api.MODEL_REGISTRY.items())
+            for param, spec in inspect.signature(factory).parameters.items()
+            if spec.annotation in ("int", int)
+        ],
+    )
+    def test_round_cap_must_be_an_int(self, name, param, value):
+        # A JSON 2.5 or true reaches the constructors from /v1/simulate: a
+        # float cap must not be rounded up, nor a bool counted as 1.
+        with pytest.raises(InvalidModelParameterError, match=f"{param} must be an int"):
+            api.MODEL_REGISTRY[name](**{param: value})
+
     def test_multi_trial_needs_integer_seed(self, network):
         import random
 

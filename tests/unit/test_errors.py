@@ -16,11 +16,9 @@ ALL_ERRORS = [
     errors.GraphError,
     errors.NodeNotFoundError,
     errors.EdgeNotFoundError,
-    errors.DuplicateNodeError,
     errors.InvalidSignError,
     errors.InvalidWeightError,
     errors.NotATreeError,
-    errors.NotBinaryTreeError,
     errors.GraphFormatError,
     errors.DiffusionError,
     errors.InvalidSeedError,
@@ -62,9 +60,6 @@ class TestHierarchy:
     )
     def test_validation_errors_are_value_errors(self, error_class):
         assert issubclass(error_class, ValueError)
-
-    def test_not_binary_tree_specialises_not_a_tree(self):
-        assert issubclass(errors.NotBinaryTreeError, errors.NotATreeError)
 
 
 class TestErrorPayloads:

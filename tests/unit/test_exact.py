@@ -1,12 +1,17 @@
-"""Unit tests for the exact ISOMIT solvers."""
+"""Unit tests for the exact ISOMIT solvers.
+
+The two RID comparisons below pin one hand-checked chain; that the
+optimum bounds RID's on every small snapshot is a property test:
+``tests/property/test_exact_bounds_rid.py``.
+"""
 
 import pytest
 
-from repro.core.exact import exact_isomit_additive, exact_isomit_likelihood
 from repro.core.rid import RID, RIDConfig
 from repro.errors import DetectionError, EmptyInfectionError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
+from tests.oracles.exact import exact_isomit_additive, exact_isomit_likelihood
 
 
 def chain(weights, signs=None) -> SignedDiGraph:

