@@ -22,11 +22,14 @@ so all stage spans and kernel counters land in one report::
     print(format_report(recorder.metrics))
 
 Compatibility contract: names exported here (and re-exported from
-:mod:`repro`) keep their signatures stable across releases; superseded
-keywords go through a :class:`DeprecationWarning` cycle first and are
-then removed with a :class:`~repro.errors.ConfigError` naming the
-replacement (the detector ``k=``/``max_k=`` budget spellings completed
-that cycle — pass ``budget=``).
+:mod:`repro`) keep their signatures stable across releases; a
+superseded keyword goes through a :class:`DeprecationWarning` cycle
+first and is then removed from the signature, so a stale call fails
+with Python's own :class:`TypeError` (the detector ``k=``/``max_k=``
+budget spellings went that way — pass ``budget``). Every
+:class:`~repro.detectors.Detector` accepts ``runtime=`` and either
+honours it (RID) or rejects it with :class:`~repro.errors.ConfigError`,
+so :func:`detect` passes it straight through.
 """
 
 from __future__ import annotations
@@ -130,30 +133,6 @@ def infected_snapshot(graph: SignedDiGraph, snapshot: Snapshot) -> SignedDiGraph
     return sub
 
 
-def _invoke(method, *args, runtime, recorder):
-    """Invoke a detector entry point under the unified keyword protocol.
-
-    Every :class:`Detector` accepts ``runtime=`` — it either honours it
-    (RID) or rejects it with :class:`ConfigError`
-    (:func:`repro.detectors.base.check_runtime`). A third-party detector
-    that predates the keyword surfaces as :class:`ConfigError` too: the
-    facade never silently drops a runtime the caller asked for.
-    """
-    if runtime is None:
-        return method(*args, recorder=recorder)
-    try:
-        return method(*args, runtime=runtime, recorder=recorder)
-    except TypeError as exc:
-        if "runtime" in str(exc):
-            raise ConfigError(
-                f"{getattr(method, '__qualname__', method)!r} does not "
-                "accept runtime=; detectors must honour the keyword or "
-                "reject it explicitly (repro.detectors.base.check_runtime) "
-                "— drop runtime= to run this detector"
-            ) from None
-        raise
-
-
 def _resolve_api_detector(
     detector: Union[str, Detector, None], config
 ) -> Tuple[Detector, str]:
@@ -238,14 +217,11 @@ def detect(
             rec.incr(f"detector.{name}.requests")
         infected = infected_snapshot(graph, snapshot)
         if budget is not None:
-            result = _invoke(
-                resolved.detect_with_budget, infected, budget,
-                runtime=runtime, recorder=rec,
+            result = resolved.detect_with_budget(
+                infected, budget, recorder=rec, runtime=runtime
             )
         else:
-            result = _invoke(
-                resolved.detect, infected, runtime=runtime, recorder=rec
-            )
+            result = resolved.detect(infected, recorder=rec, runtime=runtime)
         if rec.enabled:
             rec.incr("detector.initiators", result.num_detected())
         return result

@@ -340,10 +340,3 @@ def split_branching_into_trees(branching: SignedDiGraph) -> List[SignedDiGraph]:
         trees.append(branching.subgraph(members, name=f"cascade-tree-{root!r}"))
     return trees
 
-
-def branching_likelihood(branching: SignedDiGraph) -> float:
-    """``L(T) = Π w(u, v)`` over the branching's activation links."""
-    likelihood = 1.0
-    for _, _, data in branching.iter_edges():
-        likelihood *= data.weight
-    return likelihood

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.detectors.base import DetectionResult, Detector, resolve_budget_kwargs
+from repro.detectors.base import DetectionResult, Detector
 from repro.core.binarize import binarize_cascade_tree  # noqa: F401  (pipeline seam)
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
@@ -193,10 +193,8 @@ class RID(Detector):
     def detect_with_budget(
         self,
         infected: SignedDiGraph,
-        budget: Optional[int] = None,
+        budget: int,
         *,
-        k: Optional[int] = None,
-        max_k: Optional[int] = None,
         recorder: Optional[Recorder] = None,
         runtime: Optional[RuntimeConfig] = None,
     ) -> DetectionResult:
@@ -216,18 +214,18 @@ class RID(Detector):
                 its root explained) and at most the infected-node count.
                 A snapshot with zero infected nodes accepts exactly
                 ``budget=0`` and returns an empty result.
-            k: removed spelling of ``budget`` (raises ``ConfigError``).
-            max_k: removed spelling of ``budget`` (raises ``ConfigError``).
             recorder: observability sink (ambient recorder by default).
             runtime: fan-out/caching override for this call.
 
         Raises:
-            ConfigError: for budgets outside the feasible range, or
-                missing/conflicting budget keywords.
+            ConfigError: for a budget outside the feasible range, or
+                ``None`` (which the engine would read as β mode).
         """
-        budget = resolve_budget_kwargs(
-            budget, k=k, max_k=max_k, method=f"{self.name}.detect_with_budget"
-        )
+        if budget is None:
+            raise ConfigError(
+                f"{self.name}.detect_with_budget() needs an initiator budget "
+                f"(budget=...)"
+            )
         rec = resolve_recorder(recorder)
         with rec.span("rid.detect_with_budget", budget=budget):
             outcome = self.engine.detect(

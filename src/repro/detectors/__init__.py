@@ -24,14 +24,7 @@ contribution, not a baseline) but subclasses the same
 See docs/detectors.md for the registry table and tradeoffs.
 """
 
-from repro.detectors.base import (
-    DetectionResult,
-    Detector,
-    check_runtime,
-    empty_infection_budget_result,
-    require_infected,
-    resolve_budget_kwargs,
-)
+from repro.detectors.base import DetectionResult, Detector, check_runtime
 from repro.detectors.baselines import (
     RIDPositiveConfig,
     RIDPositiveDetector,
@@ -105,9 +98,6 @@ __all__ = [
     "detector_digest",
     "detector_names",
     "detector_spec",
-    "empty_infection_budget_result",
-    "require_infected",
-    "resolve_budget_kwargs",
     "resolve_detector",
     "rumor_centralities",
     "rumor_centrality",

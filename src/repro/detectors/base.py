@@ -1,24 +1,26 @@
 """The detector protocol: :class:`Detector`, :class:`DetectionResult`.
 
-This module is the single home of the detector abstraction (every
-concrete detector in :mod:`repro.detectors` — and :class:`repro.core.rid.RID`
-— subclasses :class:`Detector`). The unified protocol:
+This module is the single home of the detector abstraction and of the
+contract every in-process detector keeps. :class:`Detector`'s two entry
+points run it once for the whole zoo, around each class's own hooks:
 
 * ``detect(infected, recorder=None, *, runtime=None)`` — open-ended
-  detection. Every implementation accepts the ``runtime=`` keyword;
-  detectors that cannot use a non-trivial runtime (no per-component
-  fan-out, no artifact store) **raise** :class:`~repro.errors.ConfigError`
-  instead of silently ignoring it (:func:`check_runtime`).
-* ``detect_with_budget(infected, budget=..., recorder=None, runtime=None)``
-  — fixed-count detection for detectors that support it
-  (:func:`resolve_budget_kwargs` validates the unified keyword).
+  detection. ``runtime=`` is validated and, when it asks for fan-out or
+  an artifact store, **rejected** with :class:`~repro.errors.ConfigError`
+  rather than silently ignored (:func:`check_runtime`); an empty
+  infected network raises :class:`~repro.errors.EmptyInfectionError`.
+* ``detect_with_budget(infected, budget, *, recorder=None,
+  runtime=None)`` — exact-count detection, for detectors that have an
+  exact-count rule (:class:`NotImplementedError` otherwise). ``budget``
+  is required and ``None`` is a :class:`~repro.errors.ConfigError`; on
+  an empty network exactly ``budget=0`` is accepted and returns a
+  well-formed empty result, any other budget raising
+  :class:`~repro.errors.ConfigError`.
 
-Empty-infection contract (shared with RID since the pipeline refactor):
-``detect`` on an empty infected network raises
-:class:`~repro.errors.EmptyInfectionError`; ``detect_with_budget``
-accepts exactly ``budget=0`` on an empty network and returns a
-well-formed empty result (:func:`empty_infection_budget_result`), any
-other budget raising :class:`~repro.errors.ConfigError`.
+:class:`repro.core.rid.RID` subclasses :class:`Detector` but keeps its
+own two entry points, which honour ``runtime=`` and leave the empty
+input rules to its engine — the same rules, stated once for RID in
+:mod:`repro.pipeline.engine`.
 """
 
 from __future__ import annotations
@@ -38,40 +40,9 @@ from repro.codec import (
 )
 from repro.errors import ConfigError, EmptyInfectionError, ResultFormatError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import Recorder, resolve_recorder
 from repro.runtime.config import RuntimeConfig
 from repro.types import Node, NodeState
-
-
-def resolve_budget_kwargs(
-    budget: Optional[int],
-    k: Optional[int] = None,
-    max_k: Optional[int] = None,
-    method: str = "detect_with_budget",
-) -> int:
-    """Validate the unified ``budget=`` keyword.
-
-    Detectors grew up with three names for the same number — ``budget``
-    (RID's knapsack entry point), ``k`` (the k-ISOMIT problem
-    statement), and ``max_k`` (the extension detectors). The legacy two
-    went through a :class:`DeprecationWarning` cycle and are now
-    removed: passing either raises :class:`ConfigError` naming the
-    replacement, so stale call sites fail with a pointed message rather
-    than a generic ``TypeError``.
-
-    Raises:
-        ConfigError: when no budget is given, or a removed legacy
-            spelling (``k=``/``max_k=``) is used.
-    """
-    for name, value in (("k", k), ("max_k", max_k)):
-        if value is not None:
-            raise ConfigError(
-                f"{method}({name}=...) was removed after its deprecation "
-                f"cycle; pass budget={value!r} instead"
-            )
-    if budget is None:
-        raise ConfigError(f"{method}() needs an initiator budget (budget=...)")
-    return budget
 
 
 def check_runtime(name: str, runtime: Optional[RuntimeConfig]) -> None:
@@ -80,10 +51,12 @@ def check_runtime(name: str, runtime: Optional[RuntimeConfig]) -> None:
     Detectors without per-component fan-out or an artifact store accept
     ``runtime=None`` and the inert serial default (``workers=1``, no
     ``cache_dir`` — behaviourally identical to no runtime at all, and
-    what the CLI always passes). Anything that would change behaviour
-    if it were honoured (``workers > 1`` or a cache directory) raises
-    :class:`ConfigError`, so a caller asking for fan-out finds out it
-    is not happening rather than silently paying serial latency.
+    what the CLI always passes). An invalid runtime raises the
+    :class:`ConfigError` of :meth:`RuntimeConfig.validate`, as it does
+    in RID. Anything that would change behaviour if it were honoured
+    (``workers > 1`` or a cache directory) raises :class:`ConfigError`,
+    so a caller asking for fan-out finds out it is not happening rather
+    than silently paying serial latency.
     """
     if runtime is None:
         return
@@ -91,48 +64,13 @@ def check_runtime(name: str, runtime: Optional[RuntimeConfig]) -> None:
         raise ConfigError(
             f"runtime must be a RuntimeConfig or None, got {type(runtime).__name__}"
         )
+    runtime.validate()
     if runtime.workers > 1 or runtime.cache_dir is not None:
         raise ConfigError(
             f"detector {name!r} runs in-process and has no artifact store; "
             f"it cannot honour runtime=RuntimeConfig(workers={runtime.workers}, "
             f"cache_dir={runtime.cache_dir!r}) — drop runtime= or use 'rid'"
         )
-
-
-def require_infected(name: str, infected: SignedDiGraph) -> None:
-    """The zoo-wide empty-infection contract for open-ended ``detect``.
-
-    Raises:
-        EmptyInfectionError: when the infected network has no nodes —
-            the same failure RID surfaces from cascade-forest extraction,
-            so every detector fails empty input the same way.
-    """
-    if infected.number_of_nodes() == 0:
-        raise EmptyInfectionError(
-            f"{name}: infected network has no nodes; detection needs at "
-            f"least one infected node (budgeted entry points accept "
-            f"budget=0 and return an empty result)"
-        )
-
-
-def empty_infection_budget_result(
-    name: str, infected: SignedDiGraph, budget: int
-) -> Optional["DetectionResult"]:
-    """RID's budget-0 contract, shared by the whole zoo.
-
-    On an empty infected network, ``budget=0`` is the only feasible
-    request and yields a well-formed empty result; any other budget is a
-    :class:`ConfigError`. On a non-empty network returns ``None`` — the
-    caller proceeds with real detection.
-    """
-    if infected.number_of_nodes() > 0:
-        return None
-    if budget != 0:
-        raise ConfigError(
-            f"budget must be in [0, 0] (the infected network is empty), "
-            f"got {budget}"
-        )
-    return DetectionResult(method=f"{name}(k=0)", initiators=set())
 
 
 @dataclass
@@ -238,34 +176,27 @@ class DetectionResult:
 
 
 class Detector(abc.ABC):
-    """Abstract base for rumor-initiator detectors.
+    """Base of the rumor-initiator detectors, and the one home of their contract.
 
     A detector consumes an infected diffusion network ``G_I`` — nodes
     carrying observed states in ``{-1, +1}`` — and returns a
-    :class:`DetectionResult`.
+    :class:`DetectionResult`. A subclass sets :attr:`name` and
+    implements hooks that only ever see a non-empty snapshot and the
+    resolved recorder, inside the ``detect`` span:
 
-    The unified protocol (every implementation honours it):
+    * ``_detect(infected, recorder)`` — the open-ended
+      :class:`DetectionResult`;
+    * ``_select(infected, budget, recorder)`` — exactly ``budget``
+      initiators, for a detector with an exact-count rule; without it,
+      :meth:`detect_with_budget` raises :class:`NotImplementedError`.
 
-    * ``detect(infected, recorder=None, *, runtime=None)`` — open-ended
-      detection; the optional :class:`~repro.obs.recorder.Recorder`
-      receives the detector's stage spans and counters (ambient recorder
-      used when omitted). ``runtime=`` is either honoured (RID fans out
-      per-component work and persists artifacts) or **rejected** with
-      :class:`ConfigError` — never silently dropped.
-    * ``detect_with_budget(infected, budget=..., recorder=None,
-      runtime=None)`` — fixed-count detection for detectors that support
-      it. The legacy keyword spellings ``k=`` and ``max_k=`` completed
-      their deprecation cycle and now raise :class:`ConfigError`
-      pointing at ``budget=``.
-    * an empty infected network raises
-      :class:`~repro.errors.EmptyInfectionError` from ``detect`` and is
-      accepted by ``detect_with_budget`` at exactly ``budget=0``
-      (returning a well-formed empty result).
+    :class:`repro.core.rid.RID` overrides both entry points instead: it
+    honours ``runtime=``, its engine owns its empty-input rules, and
+    its spans are ``rid.detect`` and ``rid.detect_with_budget``.
     """
 
     name: str = "detector"
 
-    @abc.abstractmethod
     def detect(
         self,
         infected: SignedDiGraph,
@@ -273,36 +204,79 @@ class Detector(abc.ABC):
         *,
         runtime: Optional[RuntimeConfig] = None,
     ) -> DetectionResult:
-        """Identify the most likely rumor initiators of ``infected``."""
+        """Identify the most likely rumor initiators of ``infected``.
+
+        Args:
+            infected: the infected diffusion network ``G_I``.
+            recorder: receives the detector's spans and counters
+                (ambient recorder when omitted).
+            runtime: accepted when inert, rejected otherwise
+                (:func:`check_runtime`).
+
+        Raises:
+            ConfigError: on a runtime the detector cannot honour.
+            EmptyInfectionError: when ``infected`` has no nodes, as RID
+                raises from cascade-forest extraction.
+        """
+        check_runtime(self.name, runtime)
+        if infected.number_of_nodes() == 0:
+            raise EmptyInfectionError(
+                f"{self.name}: infected network has no nodes; detection needs at "
+                f"least one infected node (budgeted entry points accept "
+                f"budget=0 and return an empty result)"
+            )
+        rec = resolve_recorder(recorder)
+        with rec.span("detect", method=self.name):
+            return self._detect(infected, rec)
 
     def detect_with_budget(
         self,
         infected: SignedDiGraph,
-        budget: Optional[int] = None,
+        budget: int,
         *,
-        k: Optional[int] = None,
-        max_k: Optional[int] = None,
         recorder: Optional[Recorder] = None,
         runtime: Optional[RuntimeConfig] = None,
     ) -> DetectionResult:
-        """Detect exactly ``budget`` initiators (where supported).
+        """Detect exactly ``budget`` initiators; the result's method is
+        ``name(k=budget)``.
 
-        The base implementation validates the budget keyword, honours
-        the empty-network budget-0 contract, and otherwise rejects the
-        call: only detectors that can honour an exact count override it.
+        On an empty snapshot ``budget=0`` is the one feasible request
+        and returns an empty result, RID's budget-0 contract.
 
         Raises:
-            NotImplementedError: for detectors without budget support.
-            ConfigError: on a missing budget, or the removed ``k=`` /
-                ``max_k=`` legacy spellings.
+            ConfigError: on a ``None`` budget, a runtime the detector
+                cannot honour, or a non-zero budget on an empty snapshot.
+            NotImplementedError: for a detector without an exact-count
+                rule (no ``_select`` hook), before any span opens.
         """
-        budget = resolve_budget_kwargs(
-            budget, k=k, max_k=max_k, method=f"{self.name}.detect_with_budget"
-        )
+        if budget is None:
+            raise ConfigError(
+                f"{self.name}.detect_with_budget() needs an initiator budget "
+                f"(budget=...)"
+            )
         check_runtime(self.name, runtime)
-        empty = empty_infection_budget_result(self.name, infected, budget)
-        if empty is not None:
-            return empty
-        raise NotImplementedError(
-            f"{self.name} does not support budgeted detection"
-        )
+        if infected.number_of_nodes() == 0:
+            if budget != 0:
+                raise ConfigError(
+                    f"budget must be in [0, 0] (the infected network is empty), "
+                    f"got {budget}"
+                )
+            return DetectionResult(method=f"{self.name}(k=0)", initiators=set())
+        if type(self)._select is Detector._select:
+            raise NotImplementedError(
+                f"{self.name} does not support budgeted detection"
+            )
+        rec = resolve_recorder(recorder)
+        with rec.span("detect", method=self.name, budget=budget):
+            initiators = self._select(infected, budget, rec)
+        return DetectionResult(method=f"{self.name}(k={budget})", initiators=initiators)
+
+    def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
+        """The open-ended result of a non-empty snapshot."""
+        raise NotImplementedError(f"{self.name} defines no detection rule")
+
+    def _select(
+        self, infected: SignedDiGraph, budget: int, recorder: Recorder
+    ) -> Set[Node]:
+        """Exactly ``budget`` initiators of a non-empty snapshot."""
+        raise NotImplementedError

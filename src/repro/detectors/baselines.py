@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.binarize import find_tree_root
-from repro.detectors.base import DetectionResult, Detector, check_runtime
+from repro.detectors.base import DetectionResult, Detector
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.graphs.transforms import positive_subgraph
-from repro.obs.recorder import Recorder, resolve_recorder
-from repro.runtime.config import RuntimeConfig
+from repro.obs.recorder import Recorder
 
 
 @dataclass
@@ -92,27 +91,18 @@ class RIDTreeDetector(Detector):
         self.config.validate()
         self.engine = _private_engine()
 
-    def detect(
-        self,
-        infected: SignedDiGraph,
-        recorder: Optional[Recorder] = None,
-        *,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
+    def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
         # No consistency pruning by default: the paper's guarantee that
         # "the detected rumor initiators by RID-Tree are all real rumor
         # initiators" is exactly the property of in-degree-0 nodes in the
         # *unpruned* infected network (an infected node with no infected
         # in-neighbour at all must be an initiator).
-        check_runtime(self.name, runtime)
-        rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name):
-            trees = self.engine.forest(
-                _forest_config(self.config.score, self.config.prune_inconsistent),
-                infected,
-                recorder=rec,
-            )
-            roots = {find_tree_root(tree) for tree in trees}
+        trees = self.engine.forest(
+            _forest_config(self.config.score, self.config.prune_inconsistent),
+            infected,
+            recorder=recorder,
+        )
+        roots = {find_tree_root(tree) for tree in trees}
         return DetectionResult(method=self.name, initiators=roots, trees=trees)
 
 
@@ -132,20 +122,11 @@ class RIDPositiveDetector(Detector):
         self.config.validate()
         self.engine = _private_engine()
 
-    def detect(
-        self,
-        infected: SignedDiGraph,
-        recorder: Optional[Recorder] = None,
-        *,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
-        check_runtime(self.name, runtime)
-        rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name):
-            positive_only = positive_subgraph(infected)
-            # The unsigned method of [13] is sign-blind: no consistency pruning.
-            trees = self.engine.forest(
-                _forest_config(self.config.score, False), positive_only, recorder=rec
-            )
-            roots = {find_tree_root(tree) for tree in trees}
+    def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
+        positive_only = positive_subgraph(infected)
+        # The unsigned method of [13] is sign-blind: no consistency pruning.
+        trees = self.engine.forest(
+            _forest_config(self.config.score, False), positive_only, recorder=recorder
+        )
+        roots = {find_tree_root(tree) for tree in trees}
         return DetectionResult(method=self.name, initiators=roots, trees=trees)

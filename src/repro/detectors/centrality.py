@@ -35,18 +35,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.components import infected_components
-from repro.detectors.base import (
-    DetectionResult,
-    Detector,
-    check_runtime,
-    empty_infection_budget_result,
-    require_infected,
-    resolve_budget_kwargs,
-)
+from repro.detectors.base import DetectionResult, Detector
 from repro.errors import ConfigError, NotATreeError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.obs.recorder import Recorder, resolve_recorder
-from repro.runtime.config import RuntimeConfig
+from repro.obs.recorder import Recorder
 from repro.types import Node
 
 
@@ -242,56 +234,19 @@ class CentralityDetector(Detector):
                 scores.append(self.score_component(component))
         return scores
 
-    def detect(
-        self,
-        infected: SignedDiGraph,
-        recorder: Optional[Recorder] = None,
-        *,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
-        check_runtime(self.name, runtime)
-        require_infected(self.name, infected)
-        rec = resolve_recorder(recorder)
+    def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
         initiators: Set[Node] = set()
-        with rec.span("detect", method=self.name):
-            for scores in self._component_scores(infected, rec):
-                if scores:
-                    best = max(sorted(scores, key=repr), key=lambda n: scores[n])
-                    initiators.add(best)
+        for scores in self._component_scores(infected, recorder):
+            if scores:
+                best = max(sorted(scores, key=repr), key=lambda n: scores[n])
+                initiators.add(best)
         return DetectionResult(method=self.name, initiators=initiators)
 
-    def detect_with_budget(
-        self,
-        infected: SignedDiGraph,
-        budget: Optional[int] = None,
-        *,
-        k: Optional[int] = None,
-        max_k: Optional[int] = None,
-        recorder: Optional[Recorder] = None,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
-        """Detect exactly ``budget`` initiators by centrality score.
-
-        The per-component argmax set is mandatory (feasibility floor);
-        extra budget goes to the next-best scores across the whole
-        snapshot. ``budget=0`` on an empty snapshot returns an empty
-        result (the zoo-wide contract).
-        """
-        budget = resolve_budget_kwargs(
-            budget, k=k, max_k=max_k, method=f"{self.name}.detect_with_budget"
-        )
-        check_runtime(self.name, runtime)
-        empty = empty_infection_budget_result(self.name, infected, budget)
-        if empty is not None:
-            return empty
-        rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name, budget=budget):
-            component_scores = self._component_scores(infected, rec)
-            initiators = select_with_budget(
-                component_scores, budget, method=self.name
-            )
-        return DetectionResult(
-            method=f"{self.name}(k={budget})", initiators=initiators
+    def _select(
+        self, infected: SignedDiGraph, budget: int, recorder: Recorder
+    ) -> Set[Node]:
+        return select_with_budget(
+            self._component_scores(infected, recorder), budget, method=self.name
         )
 
 

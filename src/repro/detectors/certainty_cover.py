@@ -21,16 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set
 
-from repro.detectors.base import (
-    DetectionResult,
-    Detector,
-    check_runtime,
-    require_infected,
-)
+from repro.detectors.base import DetectionResult, Detector
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.obs.recorder import Recorder, resolve_recorder
-from repro.runtime.config import RuntimeConfig
+from repro.obs.recorder import Recorder
 from repro.types import Node, NodeState
 
 
@@ -103,20 +97,7 @@ class CertaintyCoverDetector(Detector):
         self.config = config or CertaintyCoverConfig()
         self.config.validate()
 
-    def detect(
-        self,
-        infected: SignedDiGraph,
-        recorder: Optional[Recorder] = None,
-        *,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
-        check_runtime(self.name, runtime)
-        require_infected(self.name, infected)
-        rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name):
-            return self._detect(infected)
-
-    def _detect(self, infected: SignedDiGraph) -> DetectionResult:
+    def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
         alpha, budget = self.config.alpha, self.config.budget
         nodes = sorted(infected.nodes(), key=repr)
         closures: Dict[Node, FrozenSet[Node]] = {

@@ -23,16 +23,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.core.components import infected_components
-from repro.detectors.base import (
-    DetectionResult,
-    Detector,
-    check_runtime,
-    require_infected,
-)
+from repro.detectors.base import DetectionResult, Detector
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.obs.recorder import Recorder, resolve_recorder
-from repro.runtime.config import RuntimeConfig
+from repro.obs.recorder import Recorder
 from repro.types import Node, NodeState
 from repro.utils.rng import derive_seed
 
@@ -134,20 +128,7 @@ class KEffectorsDetector(Detector):
         probabilities = self.activation_probabilities(component, effectors, stream)
         return sum(1.0 - p for p in probabilities.values())
 
-    def detect(
-        self,
-        infected: SignedDiGraph,
-        recorder: Optional[Recorder] = None,
-        *,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
-        check_runtime(self.name, runtime)
-        require_infected(self.name, infected)
-        rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name):
-            return self._detect(infected)
-
-    def _detect(self, infected: SignedDiGraph) -> DetectionResult:
+    def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
         initiators: Set[Node] = set()
         for index, component in enumerate(infected_components(infected)):
             if component.number_of_nodes() == 1:

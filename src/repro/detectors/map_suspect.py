@@ -32,19 +32,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.core.components import infected_components
-from repro.detectors.base import (
-    DetectionResult,
-    Detector,
-    check_runtime,
-    empty_infection_budget_result,
-    require_infected,
-    resolve_budget_kwargs,
-)
+from repro.detectors.base import DetectionResult, Detector
 from repro.detectors.centrality import select_with_budget
+from repro.detectors.effectors import spreader_candidates
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.obs.recorder import Recorder, resolve_recorder
-from repro.runtime.config import RuntimeConfig
+from repro.obs.recorder import Recorder
 from repro.types import Node
 from repro.utils.rng import derive_seed
 
@@ -136,17 +129,6 @@ class MapSuspectDetector(Detector):
 
         return SIRModel()
 
-    def _candidates(self, component: SignedDiGraph) -> List[Node]:
-        """The suspect set: top nodes by out-degree (repr ties), capped."""
-        nodes = sorted(component.nodes(), key=repr)
-        limit = self.config.candidate_limit
-        if limit is None or len(nodes) <= limit:
-            return nodes
-        ranked = sorted(
-            nodes, key=lambda n: (-component.out_degree(n), repr(n))
-        )
-        return ranked[:limit]
-
     def _log_prior(self, component: SignedDiGraph, candidates: List[Node]) -> Dict[Node, float]:
         if self.config.prior == "uniform":
             return {node: -math.log(len(candidates)) for node in candidates}
@@ -167,7 +149,7 @@ class MapSuspectDetector(Detector):
         trials = self.config.trials
         nodes = sorted(component.nodes(), key=repr)
         observed = {node: component.state(node) for node in nodes}
-        candidates = self._candidates(component)
+        candidates = spreader_candidates(component, self.config.candidate_limit)
         log_prior = self._log_prior(component, candidates)
         scores: Dict[Node, float] = {}
         for candidate in candidates:
@@ -207,55 +189,24 @@ class MapSuspectDetector(Detector):
                 scores.append(self._score_component(component, index, rec))
         return scores
 
-    # -- protocol entry points ------------------------------------------
+    # -- detector hooks -------------------------------------------------
 
-    def detect(
-        self,
-        infected: SignedDiGraph,
-        recorder: Optional[Recorder] = None,
-        *,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
+    def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
         """The MAP candidate of every infected component."""
-        check_runtime(self.name, runtime)
-        require_infected(self.name, infected)
-        rec = resolve_recorder(recorder)
         initiators: Set[Node] = set()
         objective = 0.0
-        with rec.span("detect", method=self.name):
-            for scores in self._component_scores(infected, rec):
-                best = max(sorted(scores, key=repr), key=lambda n: scores[n])
-                initiators.add(best)
-                objective += scores[best]
+        for scores in self._component_scores(infected, recorder):
+            best = max(sorted(scores, key=repr), key=lambda n: scores[n])
+            initiators.add(best)
+            objective += scores[best]
         return DetectionResult(
             method=self.name, initiators=initiators, objective=objective
         )
 
-    def detect_with_budget(
-        self,
-        infected: SignedDiGraph,
-        budget: Optional[int] = None,
-        *,
-        k: Optional[int] = None,
-        max_k: Optional[int] = None,
-        recorder: Optional[Recorder] = None,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
-        """Exactly ``budget`` initiators: per-component MAP core plus the
-        globally best remaining candidates."""
-        budget = resolve_budget_kwargs(
-            budget, k=k, max_k=max_k, method=f"{self.name}.detect_with_budget"
-        )
-        check_runtime(self.name, runtime)
-        empty = empty_infection_budget_result(self.name, infected, budget)
-        if empty is not None:
-            return empty
-        rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name, budget=budget):
-            component_scores = self._component_scores(infected, rec)
-            initiators = select_with_budget(
-                component_scores, budget, method=self.name
-            )
-        return DetectionResult(
-            method=f"{self.name}(k={budget})", initiators=initiators
+    def _select(
+        self, infected: SignedDiGraph, budget: int, recorder: Recorder
+    ) -> Set[Node]:
+        """Per-component MAP core plus the globally best remaining candidates."""
+        return select_with_budget(
+            self._component_scores(infected, recorder), budget, method=self.name
         )

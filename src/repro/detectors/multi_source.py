@@ -32,19 +32,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.components import infected_components
-from repro.detectors.base import (
-    DetectionResult,
-    Detector,
-    check_runtime,
-    empty_infection_budget_result,
-    require_infected,
-    resolve_budget_kwargs,
-)
+from repro.detectors.base import DetectionResult, Detector
 from repro.detectors.centrality import undirected_distances
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.obs.recorder import Recorder, resolve_recorder
-from repro.runtime.config import RuntimeConfig
+from repro.obs.recorder import Recorder
 from repro.types import Node
 
 
@@ -175,48 +167,31 @@ class MultiSourceDetector(Detector):
                 out.append(_Component(component))
         return out
 
-    def detect(
-        self,
-        infected: SignedDiGraph,
-        recorder: Optional[Recorder] = None,
-        *,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
+    def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
         """Grow each component's source count while the radius improves."""
-        check_runtime(self.name, runtime)
-        require_infected(self.name, infected)
-        rec = resolve_recorder(recorder)
         initiators: Set[Node] = set()
         total_radius = 0
-        with rec.span("detect", method=self.name):
-            for comp in self._components(infected, rec):
-                centers, radius = comp.partition(1)
-                cap = min(self.config.max_sources_per_component, comp.size)
-                for k in range(2, cap + 1):
-                    next_centers, next_radius = comp.partition(k)
-                    if radius - next_radius < self.config.min_radius_improvement:
-                        break
-                    centers, radius = next_centers, next_radius
-                initiators.update(centers)
-                total_radius += radius
-                if rec.enabled:
-                    rec.incr("detector.multi_source.sources", len(centers))
+        for comp in self._components(infected, recorder):
+            centers, radius = comp.partition(1)
+            cap = min(self.config.max_sources_per_component, comp.size)
+            for k in range(2, cap + 1):
+                next_centers, next_radius = comp.partition(k)
+                if radius - next_radius < self.config.min_radius_improvement:
+                    break
+                centers, radius = next_centers, next_radius
+            initiators.update(centers)
+            total_radius += radius
+            if recorder.enabled:
+                recorder.incr("detector.multi_source.sources", len(centers))
         return DetectionResult(
             method=self.name,
             initiators=initiators,
             objective=-float(total_radius),
         )
 
-    def detect_with_budget(
-        self,
-        infected: SignedDiGraph,
-        budget: Optional[int] = None,
-        *,
-        k: Optional[int] = None,
-        max_k: Optional[int] = None,
-        recorder: Optional[Recorder] = None,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
+    def _select(
+        self, infected: SignedDiGraph, budget: int, recorder: Recorder
+    ) -> Set[Node]:
         """Distribute exactly ``budget`` sources across the components.
 
         Every component gets one source (feasibility floor, as in RID's
@@ -224,43 +199,32 @@ class MultiSourceDetector(Detector):
         component whose current partition radius is largest — the
         greedy step that buys the most explanation per extra source.
         """
-        budget = resolve_budget_kwargs(
-            budget, k=k, max_k=max_k, method=f"{self.name}.detect_with_budget"
-        )
-        check_runtime(self.name, runtime)
-        empty = empty_infection_budget_result(self.name, infected, budget)
-        if empty is not None:
-            return empty
-        rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name, budget=budget):
-            comps = self._components(infected, rec)
-            total = sum(c.size for c in comps)
-            low = len(comps)
-            if not low <= budget <= total:
-                raise ConfigError(
-                    f"{self.name}.detect_with_budget: budget must be in "
-                    f"[{low}, {total}] (one source per infected component, "
-                    f"at most every infected node), got {budget}"
-                )
-            counts = [1] * len(comps)
-            remaining = budget - low
-            while remaining > 0:
-                # The component with the largest current radius (ties to
-                # the earliest — components() order is deterministic)
-                # that can still absorb a source.
-                candidates = [
-                    (-(comps[i].partition(counts[i])[1]), i)
-                    for i in range(len(comps))
-                    if counts[i] < comps[i].size
-                ]
-                candidates.sort()
-                _, index = candidates[0]
-                counts[index] += 1
-                remaining -= 1
-            initiators: Set[Node] = set()
-            for comp, count in zip(comps, counts):
-                centers, _radius = comp.partition(count)
-                initiators.update(centers)
-        return DetectionResult(
-            method=f"{self.name}(k={budget})", initiators=initiators
-        )
+        comps = self._components(infected, recorder)
+        total = sum(c.size for c in comps)
+        low = len(comps)
+        if not low <= budget <= total:
+            raise ConfigError(
+                f"{self.name}.detect_with_budget: budget must be in "
+                f"[{low}, {total}] (one source per infected component, "
+                f"at most every infected node), got {budget}"
+            )
+        counts = [1] * len(comps)
+        remaining = budget - low
+        while remaining > 0:
+            # The component with the largest current radius (ties to
+            # the earliest — components() order is deterministic)
+            # that can still absorb a source.
+            candidates = [
+                (-(comps[i].partition(counts[i])[1]), i)
+                for i in range(len(comps))
+                if counts[i] < comps[i].size
+            ]
+            candidates.sort()
+            _, index = candidates[0]
+            counts[index] += 1
+            remaining -= 1
+        initiators: Set[Node] = set()
+        for comp, count in zip(comps, counts):
+            centers, _radius = comp.partition(count)
+            initiators.update(centers)
+        return initiators

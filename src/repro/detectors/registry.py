@@ -71,19 +71,11 @@ class DetectorSpec:
             :mod:`repro.core.rid` imports this package back.
         config: the config dataclass, or a lazy ``'module:Class'``
             reference (RID's row).
-        tier: routing class — ``'fast'`` (sub-second heuristics) or
-            ``'accurate'`` (likelihood-grade pipelines).
-        supports_budget: whether ``detect_with_budget`` honours an exact
-            count (vs. raising ``NotImplementedError``).
-        description: one-liner for docs and CLI help.
     """
 
     name: str
     detector: Union[type, str]
     config: Union[type, str]
-    tier: str
-    supports_budget: bool
-    description: str
 
     @property
     def detector_cls(self) -> type:
@@ -102,105 +94,24 @@ def _load(ref: Union[type, str]) -> type:
     return ref
 
 
-#: The registry table — one row per runnable detector.
+#: The registry table — one row per runnable detector (docs/detectors.md
+#: documents each row's budget support and routing tier).
 DETECTOR_REGISTRY: Dict[str, DetectorSpec] = {
     spec.name: spec
     for spec in (
+        DetectorSpec("rid", "repro.core.rid:RID", "repro.core.rid:RIDConfig"),
+        DetectorSpec("rid_tree", RIDTreeDetector, RIDTreeConfig),
+        DetectorSpec("rid_positive", RIDPositiveDetector, RIDPositiveConfig),
+        DetectorSpec("rumor_centrality", RumorCentralityDetector, CentralityConfig),
+        DetectorSpec("jordan_center", JordanCenterDetector, CentralityConfig),
+        DetectorSpec("distance_center", DistanceCenterDetector, CentralityConfig),
+        DetectorSpec("map_suspect", MapSuspectDetector, MapSuspectConfig),
+        DetectorSpec("multi_source", MultiSourceDetector, MultiSourceConfig),
+        DetectorSpec("k_effectors", KEffectorsDetector, KEffectorsConfig),
         DetectorSpec(
-            name="rid",
-            detector="repro.core.rid:RID",
-            config="repro.core.rid:RIDConfig",
-            tier="accurate",
-            supports_budget=True,
-            description="the paper's full pipeline: cascade trees + "
-            "k-ISOMIT DP + β-penalised selection",
+            "simulation_matching", SimulationMatchingDetector, SimulationMatchingConfig
         ),
-        DetectorSpec(
-            name="rid_tree",
-            detector=RIDTreeDetector,
-            config=RIDTreeConfig,
-            tier="fast",
-            supports_budget=False,
-            description="cascade-tree roots only (precision-1 baseline)",
-        ),
-        DetectorSpec(
-            name="rid_positive",
-            detector=RIDPositiveDetector,
-            config=RIDPositiveConfig,
-            tier="fast",
-            supports_budget=False,
-            description="tree roots of the positive-only subnetwork",
-        ),
-        DetectorSpec(
-            name="rumor_centrality",
-            detector=RumorCentralityDetector,
-            config=CentralityConfig,
-            tier="accurate",
-            supports_budget=True,
-            description="Shah-Zaman rumor center per component "
-            "(BFS-tree heuristic)",
-        ),
-        DetectorSpec(
-            name="jordan_center",
-            detector=JordanCenterDetector,
-            config=CentralityConfig,
-            tier="fast",
-            supports_budget=True,
-            description="minimax-distance center per component",
-        ),
-        DetectorSpec(
-            name="distance_center",
-            detector=DistanceCenterDetector,
-            config=CentralityConfig,
-            tier="fast",
-            supports_budget=True,
-            description="min-sum-distance center per component",
-        ),
-        DetectorSpec(
-            name="map_suspect",
-            detector=MapSuspectDetector,
-            config=MapSuspectConfig,
-            tier="accurate",
-            supports_budget=True,
-            description="Dong-style suspect-prior MAP via Monte-Carlo "
-            "forward simulation",
-        ),
-        DetectorSpec(
-            name="multi_source",
-            detector=MultiSourceDetector,
-            config=MultiSourceConfig,
-            tier="accurate",
-            supports_budget=True,
-            description="Nguyen-style community split + per-community "
-            "Jordan centers",
-        ),
-        DetectorSpec(
-            name="k_effectors",
-            detector=KEffectorsDetector,
-            config=KEffectorsConfig,
-            tier="accurate",
-            supports_budget=False,
-            description="Lappas-style greedy k-effectors under unsigned IC "
-            "per component",
-        ),
-        DetectorSpec(
-            name="simulation_matching",
-            detector=SimulationMatchingDetector,
-            config=SimulationMatchingConfig,
-            tier="accurate",
-            supports_budget=False,
-            description="greedy initiator growth scored by forward MFC "
-            "simulation against the snapshot",
-        ),
-        DetectorSpec(
-            name="certainty_cover",
-            detector=CertaintyCoverDetector,
-            config=CertaintyCoverConfig,
-            tier="fast",
-            supports_budget=False,
-            description="greedy set cover over the Lemma 3.1 certainty "
-            "closures",
-        ),
+        DetectorSpec("certainty_cover", CertaintyCoverDetector, CertaintyCoverConfig),
     )
 }
 

@@ -17,17 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.components import infected_components
-from repro.detectors.base import (
-    DetectionResult,
-    Detector,
-    check_runtime,
-    require_infected,
-)
+from repro.detectors.base import DetectionResult, Detector
 from repro.detectors.effectors import spreader_candidates
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.obs.recorder import Recorder, resolve_recorder
-from repro.runtime.config import RuntimeConfig
+from repro.obs.recorder import Recorder
 from repro.types import Node, NodeState
 from repro.utils.rng import derive_seed
 
@@ -127,20 +121,7 @@ class SimulationMatchingDetector(Detector):
             total += jaccard * agreement
         return total / trials
 
-    def detect(
-        self,
-        infected: SignedDiGraph,
-        recorder: Optional[Recorder] = None,
-        *,
-        runtime: Optional[RuntimeConfig] = None,
-    ) -> DetectionResult:
-        check_runtime(self.name, runtime)
-        require_infected(self.name, infected)
-        rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name):
-            return self._detect(infected)
-
-    def _detect(self, infected: SignedDiGraph) -> DetectionResult:
+    def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
         initiators: Dict[Node, NodeState] = {}
         for index, component in enumerate(infected_components(infected)):
             if component.number_of_nodes() == 1:

@@ -7,7 +7,7 @@ positive ratio ``θ = #positive / N`` (e.g. ``N = 1000``, ``θ = 0.5``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from repro.errors import InvalidSeedError
 from repro.graphs.signed_digraph import SignedDiGraph
@@ -52,31 +52,3 @@ def plant_random_initiators(
         seeds[node] = NodeState.POSITIVE if index < num_positive else NodeState.NEGATIVE
     return seeds
 
-
-def plant_fixed_initiators(
-    diffusion: SignedDiGraph,
-    nodes: Sequence[Node],
-    states: Optional[Sequence[NodeState]] = None,
-) -> Dict[Node, NodeState]:
-    """Build a seed assignment from explicit node/state sequences.
-
-    Args:
-        diffusion: the network the seeds must belong to.
-        nodes: initiator identities.
-        states: matching initial states; defaults to all-positive.
-
-    Raises:
-        InvalidSeedError: on length mismatch or unknown nodes.
-    """
-    if states is None:
-        states = [NodeState.POSITIVE] * len(nodes)
-    if len(states) != len(nodes):
-        raise InvalidSeedError(
-            f"{len(nodes)} nodes but {len(states)} states provided"
-        )
-    seeds: Dict[Node, NodeState] = {}
-    for node, state in zip(nodes, states):
-        if not diffusion.has_node(node):
-            raise InvalidSeedError(f"seed node {node!r} is not in the network")
-        seeds[node] = NodeState(state)
-    return seeds

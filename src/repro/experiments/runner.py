@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from statistics import mean
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.detectors.base import DetectionResult, Detector
+from repro.detectors.base import Detector
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.workload import Workload, build_workload
 from repro.metrics.identity import IdentityMetrics, identity_metrics
@@ -63,10 +63,7 @@ def evaluate_detector(
     """
     rec = resolve_recorder(recorder)
     start = time.perf_counter()
-    if runtime is None:
-        result: DetectionResult = detector.detect(workload.infected, recorder=rec)
-    else:
-        result = detector.detect(workload.infected, recorder=rec, runtime=runtime)
+    result = detector.detect(workload.infected, recorder=rec, runtime=runtime)
     elapsed = time.perf_counter() - start
     if rec.enabled:
         rec.timing(f"eval.{detector.name}", elapsed)

@@ -10,21 +10,16 @@ This subpackage implements the paper's network definitions from scratch:
 * :mod:`~repro.graphs.generators` — synthetic signed networks, including
   generators calibrated to the published statistics of the Epinions and
   Slashdot datasets used in the paper's evaluation;
-* :mod:`~repro.graphs.io` — SNAP edge-list and JSON (de)serialisation;
+* :mod:`~repro.graphs.io` — SNAP signed edge lists;
 * :mod:`~repro.graphs.stats` — the summary statistics behind Table II.
 """
 
 from repro.graphs.signed_digraph import EdgeData, SignedDiGraph
-from repro.graphs.transforms import (
-    negative_subgraph,
-    positive_subgraph,
-    to_diffusion_network,
-)
+from repro.graphs.transforms import positive_subgraph, to_diffusion_network
 
 __all__ = [
     "EdgeData",
     "SignedDiGraph",
     "to_diffusion_network",
     "positive_subgraph",
-    "negative_subgraph",
 ]

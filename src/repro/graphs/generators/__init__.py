@@ -1,7 +1,7 @@
 """Synthetic signed-network generators.
 
 ``random_graphs`` provides classic families (Erdős–Rényi, preferential
-attachment, Watts–Strogatz, configuration model) with sign assignment;
+attachment, Watts–Strogatz) with sign assignment;
 ``snapshot_like`` provides generators calibrated to the published
 statistics of the Epinions and Slashdot datasets used in the paper's
 evaluation (our stand-in for the SNAP downloads, see DESIGN.md §3);
@@ -9,7 +9,6 @@ evaluation (our stand-in for the SNAP downloads, see DESIGN.md §3);
 """
 
 from repro.graphs.generators.random_graphs import (
-    signed_configuration_model,
     signed_erdos_renyi,
     signed_preferential_attachment,
     signed_watts_strogatz,
@@ -25,7 +24,6 @@ from repro.graphs.generators.snapshot_like import (
     generate_wiki_elec_like,
 )
 from repro.graphs.generators.trees import (
-    random_binary_tree,
     random_general_tree,
     path_graph,
     star_graph,
@@ -35,7 +33,6 @@ __all__ = [
     "signed_erdos_renyi",
     "signed_preferential_attachment",
     "signed_watts_strogatz",
-    "signed_configuration_model",
     "DatasetProfile",
     "EPINIONS_PROFILE",
     "SLASHDOT_PROFILE",
@@ -44,7 +41,6 @@ __all__ = [
     "generate_slashdot_like",
     "generate_wiki_elec_like",
     "generate_profiled_network",
-    "random_binary_tree",
     "random_general_tree",
     "path_graph",
     "star_graph",

@@ -158,43 +158,3 @@ def signed_watts_strogatz(
                 )
     return graph
 
-
-def signed_configuration_model(
-    out_degrees: list,
-    in_degrees: list,
-    positive_probability: float = 0.8,
-    weight_range: Tuple[float, float] = (0.05, 1.0),
-    rng: RandomSource = None,
-) -> SignedDiGraph:
-    """Directed configuration model from prescribed degree sequences.
-
-    Stubs are matched uniformly at random; self-loops and multi-edges
-    produced by the matching are silently dropped (standard practice), so
-    realised degrees are close to — but may fall slightly below — the
-    prescription.
-
-    Raises:
-        ConfigError: if the sequences have different sums or lengths.
-    """
-    if len(out_degrees) != len(in_degrees):
-        raise ConfigError("out_degrees and in_degrees must have equal length")
-    if sum(out_degrees) != sum(in_degrees):
-        raise ConfigError("degree sequences must have equal sums")
-    _check_common(len(out_degrees), positive_probability, weight_range)
-    random = spawn_rng(rng, "configuration-model")
-    n = len(out_degrees)
-    graph = SignedDiGraph(name=f"signed-config-{n}")
-    graph.add_nodes(range(n))
-    out_stubs = [u for u, d in enumerate(out_degrees) for _ in range(d)]
-    in_stubs = [v for v, d in enumerate(in_degrees) for _ in range(d)]
-    random.shuffle(out_stubs)
-    random.shuffle(in_stubs)
-    for u, v in zip(out_stubs, in_stubs):
-        if u != v and not graph.has_edge(u, v):
-            graph.add_edge(
-                u,
-                v,
-                _draw_sign(random, positive_probability),
-                _draw_weight(random, weight_range),
-            )
-    return graph

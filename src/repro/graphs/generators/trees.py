@@ -1,54 +1,25 @@
 """Tree-shaped signed graphs.
 
-The k-ISOMIT-BT dynamic program (paper Sec. III-D) operates on binary
-trees; the binarisation step (Sec. III-E3, Fig. 3) starts from general
-cascade trees. These generators produce both shapes — directed root-to-leaf
-(diffusion orientation) — for tests, examples and the DP-scaling ablation.
+The binarisation step (Sec. III-E3, Fig. 3) turns general cascade trees
+into the binary trees the k-ISOMIT-BT dynamic program (Sec. III-D)
+operates on. These generators produce general trees, paths and stars —
+directed root-to-leaf (diffusion orientation) — for tests, examples and
+the DP-scaling ablation.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.utils.rng import RandomSource, spawn_rng
-from repro.utils.validation import check_probability
 
 
 def _sign_and_weight(rng, positive_probability: float, weight_range) -> Tuple[int, float]:
     lo, hi = weight_range
     sign = 1 if rng.random() < positive_probability else -1
     return sign, lo + (hi - lo) * rng.random()
-
-
-def random_binary_tree(
-    n: int,
-    positive_probability: float = 0.8,
-    weight_range: Tuple[float, float] = (0.1, 1.0),
-    rng: RandomSource = None,
-) -> SignedDiGraph:
-    """A random rooted binary tree with ``n`` nodes, edges root -> leaves.
-
-    Node 0 is the root. Each subsequent node attaches under a uniformly
-    random existing node that still has fewer than two children.
-    """
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
-    check_probability(positive_probability, "positive_probability")
-    random = spawn_rng(rng, "binary-tree")
-    tree = SignedDiGraph(name=f"binary-tree-{n}")
-    if n == 0:
-        return tree
-    tree.add_node(0)
-    open_slots: List[int] = [0, 0]  # root has two free child slots
-    for node in range(1, n):
-        slot_index = random.randrange(len(open_slots))
-        parent = open_slots.pop(slot_index)
-        sign, weight = _sign_and_weight(random, positive_probability, weight_range)
-        tree.add_edge(parent, node, sign, weight)
-        open_slots.extend((node, node))
-    return tree
 
 
 def random_general_tree(

@@ -1,15 +1,12 @@
-"""Reading and writing signed graphs.
+"""Reading and writing SNAP signed edge lists.
 
-Two formats are supported:
-
-* **SNAP signed edge lists** — the exact format of the public
-  ``soc-sign-epinions.txt`` and ``soc-sign-Slashdot*.txt`` files the paper
-  evaluates on: ``#``-prefixed comment header, then whitespace-separated
-  ``FromNodeId  ToNodeId  Sign`` rows with sign in ``{-1, 1}``. Weights are
-  not part of that format; they are assigned afterwards by
-  :mod:`repro.weights.jaccard`, mirroring the paper's setup (Sec. IV-B3).
-* **JSON** — the :func:`repro.codec.encode_graph` payload the wire, the
-  event log and the caches share (names, weights and node states).
+The exact format of the public ``soc-sign-epinions.txt`` and
+``soc-sign-Slashdot*.txt`` files the paper evaluates on: ``#``-prefixed
+comment header, then whitespace-separated ``FromNodeId  ToNodeId  Sign``
+rows with sign in ``{-1, 1}``. Weights are not part of that format; they
+are assigned afterwards by :mod:`repro.weights.jaccard`, mirroring the
+paper's setup (Sec. IV-B3). The JSON spelling of a graph, with weights
+and node states, is :func:`repro.codec.encode_graph`.
 
 Gzip-compressed files (``.gz`` suffix) are handled transparently, since the
 SNAP downloads ship gzipped.
@@ -19,11 +16,9 @@ from __future__ import annotations
 
 import gzip
 import io
-import json
 from pathlib import Path
 from typing import IO, Iterator, Union
 
-from repro.codec import CacheCodecError, decode_graph, encode_graph
 from repro.errors import GraphFormatError
 from repro.graphs.signed_digraph import SignedDiGraph
 
@@ -104,36 +99,3 @@ def write_snap_signed_edgelist(graph: SignedDiGraph, path: PathLike) -> None:
         for u, v, data in graph.iter_edges():
             handle.write(f"{u}\t{v}\t{int(data.sign)}\n")
 
-
-# --------------------------------------------------------------------------
-# JSON round-trip format
-# --------------------------------------------------------------------------
-
-
-def save_graph_json(graph: SignedDiGraph, path: PathLike) -> None:
-    """Write the :func:`~repro.codec.encode_graph` payload (gzip if the
-    path ends in .gz).
-
-    Raises:
-        CacheCodecError: when a node identifier is not int or str.
-    """
-    with _open_text(path, "w") as handle:
-        json.dump(encode_graph(graph), handle)
-
-
-def load_graph_json(path: PathLike) -> SignedDiGraph:
-    """Read a graph written by :func:`save_graph_json`.
-
-    Raises:
-        GraphFormatError: on invalid JSON or a payload
-            :func:`~repro.codec.decode_graph` rejects.
-    """
-    with _open_text(path, "r") as handle:
-        try:
-            payload = json.load(handle)
-        except (ValueError, RecursionError) as exc:
-            raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    try:
-        return decode_graph(payload)
-    except CacheCodecError as exc:
-        raise GraphFormatError(f"malformed graph payload: {exc}") from exc

@@ -2,19 +2,10 @@
 
 The experiments run on profiled *generators*, but a user holding the
 real SNAP files (131k/77k nodes) will want laptop-scale subgraphs whose
-structure resembles the original. This module implements the standard
-samplers, sign-aware:
-
-* :func:`random_node_sample` — induced subgraph over a uniform node set
-  (known to flatten degree distributions; kept as the baseline);
-* :func:`random_edge_sample` — uniform edge retention;
-* :func:`forest_fire_sample` — Leskovec-Faloutsos forest fire, the
-  method of record for preserving heavy tails and community structure
-  while shrinking a graph;
-* :func:`snowball_sample` — BFS ball around a seed node.
-
-Every sampler preserves edge signs/weights and node states, and is
-deterministic under a seed.
+structure resembles the original. :func:`forest_fire_sample` is the
+Leskovec-Faloutsos forest fire, the method of record for preserving
+heavy tails and community structure while shrinking a graph; it keeps
+edge signs/weights and node states, and is deterministic under a seed.
 """
 
 from __future__ import annotations
@@ -22,81 +13,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Set
 
-from repro.errors import ConfigError, NodeNotFoundError
+from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import Node
 from repro.utils.rng import RandomSource, spawn_rng
-from repro.utils.validation import check_probability
-
-
-def _induced(graph: SignedDiGraph, keep: Set[Node], name: str) -> SignedDiGraph:
-    return graph.subgraph(keep, name=name)
-
-
-def random_node_sample(
-    graph: SignedDiGraph, fraction: float, rng: RandomSource = None
-) -> SignedDiGraph:
-    """Induced subgraph over a uniform ``fraction`` of the nodes.
-
-    Raises:
-        ConfigError: for fractions outside (0, 1].
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-    random = spawn_rng(rng, "node-sample")
-    nodes = sorted(graph.nodes(), key=repr)
-    count = max(1, int(round(fraction * len(nodes)))) if nodes else 0
-    keep = set(random.sample(nodes, count)) if nodes else set()
-    return _induced(graph, keep, f"{graph.name or 'graph'}-nodesample")
-
-
-def random_edge_sample(
-    graph: SignedDiGraph, fraction: float, rng: RandomSource = None
-) -> SignedDiGraph:
-    """Keep each edge independently with probability ``fraction``.
-
-    All endpoint nodes of retained edges are kept (isolated nodes drop).
-    """
-    check_probability(fraction, "fraction")
-    random = spawn_rng(rng, "edge-sample")
-    sample = SignedDiGraph(name=f"{graph.name or 'graph'}-edgesample")
-    for u, v, data in sorted(graph.edges(), key=lambda e: (repr(e[0]), repr(e[1]))):
-        if random.random() < fraction:
-            sample.add_node(u, graph.state(u))
-            sample.add_node(v, graph.state(v))
-            sample.add_edge(u, v, int(data.sign), data.weight)
-    return sample
-
-
-def snowball_sample(
-    graph: SignedDiGraph,
-    seed_node: Node,
-    max_nodes: int,
-) -> SignedDiGraph:
-    """BFS ball of up to ``max_nodes`` nodes around ``seed_node``.
-
-    Expansion follows the undirected view so both followers and
-    followees are captured.
-
-    Raises:
-        NodeNotFoundError: when the seed node is absent.
-        ConfigError: when ``max_nodes`` < 1.
-    """
-    if max_nodes < 1:
-        raise ConfigError(f"max_nodes must be >= 1, got {max_nodes}")
-    if not graph.has_node(seed_node):
-        raise NodeNotFoundError(seed_node)
-    keep: Set[Node] = {seed_node}
-    queue = deque([seed_node])
-    while queue and len(keep) < max_nodes:
-        node = queue.popleft()
-        for neighbor in sorted(graph.neighbors(node), key=repr):
-            if neighbor not in keep:
-                keep.add(neighbor)
-                queue.append(neighbor)
-                if len(keep) >= max_nodes:
-                    break
-    return _induced(graph, keep, f"{graph.name or 'graph'}-snowball")
 
 
 def forest_fire_sample(
@@ -153,4 +73,4 @@ def forest_fire_sample(
             random.shuffle(backward)
             frontier.extend(forward[: geometric_burst(forward_probability)])
             frontier.extend(backward[: geometric_burst(backward_probability)])
-    return _induced(graph, burned, f"{graph.name or 'graph'}-forestfire")
+    return graph.subgraph(burned, name=f"{graph.name or 'graph'}-forestfire")

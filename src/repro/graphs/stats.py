@@ -2,15 +2,13 @@
 
 These back the paper's Table II (dataset properties) and the calibration
 of the Epinions-like / Slashdot-like synthetic generators: node and edge
-counts, positive-edge fraction, degree distributions, reciprocity, and
-structural-balance triangle counts.
+counts, positive-edge fraction, reciprocity and maximum degrees.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import Sign
@@ -51,55 +49,6 @@ def reciprocity(graph: SignedDiGraph) -> float:
         return 0.0
     mutual = sum(1 for u, v, _ in graph.iter_edges() if graph.has_edge(v, u))
     return mutual / total
-
-
-def in_degree_distribution(graph: SignedDiGraph) -> Dict[int, int]:
-    """Histogram mapping in-degree value -> number of nodes with it."""
-    return dict(Counter(graph.in_degree(n) for n in graph.nodes()))
-
-
-def out_degree_distribution(graph: SignedDiGraph) -> Dict[int, int]:
-    """Histogram mapping out-degree value -> number of nodes with it."""
-    return dict(Counter(graph.out_degree(n) for n in graph.nodes()))
-
-
-def degree_sequence(graph: SignedDiGraph) -> List[int]:
-    """Sorted (descending) total-degree sequence."""
-    return sorted((graph.degree(n) for n in graph.nodes()), reverse=True)
-
-
-def triangle_balance_counts(graph: SignedDiGraph) -> Tuple[int, int]:
-    """Count (balanced, unbalanced) undirected signed triangles.
-
-    A triangle is *balanced* when the product of its three edge signs is
-    positive (Heider's structural balance). Directions are ignored; when
-    both ``u->v`` and ``v->u`` exist the sign of the lexicographically
-    ordered direction is used for determinism.
-    """
-    # Build an undirected signed view.
-    und: Dict[object, Dict[object, int]] = {}
-    for u, v, data in graph.iter_edges():
-        if u == v:
-            continue
-        a, b = (u, v) if repr(u) <= repr(v) else (v, u)
-        und.setdefault(a, {}).setdefault(b, int(data.sign))
-        und.setdefault(b, {}).setdefault(a, int(data.sign))
-    balanced = unbalanced = 0
-    nodes = sorted(und, key=repr)
-    index = {n: i for i, n in enumerate(nodes)}
-    for a in nodes:
-        for b in und[a]:
-            if index[b] <= index[a]:
-                continue
-            for c in und[b]:
-                if index[c] <= index[b] or c not in und[a]:
-                    continue
-                product = und[a][b] * und[b][c] * und[a][c]
-                if product > 0:
-                    balanced += 1
-                else:
-                    unbalanced += 1
-    return balanced, unbalanced
 
 
 def summarize(graph: SignedDiGraph, name: str = "") -> GraphSummary:

@@ -9,7 +9,7 @@ B to A when A trusts (follows) B. Signs and weights carry over unchanged.
 from __future__ import annotations
 
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.types import NodeState, Sign
+from repro.types import Sign
 
 
 def to_diffusion_network(social: SignedDiGraph) -> SignedDiGraph:
@@ -44,28 +44,6 @@ def positive_subgraph(graph: SignedDiGraph) -> SignedDiGraph:
     return sub
 
 
-def negative_subgraph(graph: SignedDiGraph) -> SignedDiGraph:
-    """Keep all nodes but only the negative (distrust) edges."""
-    sub = SignedDiGraph(name=f"{graph.name or 'graph'}-negative")
-    for node in graph.nodes():
-        sub.add_node(node, graph.state(node))
-    for u, v, data in graph.iter_edges():
-        if data.sign is Sign.NEGATIVE:
-            sub.add_edge(u, v, int(data.sign), data.weight)
-    return sub
-
-
-def infected_subgraph(diffusion: SignedDiGraph) -> SignedDiGraph:
-    """Extract the infected diffusion network ``G_I`` (Definition 3).
-
-    Keeps exactly the nodes holding a definite opinion (state ``+1`` or
-    ``-1``) and the diffusion links among them.
-    """
-    infected = [n for n in diffusion.nodes() if diffusion.state(n).is_active]
-    sub = diffusion.subgraph(infected, name=f"{diffusion.name or 'graph'}-infected")
-    return sub
-
-
 def prune_inconsistent_links(infected: SignedDiGraph) -> SignedDiGraph:
     """Remove sign-inconsistent diffusion links (Definition 5 pruning).
 
@@ -88,9 +66,3 @@ def prune_inconsistent_links(infected: SignedDiGraph) -> SignedDiGraph:
             pruned.add_edge(u, v, int(data.sign), data.weight)
     return pruned
 
-
-def strip_states(graph: SignedDiGraph) -> SignedDiGraph:
-    """A copy of ``graph`` with every node state reset to inactive."""
-    clone = graph.copy()
-    clone.reset_states(NodeState.INACTIVE)
-    return clone

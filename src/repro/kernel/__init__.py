@@ -42,7 +42,6 @@ tier). See that package's docstring and ``docs/algorithms.md`` §12.
 """
 
 from repro.kernel.backends import (
-    available_backends,
     default_backend_name,
     numpy_available,
     resolve_backend,
@@ -76,7 +75,6 @@ __all__ = [
     "CompiledBinaryTree",
     "TreeDPKernel",
     "compile_binary_tree",
-    "available_backends",
     "default_backend_name",
     "numpy_available",
     "resolve_backend",

@@ -50,7 +50,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ConfigError
 from repro.obs.recorder import current_recorder
@@ -135,11 +135,6 @@ def numpy_available() -> bool:
     return _NUMPY_OK
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Names of the backends usable in this process."""
-    return ("python", "numpy") if numpy_available() else ("python",)
-
-
 def default_backend_name() -> str:
     """The process default: ``REPRO_KERNEL_BACKEND`` or ``python``.
 
@@ -216,7 +211,6 @@ __all__ = [
     "ENV_VAR",
     "VALID_BACKENDS",
     "Backend",
-    "available_backends",
     "default_backend_name",
     "numpy_available",
     "resolve_backend",

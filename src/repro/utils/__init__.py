@@ -5,7 +5,6 @@ from repro.utils.rng import RandomSource, derive_seed, spawn_rng
 from repro.utils.validation import (
     check_probability,
     check_sign_value,
-    check_state_value,
     check_weight,
 )
 
@@ -16,6 +15,5 @@ __all__ = [
     "spawn_rng",
     "check_probability",
     "check_sign_value",
-    "check_state_value",
     "check_weight",
 ]

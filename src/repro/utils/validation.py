@@ -47,25 +47,6 @@ def check_sign_value(sign: int, context: str = "link sign") -> int:
     return int(sign)
 
 
-def check_state_value(state: int, context: str = "node state") -> int:
-    """Validate a node state in ``{-1, 0, +1, 2}`` and return it as int.
-
-    The value ``2`` encodes the paper's '?' (unknown) state.
-    """
-    if state not in (-1, 0, 1, 2):
-        raise ValueError(f"{context} must be one of -1, 0, +1, 2(unknown), got {state!r}")
-    return int(state)
-
-
-def check_positive(value: float, context: str = "value") -> float:
-    """Validate a strictly positive real number and return it as float."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{context} must be a real number, got {value!r}") from None
-    if math.isnan(number) or number <= 0:
-        raise ValueError(f"{context} must be > 0, got {value!r}")
-    return number
 
 
 def config_from_dict(cls: type, values: Dict[str, Any], context: str = "") -> Any:

@@ -2,12 +2,10 @@
 
 from repro.weights.jaccard import (
     assign_jaccard_weights,
-    assign_uniform_weights,
     jaccard_coefficient,
 )
 
 __all__ = [
     "jaccard_coefficient",
     "assign_jaccard_weights",
-    "assign_uniform_weights",
 ]

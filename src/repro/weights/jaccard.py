@@ -127,19 +127,3 @@ def calibrate_gain(
         return max_gain
     return max(1.0, min(max_gain, 1.0 / (alpha * pivot)))
 
-
-def assign_uniform_weights(
-    graph: SignedDiGraph,
-    weight_range: Tuple[float, float] = (0.0, 0.1),
-    rng: RandomSource = None,
-) -> SignedDiGraph:
-    """Assign every edge a weight drawn uniformly from ``weight_range``.
-
-    Mutates and returns ``graph``; the classic IC-experiment convention.
-    """
-    random = spawn_rng(rng, "uniform-weights")
-    lo, hi = weight_range
-    for _, _, data in graph.iter_edges():
-        data.weight = lo + (hi - lo) * random.random()
-    graph.bump_version()
-    return graph

@@ -11,7 +11,6 @@ from repro.core.rid import RID, RIDConfig
 from repro.detectors import (
     CertaintyCoverConfig,
     CertaintyCoverDetector,
-    resolve_budget_kwargs,
     resolve_detector,
 )
 from repro.diffusion.mfc import MFCModel
@@ -389,33 +388,6 @@ class TestRIDConfigValidation:
 
 
 class TestBudgetKwargUnification:
-    def test_budget_passes_clean(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_budget_kwargs(4) == 4
-
-    @pytest.mark.parametrize("alias", ["k", "max_k"])
-    def test_removed_aliases_raise_pointing_at_budget(self, alias):
-        # The k=/max_k= DeprecationWarning cycle is complete: the
-        # spellings are gone, and the error names the replacement.
-        with pytest.raises(ConfigError, match=r"pass budget=3"):
-            resolve_budget_kwargs(None, **{alias: 3})
-
-    def test_removed_alias_raises_even_next_to_budget(self):
-        with pytest.raises(ConfigError, match="was removed"):
-            resolve_budget_kwargs(2, k=3)
-
-    def test_missing_budget_raises(self):
-        with pytest.raises(ConfigError, match="budget="):
-            resolve_budget_kwargs(None)
-
-    def test_rid_detect_with_budget_rejects_legacy_k(self, network, cascade):
-        infected = cascade.infected_network(network)
-        detector = RID(RIDConfig())
-        with pytest.raises(ConfigError, match="rid.detect_with_budget\\(k=...\\)"):
-            detector.detect_with_budget(infected, k=5)
-        assert detector.detect_with_budget(infected, 5).initiators
-
     def test_new_spellings_are_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

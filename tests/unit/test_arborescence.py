@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.core.arborescence import (
-    branching_likelihood,
     branching_roots,
     find_circles,
     log_score,
@@ -153,11 +152,6 @@ class TestMaximumSpanningBranching:
 
 
 class TestBranchingHelpers:
-    def test_branching_likelihood_is_weight_product(self):
-        g = build([(0, 1, 0.5), (1, 2, 0.4)])
-        forest = maximum_spanning_branching(g)
-        assert branching_likelihood(forest) == pytest.approx(0.2)
-
     def test_roots_sorted(self):
         g = SignedDiGraph()
         g.add_nodes([3, 1, 2])

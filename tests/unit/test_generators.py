@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.graphs.generators.random_graphs import (
-    signed_configuration_model,
     signed_erdos_renyi,
     signed_preferential_attachment,
     signed_watts_strogatz,
@@ -19,7 +18,6 @@ from repro.graphs.generators.snapshot_like import (
 from repro.graphs.generators.trees import (
     is_arborescence,
     path_graph,
-    random_binary_tree,
     random_general_tree,
     star_graph,
 )
@@ -84,33 +82,7 @@ class TestWattsStrogatz:
         assert signed_watts_strogatz(0, k=2, rng=1).number_of_nodes() == 0
 
 
-class TestConfigurationModel:
-    def test_degree_sums_must_match(self):
-        with pytest.raises(ConfigError):
-            signed_configuration_model([2, 0], [1, 0])
-
-    def test_lengths_must_match(self):
-        with pytest.raises(ConfigError):
-            signed_configuration_model([1], [1, 0])
-
-    def test_realised_degrees_bounded_by_prescription(self):
-        out_deg = [2, 2, 2, 2]
-        in_deg = [2, 2, 2, 2]
-        g = signed_configuration_model(out_deg, in_deg, rng=4)
-        for v in g.nodes():
-            assert g.out_degree(v) <= out_deg[v]
-            assert g.in_degree(v) <= in_deg[v]
-
-
 class TestTrees:
-    def test_binary_tree_is_arborescence(self):
-        tree = random_binary_tree(40, rng=5)
-        assert is_arborescence(tree)
-
-    def test_binary_tree_fanout_bounded(self):
-        tree = random_binary_tree(60, rng=6)
-        assert all(tree.out_degree(v) <= 2 for v in tree.nodes())
-
     def test_general_tree_fanout_bounded(self):
         tree = random_general_tree(60, max_children=4, rng=7)
         assert is_arborescence(tree)
@@ -133,8 +105,8 @@ class TestTrees:
         assert not is_arborescence(g)
 
     def test_empty_and_singleton(self):
-        assert random_binary_tree(0).number_of_nodes() == 0
-        assert is_arborescence(random_binary_tree(1))
+        assert random_general_tree(0).number_of_nodes() == 0
+        assert is_arborescence(random_general_tree(1))
 
 
 class TestProfiledGenerators:

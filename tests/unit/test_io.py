@@ -1,7 +1,6 @@
-"""Unit tests for graph (de)serialisation."""
+"""Unit tests for graph (de)serialisation: SNAP edge lists and the JSON codec."""
 
 import gzip
-import json
 
 import pytest
 
@@ -9,9 +8,7 @@ from repro.codec import decode_graph, encode_graph
 from repro.errors import GraphFormatError
 from repro.graphs.io import (
     iter_snap_edges,
-    load_graph_json,
     read_snap_signed_edgelist,
-    save_graph_json,
     write_snap_signed_edgelist,
 )
 from repro.graphs.signed_digraph import SignedDiGraph
@@ -101,42 +98,3 @@ class TestJsonRoundTrip:
         assert clone.state("a") is NodeState.POSITIVE
         assert clone.state("c") is NodeState.UNKNOWN
 
-    def test_file_round_trip(self, tmp_path):
-        g = self.build()
-        path = tmp_path / "g.json"
-        save_graph_json(g, path)
-        clone = load_graph_json(path)
-        assert clone.number_of_edges() == 2
-        assert clone.state("a") is NodeState.POSITIVE
-
-    def test_gzip_file_round_trip(self, tmp_path):
-        g = self.build()
-        path = tmp_path / "g.json.gz"
-        save_graph_json(g, path)
-        assert load_graph_json(path).number_of_edges() == 2
-
-    def test_file_holds_the_codec_payload(self, tmp_path):
-        g = self.build()
-        path = tmp_path / "g.json"
-        save_graph_json(g, path)
-        assert json.loads(path.read_text()) == encode_graph(g)
-
-    def test_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(GraphFormatError):
-            load_graph_json(path)
-
-    def test_rejects_malformed_payload(self, tmp_path):
-        path = tmp_path / "malformed.json"
-        path.write_text(
-            json.dumps({"format": "repro-signed-digraph", "version": 1, "nodes": [{}], "edges": []})
-        )
-        with pytest.raises(GraphFormatError):
-            load_graph_json(path)
-
-    def test_rejects_invalid_json_file(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(GraphFormatError):
-            load_graph_json(path)

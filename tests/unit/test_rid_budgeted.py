@@ -111,10 +111,6 @@ class TestEmptySnapshot:
         with pytest.raises(ConfigError, match=r"budget must be in \[0, 0\]"):
             RID().detect_with_budget(SignedDiGraph(), budget=1)
 
-    def test_removed_k_spelling_raises_config_error(self):
-        with pytest.raises(ConfigError, match="pass budget=0"):
-            RID().detect_with_budget(SignedDiGraph(), k=0)
-
 
 class TestDiagnosticsConsistency:
     def test_tree_size_matches_beta_mode(self):

@@ -1,91 +1,18 @@
-"""Unit tests for the graph samplers."""
+"""Unit tests for the forest-fire graph sampler."""
 
 import pytest
 
-from repro.errors import ConfigError, NodeNotFoundError
+from repro.errors import ConfigError
 from repro.graphs.generators.random_graphs import signed_preferential_attachment
-from repro.graphs.sampling import (
-    forest_fire_sample,
-    random_edge_sample,
-    random_node_sample,
-    snowball_sample,
-)
+from repro.graphs.sampling import forest_fire_sample
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.types import NodeState, Sign
+from repro.types import NodeState
+from repro.utils.rng import spawn_rng
 
 
 @pytest.fixture(scope="module")
 def big_graph() -> SignedDiGraph:
     return signed_preferential_attachment(200, out_degree=3, rng=5)
-
-
-class TestRandomNodeSample:
-    def test_node_count(self, big_graph):
-        sample = random_node_sample(big_graph, 0.25, rng=1)
-        assert sample.number_of_nodes() == 50
-
-    def test_edges_are_induced(self, big_graph):
-        sample = random_node_sample(big_graph, 0.5, rng=1)
-        for u, v, _ in sample.iter_edges():
-            assert big_graph.has_edge(u, v)
-
-    def test_deterministic(self, big_graph):
-        a = random_node_sample(big_graph, 0.3, rng=9)
-        b = random_node_sample(big_graph, 0.3, rng=9)
-        assert set(a.nodes()) == set(b.nodes())
-
-    @pytest.mark.parametrize("fraction", [0.0, 1.5, -0.2])
-    def test_invalid_fraction(self, big_graph, fraction):
-        with pytest.raises(ConfigError):
-            random_node_sample(big_graph, fraction)
-
-    def test_full_fraction_is_whole_graph(self, big_graph):
-        sample = random_node_sample(big_graph, 1.0, rng=1)
-        assert sample.number_of_nodes() == big_graph.number_of_nodes()
-
-
-class TestRandomEdgeSample:
-    def test_fraction_zero_empty(self, big_graph):
-        assert random_edge_sample(big_graph, 0.0, rng=1).number_of_edges() == 0
-
-    def test_fraction_one_keeps_all(self, big_graph):
-        sample = random_edge_sample(big_graph, 1.0, rng=1)
-        assert sample.number_of_edges() == big_graph.number_of_edges()
-
-    def test_payloads_preserved(self, big_graph):
-        sample = random_edge_sample(big_graph, 0.5, rng=1)
-        for u, v, data in sample.iter_edges():
-            assert big_graph.sign(u, v) is data.sign
-            assert big_graph.weight(u, v) == data.weight
-
-    def test_intermediate_fraction_in_range(self, big_graph):
-        sample = random_edge_sample(big_graph, 0.5, rng=1)
-        total = big_graph.number_of_edges()
-        assert 0.3 * total < sample.number_of_edges() < 0.7 * total
-
-
-class TestSnowballSample:
-    def test_size_cap(self, big_graph):
-        sample = snowball_sample(big_graph, 0, max_nodes=30)
-        assert sample.number_of_nodes() == 30
-
-    def test_contains_seed(self, big_graph):
-        sample = snowball_sample(big_graph, 5, max_nodes=10)
-        assert sample.has_node(5)
-
-    def test_connected_in_undirected_view(self, big_graph):
-        from repro.core.components import weakly_connected_components
-
-        sample = snowball_sample(big_graph, 0, max_nodes=40)
-        assert len(weakly_connected_components(sample)) == 1
-
-    def test_missing_seed_raises(self, big_graph):
-        with pytest.raises(NodeNotFoundError):
-            snowball_sample(big_graph, "ghost", max_nodes=5)
-
-    def test_bad_max_nodes(self, big_graph):
-        with pytest.raises(ConfigError):
-            snowball_sample(big_graph, 0, max_nodes=0)
 
 
 class TestForestFireSample:
@@ -123,7 +50,8 @@ class TestForestFireSample:
         # Forest fire should retain hubs much more often than uniform
         # node sampling — check the max in-degree of the samples.
         ff = forest_fire_sample(big_graph, 60, rng=4)
-        ns = random_node_sample(big_graph, 0.3, rng=4)
+        nodes = sorted(big_graph.nodes(), key=repr)
+        ns = big_graph.subgraph(spawn_rng(4, "node-sample").sample(nodes, 60))
         ff_max = max(ff.in_degree(v) for v in ff.nodes())
         ns_max = max(ns.in_degree(v) for v in ns.nodes())
         assert ff_max >= ns_max

@@ -5,7 +5,7 @@ import pytest
 from repro.diffusion.base import DiffusionModel, DiffusionResult
 from repro.diffusion.mfc import MFCModel
 from repro.diffusion.monte_carlo import estimate_spread, simulate_batch, simulate_many
-from repro.diffusion.seeds import plant_fixed_initiators, plant_random_initiators
+from repro.diffusion.seeds import plant_random_initiators
 from repro.errors import ConfigError, InvalidSeedError
 from repro.graphs.generators.trees import path_graph
 from repro.graphs.signed_digraph import SignedDiGraph
@@ -45,26 +45,6 @@ class TestPlantRandomInitiators:
     def test_zero_count_rejected(self):
         with pytest.raises(InvalidSeedError):
             plant_random_initiators(ring(), 0, rng=1)
-
-
-class TestPlantFixedInitiators:
-    def test_default_states_positive(self):
-        seeds = plant_fixed_initiators(ring(), [1, 2])
-        assert seeds == {1: NodeState.POSITIVE, 2: NodeState.POSITIVE}
-
-    def test_explicit_states(self):
-        seeds = plant_fixed_initiators(
-            ring(), [1, 2], [NodeState.NEGATIVE, NodeState.POSITIVE]
-        )
-        assert seeds[1] is NodeState.NEGATIVE
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidSeedError):
-            plant_fixed_initiators(ring(), [1, 2], [NodeState.POSITIVE])
-
-    def test_unknown_node_rejected(self):
-        with pytest.raises(InvalidSeedError):
-            plant_fixed_initiators(ring(), ["nope"])
 
 
 class TestMonteCarlo:

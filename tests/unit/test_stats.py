@@ -3,15 +3,7 @@
 import pytest
 
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.graphs.stats import (
-    degree_sequence,
-    in_degree_distribution,
-    out_degree_distribution,
-    positive_fraction,
-    reciprocity,
-    summarize,
-    triangle_balance_counts,
-)
+from repro.graphs.stats import positive_fraction, reciprocity, summarize
 
 
 def mixed_graph() -> SignedDiGraph:
@@ -38,52 +30,6 @@ class TestReciprocity:
 
     def test_empty(self):
         assert reciprocity(SignedDiGraph()) == 0.0
-
-
-class TestDegreeDistributions:
-    def test_in_degree_histogram(self):
-        hist = in_degree_distribution(mixed_graph())
-        assert hist == {2: 1, 1: 2}  # a has in-degree 2; b, c have 1
-
-    def test_out_degree_histogram(self):
-        hist = out_degree_distribution(mixed_graph())
-        assert hist == {1: 2, 2: 1}
-
-    def test_degree_sequence_sorted(self):
-        seq = degree_sequence(mixed_graph())
-        assert seq == sorted(seq, reverse=True)
-        assert sum(seq) == 2 * mixed_graph().number_of_edges()
-
-
-class TestTriangleBalance:
-    def test_balanced_triangle(self):
-        g = SignedDiGraph()
-        g.add_edge("a", "b", 1, 0.5)
-        g.add_edge("b", "c", 1, 0.5)
-        g.add_edge("a", "c", 1, 0.5)
-        balanced, unbalanced = triangle_balance_counts(g)
-        assert (balanced, unbalanced) == (1, 0)
-
-    def test_unbalanced_triangle(self):
-        g = SignedDiGraph()
-        g.add_edge("a", "b", 1, 0.5)
-        g.add_edge("b", "c", 1, 0.5)
-        g.add_edge("a", "c", -1, 0.5)
-        balanced, unbalanced = triangle_balance_counts(g)
-        assert (balanced, unbalanced) == (0, 1)
-
-    def test_two_negative_is_balanced(self):
-        g = SignedDiGraph()
-        g.add_edge("a", "b", -1, 0.5)
-        g.add_edge("b", "c", -1, 0.5)
-        g.add_edge("a", "c", 1, 0.5)
-        balanced, unbalanced = triangle_balance_counts(g)
-        assert (balanced, unbalanced) == (1, 0)
-
-    def test_no_triangles(self):
-        g = SignedDiGraph()
-        g.add_edge("a", "b", 1, 0.5)
-        assert triangle_balance_counts(g) == (0, 0)
 
 
 class TestSummarize:

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.graphs.transforms import (
-    infected_subgraph,
-    negative_subgraph,
-    positive_subgraph,
-    strip_states,
-    to_diffusion_network,
-)
+from repro.graphs.transforms import positive_subgraph, to_diffusion_network
 from repro.types import NodeState, Sign
 
 
@@ -44,40 +38,7 @@ class TestSignSubgraphs:
         assert sub.number_of_edges() == 2
         assert not sub.has_edge("b", "c")
 
-    def test_negative_subgraph(self, triangle):
-        sub = negative_subgraph(triangle)
-        assert sub.number_of_edges() == 1
-        assert sub.has_edge("b", "c")
-
-    def test_sign_subgraphs_partition_edges(self, triangle):
-        pos = positive_subgraph(triangle).number_of_edges()
-        neg = negative_subgraph(triangle).number_of_edges()
-        assert pos + neg == triangle.number_of_edges()
-
     def test_states_preserved(self, triangle):
         triangle.set_state("a", NodeState.POSITIVE)
         assert positive_subgraph(triangle).state("a") is NodeState.POSITIVE
 
-
-class TestInfectedSubgraph:
-    def test_keeps_only_active_nodes(self, triangle):
-        triangle.set_states({"a": NodeState.POSITIVE, "b": NodeState.NEGATIVE})
-        infected = infected_subgraph(triangle)
-        assert sorted(infected.nodes()) == ["a", "b"]
-        assert infected.has_edge("a", "b")
-        assert infected.number_of_edges() == 1
-
-    def test_empty_when_nothing_active(self, triangle):
-        assert infected_subgraph(triangle).number_of_nodes() == 0
-
-    def test_unknown_state_not_included(self, triangle):
-        triangle.set_state("a", NodeState.UNKNOWN)
-        assert infected_subgraph(triangle).number_of_nodes() == 0
-
-
-class TestStripStates:
-    def test_resets_all_states_on_copy(self, triangle):
-        triangle.set_state("a", NodeState.POSITIVE)
-        stripped = strip_states(triangle)
-        assert stripped.state("a") is NodeState.INACTIVE
-        assert triangle.state("a") is NodeState.POSITIVE

@@ -8,10 +8,8 @@ from repro.errors import InvalidSignError, InvalidWeightError
 from repro.utils.disjoint_set import DisjointSet
 from repro.utils.rng import derive_seed, spawn_rng
 from repro.utils.validation import (
-    check_positive,
     check_probability,
     check_sign_value,
-    check_state_value,
     check_weight,
 )
 
@@ -142,20 +140,7 @@ class TestValidators:
         with pytest.raises(InvalidSignError):
             check_sign_value(0)
 
-    def test_check_state_value(self):
-        for ok in (-1, 0, 1, 2):
-            assert check_state_value(ok) == ok
-        with pytest.raises(ValueError):
-            check_state_value(3)
-
-    def test_check_positive(self):
-        assert check_positive(0.1) == 0.1
-        with pytest.raises(ValueError):
-            check_positive(0)
-        with pytest.raises(ValueError):
-            check_positive(float("nan"))
-
-    @pytest.mark.parametrize("check", [check_probability, check_positive])
+    @pytest.mark.parametrize("check", [check_probability])
     def test_past_float_range_is_a_value_error(self, check):
         with pytest.raises(ValueError, match="real number"):
             check(10**400)

@@ -6,7 +6,6 @@ from repro.graphs.signed_digraph import SignedDiGraph
 from repro.graphs.transforms import to_diffusion_network
 from repro.weights.jaccard import (
     assign_jaccard_weights,
-    assign_uniform_weights,
     jaccard_coefficient,
 )
 
@@ -174,14 +173,3 @@ class TestCalibrateGain:
         with pytest.raises(ConfigError):
             WorkloadConfig(jaccard_gain=0.5).validate()
 
-
-class TestAssignUniformWeights:
-    def test_weights_in_range(self):
-        g = social_square()
-        assign_uniform_weights(g, weight_range=(0.2, 0.3), rng=1)
-        assert all(0.2 <= d.weight <= 0.3 for _, _, d in g.iter_edges())
-
-    def test_deterministic(self):
-        a = assign_uniform_weights(social_square(), rng=5)
-        b = assign_uniform_weights(social_square(), rng=5)
-        assert [d.weight for _, _, d in a.edges()] == [d.weight for _, _, d in b.edges()]
