@@ -192,7 +192,7 @@ def main(argv=None) -> int:
             "budget sweep: reference recomputes every per-tree OPT curve per "
             "budget; the engine's artifact cache computes each curve once"
         )
-        report["cache"] = sweep_detector.engine.cache.stats()
+        report["cache"] = sweep_detector.cache.stats()
         print(
             f"detect: reference {ref_detect_s:.4f}s, engine(workers=4) "
             f"{engine_detect_s:.4f}s"

@@ -186,7 +186,7 @@ def main(argv=None) -> int:
         report["median_speedup"] = round(median_speedup, 3)
         report["speedup_note"] = (
             "per-delta wall time: StreamingDetectionEngine.step (partition "
-            "repair + cached re-detection) vs a fresh cold DetectionEngine "
+            "repair + cached re-detection) vs a fresh cold RID detect "
             "run on the materialised snapshot"
         )
         print(

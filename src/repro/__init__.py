@@ -63,7 +63,7 @@ from repro.obs import (
     format_report,
     using_recorder,
 )
-from repro.pipeline import ArtifactCache, DetectionEngine
+from repro.pipeline import ArtifactCache
 from repro.runtime import RuntimeConfig, TrialReport
 from repro.stream import (
     SnapshotDelta,
@@ -112,7 +112,6 @@ __all__ = [
     "plant_random_initiators",
     "RID",
     "RIDConfig",
-    "DetectionEngine",
     "ArtifactCache",
     "Detector",
     "DetectionResult",

@@ -19,9 +19,10 @@ Pipeline stages (Sec. III-E), each its own module:
 7. :mod:`~repro.core.imputation` — unknown-state ('?') masking and
    MFC-rule completion.
 
-The staged :class:`~repro.pipeline.engine.DetectionEngine` composes
-these steps; ``DetectionEngine().forest(RIDConfig(...), infected)``
-extracts a snapshot's cascade forest on its own. The detector protocol
+:class:`~repro.core.rid.RID` composes these steps through the cached
+rows of :mod:`repro.pipeline.stages`;
+``RID(RIDConfig(...)).forest(infected)`` extracts a snapshot's cascade
+forest on its own. The detector protocol
 and the paper's comparison methods (RID-Tree, RID-Positive) live in
 :mod:`repro.detectors`. The exact ISOMIT objective is NP-hard
 (Lemma 3.1); its exhaustive solvers and the full noisy-or likelihood

@@ -18,9 +18,9 @@ points run it once for the whole zoo, around each class's own hooks:
   :class:`~repro.errors.ConfigError`.
 
 :class:`repro.core.rid.RID` subclasses :class:`Detector` but keeps its
-own two entry points, which honour ``runtime=`` and leave the empty
-input rules to its engine — the same rules, stated once for RID in
-:mod:`repro.pipeline.engine`.
+own two entry points, which honour ``runtime=`` and apply the same
+empty-input rules inside its pipeline, stated once for RID in
+:mod:`repro.core.rid`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.codec import (
 )
 from repro.errors import ConfigError, EmptyInfectionError, ResultFormatError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.obs.recorder import Recorder, resolve_recorder
+from repro.obs.recorder import Recorder, resolve_recorder, using_recorder
 from repro.runtime.config import RuntimeConfig
 from repro.types import Node, NodeState
 
@@ -182,7 +182,9 @@ class Detector(abc.ABC):
     carrying observed states in ``{-1, +1}`` — and returns a
     :class:`DetectionResult`. A subclass sets :attr:`name` and
     implements hooks that only ever see a non-empty snapshot and the
-    resolved recorder, inside the ``detect`` span:
+    resolved recorder, inside the ``detect`` span and with that recorder
+    installed as the ambient one, so the layers a hook calls without a
+    ``recorder=`` (the Monte-Carlo batch tier) record into it too:
 
     * ``_detect(infected, recorder)`` — the open-ended
       :class:`DetectionResult`;
@@ -191,7 +193,7 @@ class Detector(abc.ABC):
       :meth:`detect_with_budget` raises :class:`NotImplementedError`.
 
     :class:`repro.core.rid.RID` overrides both entry points instead: it
-    honours ``runtime=``, its engine owns its empty-input rules, and
+    honours ``runtime=``, its pipeline owns its empty-input rules, and
     its spans are ``rid.detect`` and ``rid.detect_with_budget``.
     """
 
@@ -226,7 +228,7 @@ class Detector(abc.ABC):
                 f"budget=0 and return an empty result)"
             )
         rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name):
+        with using_recorder(rec), rec.span("detect", method=self.name):
             return self._detect(infected, rec)
 
     def detect_with_budget(
@@ -267,7 +269,7 @@ class Detector(abc.ABC):
                 f"{self.name} does not support budgeted detection"
             )
         rec = resolve_recorder(recorder)
-        with rec.span("detect", method=self.name, budget=budget):
+        with using_recorder(rec), rec.span("detect", method=self.name, budget=budget):
             initiators = self._select(infected, budget, rec)
         return DetectionResult(method=f"{self.name}(k={budget})", initiators=initiators)
 

@@ -10,10 +10,12 @@
   subnetwork only, generalising the unsigned effectors approach.
 
 Both baselines identify initiator *identities* only; per the paper they
-cannot infer initial states, so their results carry no state map. Both
-take their trees from :meth:`~repro.pipeline.engine.DetectionEngine.forest`,
-RID's own front half, on a private engine: repeated detections on one
-instance reuse the cached per-component trees.
+cannot infer initial states, so their results carry no state map. Each
+holds a private :class:`~repro.core.rid.RID` configured with just its
+score and pruning flag, takes its trees from that RID's front half,
+:meth:`~repro.core.rid.RID.forest`, and exposes the RID's artifact
+cache as ``cache``: repeated detections on one instance reuse the
+cached per-component trees.
 """
 
 from __future__ import annotations
@@ -61,20 +63,14 @@ class RIDPositiveConfig:
             raise ConfigError(f"score must be 'log' or 'raw', got {self.score!r}")
 
 
-# repro.pipeline and repro.core.rid both import repro.detectors, so the
-# baselines import them lazily, as RID.__init__ imports its engine.
+def _forest_rid(score: str, prune_inconsistent: bool):
+    """A private RID whose :meth:`~repro.core.rid.RID.forest` only reads
+    ``score`` and ``prune_inconsistent``."""
+    # Imported lazily: repro.core.rid imports repro.detectors, which
+    # loads this module while repro.core.rid is still initialising.
+    from repro.core.rid import RID, RIDConfig
 
-
-def _private_engine():
-    from repro.pipeline.engine import DetectionEngine
-
-    return DetectionEngine()
-
-
-def _forest_config(score: str, prune_inconsistent: bool):
-    from repro.core.rid import RIDConfig
-
-    return RIDConfig(score=score, prune_inconsistent=prune_inconsistent)
+    return RID(RIDConfig(score=score, prune_inconsistent=prune_inconsistent))
 
 
 class RIDTreeDetector(Detector):
@@ -89,7 +85,8 @@ class RIDTreeDetector(Detector):
     def __init__(self, config: Optional[RIDTreeConfig] = None) -> None:
         self.config = config or RIDTreeConfig()
         self.config.validate()
-        self.engine = _private_engine()
+        self._rid = _forest_rid(self.config.score, self.config.prune_inconsistent)
+        self.cache = self._rid.cache
 
     def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
         # No consistency pruning by default: the paper's guarantee that
@@ -97,11 +94,7 @@ class RIDTreeDetector(Detector):
         # initiators" is exactly the property of in-degree-0 nodes in the
         # *unpruned* infected network (an infected node with no infected
         # in-neighbour at all must be an initiator).
-        trees = self.engine.forest(
-            _forest_config(self.config.score, self.config.prune_inconsistent),
-            infected,
-            recorder=recorder,
-        )
+        trees = self._rid.forest(infected, recorder=recorder)
         roots = {find_tree_root(tree) for tree in trees}
         return DetectionResult(method=self.name, initiators=roots, trees=trees)
 
@@ -120,13 +113,12 @@ class RIDPositiveDetector(Detector):
     def __init__(self, config: Optional[RIDPositiveConfig] = None) -> None:
         self.config = config or RIDPositiveConfig()
         self.config.validate()
-        self.engine = _private_engine()
+        # The unsigned method of [13] is sign-blind: no consistency pruning.
+        self._rid = _forest_rid(self.config.score, False)
+        self.cache = self._rid.cache
 
     def _detect(self, infected: SignedDiGraph, recorder: Recorder) -> DetectionResult:
         positive_only = positive_subgraph(infected)
-        # The unsigned method of [13] is sign-blind: no consistency pruning.
-        trees = self.engine.forest(
-            _forest_config(self.config.score, False), positive_only, recorder=recorder
-        )
+        trees = self._rid.forest(positive_only, recorder=recorder)
         roots = {find_tree_root(tree) for tree in trees}
         return DetectionResult(method=self.name, initiators=roots, trees=trees)

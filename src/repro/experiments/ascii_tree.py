@@ -42,7 +42,7 @@ def render_cascade_tree(
 
     Args:
         tree: an arborescence (e.g. one of
-            :meth:`repro.pipeline.engine.DetectionEngine.forest`'s trees).
+            :meth:`repro.core.rid.RID.forest`'s trees).
         root: starting node; auto-detected when omitted.
         max_depth: truncate below this depth (``...`` marks cuts).
         max_children: show at most this many children per node.

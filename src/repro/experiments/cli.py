@@ -208,6 +208,7 @@ def run_detect_stream(
     """
     import time
 
+    from repro.core.rid import RID
     from repro.stream import (
         StreamingDetectionEngine,
         read_event_log,
@@ -248,8 +249,8 @@ def run_detect_stream(
             f"reused={step.reused_artifacts:<4} computed={step.computed_artifacts:<4} "
             f"initiators={len(step.result.initiators)}"
         )
-    if engine.engine is not None:  # only RID's incremental path caches
-        stats = engine.engine.cache.stats()
+    if isinstance(engine.detector, RID):  # only RID's incremental path caches
+        stats = engine.detector.cache.stats()
         print(
             f"artifact cache: {stats['hits']} hits / {stats['misses']} misses "
             f"({stats['entries']} entries)"

@@ -1,4 +1,4 @@
-"""Staged RID detection pipeline with caching and per-component fan-out.
+"""The steps of RID's detection pipeline and their artifact cache.
 
 The paper's detection pipeline (Sec. III-E) as five cached steps, each
 one :class:`Stage` row in :mod:`repro.pipeline.stages`:
@@ -9,7 +9,7 @@ one :class:`Stage` row in :mod:`repro.pipeline.stages`:
                             (budget curve): binarize + k-ISOMIT-BT DP
         -> SelectionStage   (β merge, or budget knapsack; never cached)
 
-run by :class:`DetectionEngine` through one cached-step loop, which
+run by :class:`repro.core.rid.RID` through one cached-step loop, which
 treats every infected component (and every cascade tree) as an
 independent work unit:
 
@@ -21,22 +21,18 @@ independent work unit:
 * **observability** — every step records the established ``rid.*``
   spans and counters (docs/architecture.md maps span names to steps).
 
-``RID.detect`` / ``RID.detect_with_budget`` are thin wrappers over
-:meth:`DetectionEngine.detect`, and the RID-Tree / RID-Positive
-baselines take their cascade trees from its front half,
-:meth:`DetectionEngine.forest`; use the engine directly for shared
-caches or custom wiring.
+The RID-Tree / RID-Positive baselines take their cascade trees from the
+front half, :meth:`RID.forest <repro.core.rid.RID.forest>`, and the
+streaming layer detects through :meth:`RID.detect_components
+<repro.core.rid.RID.detect_components>`.
 """
 
 from repro.pipeline.cache import ArtifactCache, artifact_key
-from repro.pipeline.engine import DetectionEngine, EngineOutcome
 from repro.pipeline.stages import CurveArtifact, SelectionStage, Stage
 
 __all__ = [
     "ArtifactCache",
     "artifact_key",
-    "DetectionEngine",
-    "EngineOutcome",
     "Stage",
     "SelectionStage",
     "CurveArtifact",

@@ -1,6 +1,6 @@
 """Content-addressed artifact caching for the detection pipeline.
 
-Every step output the engine may want to reuse — pruned graphs,
+Every step output RID may want to reuse — pruned graphs,
 component splits, extracted cascade trees, per-tree DP solutions — is
 addressed by a stable blake2b digest of *everything that determines it*
 (:meth:`repro.pipeline.stages.Stage.key`):
@@ -21,7 +21,7 @@ extracted trees or the budget-mode OPT curves.
 Two layers:
 
 * :class:`ArtifactCache` — in-process LRU, shared by all steps of one
-  :class:`~repro.pipeline.engine.DetectionEngine`. This is what makes
+  :class:`~repro.core.rid.RID` (``rid.cache``). This is what makes
   k-search sweeps, robustness re-runs and repeated CLI detections skip
   Edmonds/binarise/DP work already done.
 * an optional on-disk layer via :class:`~repro.runtime.cache.TrialCache`
@@ -32,7 +32,7 @@ Two layers:
   memory-only. The decoders accept only what the encoders write, so an
   entry they reject reads as a miss and is recomputed and overwritten.
 
-Artifacts must be treated as immutable once cached: the engine hands the
+Artifacts must be treated as immutable once cached: RID hands the
 *same* tree objects to every caller that hits the cache.
 """
 
@@ -55,7 +55,7 @@ class ArtifactCache:
 
     Holds at most ``max_entries`` artifacts; inserting past the bound
     evicts the least recently used entry (lookups and puts both refresh
-    recency). The default, 4096, is sized for the long-lived engines —
+    recency). The default, 4096, is sized for the long-lived RID instances —
     warm serve detectors and stream sessions; a one-shot detect never
     fills it.
 

@@ -15,16 +15,14 @@ codec) plus a module-level compute function with the one signature
 * ``TREE_DP_CURVE``, :func:`tree_curve`: tree -> its budget-mode
   :class:`CurveArtifact`.
 
-:class:`~repro.pipeline.engine.DetectionEngine` runs every row through
-one cached-step loop. A compute function runs inline with the caller's
-recorder, or as it is in a process-pool worker:
-:func:`repro.runtime.executor.run_trials` calls ``compute(config,
-item)`` under a per-chunk recorder it installs ambiently.
-``RID.select_initiators_for_tree`` calls :func:`greedy_tree_selection`
-directly. The uncached last step, cross-tree selection, is the plain
+:class:`~repro.core.rid.RID` runs every row through one cached-step
+loop. A compute function runs inline with the caller's recorder, or as
+it is in a process-pool worker: :func:`repro.runtime.executor.run_trials`
+calls ``compute(config, item)`` under a per-chunk recorder it installs
+ambiently. The uncached last step, cross-tree selection, is the plain
 :class:`SelectionStage`.
 
-The engine looks each compute function up on this module at call time,
+RID looks each compute function up on this module at call time,
 and the compute functions look the binarize/DP seam up on
 :mod:`repro.core.rid` (``binarize_cascade_tree``, ``TreeDPKernel``) the
 same way: those module attributes are where tests stub the DP and where
@@ -170,7 +168,8 @@ def greedy_tree_selection(
 ) -> "Any":
     """The β-penalised k search on one cascade tree (RID's default mode).
 
-    Bit-identical to the pre-refactor ``RID.select_initiators_for_tree``:
+    Bit-identical to the pre-refactor per-tree search
+    (``reference_select_for_tree`` in ``tests/oracles/rid_reference.py``):
     same scan order, same early-stop-on-non-improvement rule, same spans
     and counters. The scan compares root scores only and reconstructs
     the placement once, for the winning k.
@@ -246,7 +245,7 @@ class SelectionStage:
     Not a :class:`Stage` row: it is never cached. It is linear in the
     number of trees (β mode) or one exact knapsack over the per-tree
     curves (budget mode), and its inputs already come from cached
-    artifacts. The engine calls the two methods directly.
+    artifacts. RID calls the two methods directly.
     """
 
     def merge_greedy(self, selections: List["Any"]) -> Tuple:

@@ -3,7 +3,7 @@
 A stdlib-only asyncio server (:class:`DetectionServer`) with a
 warm-cache worker pool — requests shard onto workers by the digest of
 their body bytes, so each worker compiles a graph once and keeps its
-detection engine and artifact cache hot across requests — plus a
+warm detectors and their artifact caches hot across requests — plus a
 versioned JSON wire schema
 (:data:`WIRE_SCHEMA` = ``repro.serve/v1``) and a thin client
 (:class:`ServeClient`). Served responses are bit-identical to calling

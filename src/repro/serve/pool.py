@@ -3,12 +3,12 @@
 The serving tier's compute plane. Each worker thread owns a
 :class:`WorkerHost` — decoded-graph LRU, warm registry detectors (one
 per ``(name, config)``; RID, RID-Tree and RID-Positive instances keep
-their engine's :class:`~repro.pipeline.cache.ArtifactCache` hot across
-requests), and the live streaming sessions. Requests are sharded onto
-workers by a digest of what they touch (the request body's bytes, or
-the session name), so a repeated request always lands on the worker
-that already compiled its graph — that affinity is what makes the cache
-warm instead of merely present.
+their :class:`~repro.pipeline.cache.ArtifactCache`, ``detector.cache``,
+hot across requests), and the live streaming sessions. Requests are
+sharded onto workers by a digest of what they touch (the request
+body's bytes, or the session name), so a repeated request always lands
+on the worker that already compiled its graph — that affinity is what
+makes the cache warm instead of merely present.
 
 Mechanics worth knowing:
 
@@ -77,6 +77,32 @@ BODY_KEYS_PER_GRAPH = 16
 #: their activation attempts run out, so their caps stay unchecked.
 MAX_SERVED_ROUNDS = 10_000
 _ROUND_CAPS = {"voter": "rounds", "sir": "max_rounds"}
+
+#: The most Monte-Carlo trials one request may ask for: ``trials`` on
+#: ``/v1/simulate`` and ``/v1/evaluate``, and the ``trials`` field of a
+#: named detector's ``config`` on every route (the detector defaults are
+#: 8-10). A worker cannot stop a computation it has claimed, so an
+#: unbounded count would hold it far past the request timeout.
+MAX_SERVED_TRIALS = 1_000
+
+#: The largest ``workload.scale`` ``/v1/evaluate`` builds a network for:
+#: the largest scale measured, where one detect of an Epinions-like
+#: snapshot with 40 planted initiators already takes 16-19 s.
+MAX_SERVED_SCALE = 0.05
+
+
+def _check_trials(field: str, trials: Optional[int]) -> None:
+    if trials is not None and trials > MAX_SERVED_TRIALS:
+        raise ConfigError(
+            f"{field} must be <= {MAX_SERVED_TRIALS} on a served request, got {trials}"
+        )
+
+
+def _detector_config(name: str, payload: Any) -> Any:
+    """A served detector's validated config, its ``trials`` bounded."""
+    config = wire.detector_config_from_json(name, payload)
+    _check_trials(f"{name} config trials", getattr(config, "trials", None))
+    return config
 
 
 @dataclasses.dataclass
@@ -180,16 +206,16 @@ class WorkerHost:
         Keyed by the registry's content-addressed
         :func:`~repro.detectors.detector_digest`, so two requests naming
         the same detector with the same config share a warm instance and
-        different configs (or detectors) never collide. Detectors that
-        run on a :class:`~repro.pipeline.engine.DetectionEngine` — RID,
-        and the RID-Tree / RID-Positive baselines through its front half
-        — keep the engine's :class:`~repro.pipeline.cache.ArtifactCache`
-        hot across requests (it is content-addressed by graph *and*
-        config, so one instance per config safely serves every graph);
-        the other detectors have no artifact store — warmth for them
-        means skipping config re-validation and construction.
+        different configs (or detectors) never collide. RID, and the
+        RID-Tree / RID-Positive baselines through a private RID's front
+        half, keep their :class:`~repro.pipeline.cache.ArtifactCache`
+        (``detector.cache``) hot across requests (it is content-addressed
+        by graph *and* config, so one instance per config safely serves
+        every graph); the other detectors have no artifact store —
+        warmth for them means skipping config re-validation and
+        construction.
         """
-        config = wire.detector_config_from_json(name, config_payload)
+        config = _detector_config(name, config_payload)
         key = detector_digest(name, config)
         cached = self._fresh(self._detectors, key)
         if cached is not None:
@@ -205,12 +231,11 @@ class WorkerHost:
     def cache_temperature(self) -> float:
         """Fraction of artifact-cache lookups that hit, across all warm
         detectors (0.0 when nothing has run yet). Only the detectors
-        with an ``engine`` (RID, RID-Tree, RID-Positive) carry an
-        artifact cache; the others contribute nothing."""
+        with a ``cache`` (RID, RID-Tree, RID-Positive) carry an artifact
+        cache; the others contribute nothing."""
         hits = misses = 0
         for detector, _touched in self._detectors.values():
-            engine = getattr(detector, "engine", None)
-            cache = getattr(engine, "cache", None)
+            cache = getattr(detector, "cache", None)
             if cache is None:
                 continue
             hits += cache.hits
@@ -231,7 +256,7 @@ def _handle_detect(
     graph, graph_hot = host.graph(body_key, wire.require(payload, "graph", dict))
     detector, engine_hot = host.detector(name, payload.get("config"))
     budget = wire.optional_int(payload, "budget")
-    cache = getattr(getattr(detector, "engine", None), "cache", None)
+    cache = getattr(detector, "cache", None)
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
     if budget is not None:
@@ -292,6 +317,7 @@ def _handle_simulate(
     except TypeError as exc:
         raise ConfigError(f"bad parameters for model {name!r}: {exc}") from None
     trials = wire.optional_int(payload, "trials")
+    _check_trials("trials", trials)
     rng = payload.get("rng", 0)
     if isinstance(rng, bool) or not isinstance(rng, int):
         raise WireFormatError("request field 'rng' must be an integer seed")
@@ -316,9 +342,15 @@ def _handle_evaluate(
 
     spec = wire.require(payload, "workload", dict)
     workload = config_from_dict(WorkloadConfig, spec)
+    if not 0 < workload.scale <= MAX_SERVED_SCALE:
+        raise ConfigError(
+            f"workload scale must be in (0, {MAX_SERVED_SCALE}] on /v1/evaluate, "
+            f"got {workload.scale}"
+        )
     trials = wire.optional_int(payload, "trials")
+    _check_trials("trials", trials)
     name = wire.detector_request(payload)
-    config = wire.detector_config_from_json(name, payload.get("config"))
+    config = _detector_config(name, payload.get("config"))
     aggregated = api.evaluate(
         name, workload, trials=3 if trials is None else trials, config=config
     )
@@ -348,7 +380,7 @@ def _handle_session_create(
         raise SessionExistsError(name)
     graph = wire.graph_from_json(wire.require(payload, "graph", dict))
     detector_name = wire.detector_request(payload)
-    config = wire.detector_config_from_json(detector_name, payload.get("config"))
+    config = _detector_config(detector_name, payload.get("config"))
     # copy=False: the decoded graph is already a private object.
     engine = StreamingDetectionEngine(
         graph, detector=resolve_detector(detector_name, config), copy=False

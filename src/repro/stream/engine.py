@@ -22,14 +22,14 @@ stage keeps). Applying a :class:`~repro.stream.delta.SnapshotDelta`:
    component keeps its *same unmutated* ``SignedDiGraph`` object.
 
 Detection then goes through
-:meth:`~repro.pipeline.engine.DetectionEngine.detect_components`:
+:meth:`RID.detect_components <repro.core.rid.RID.detect_components>`:
 untouched components resolve to memoized content digests (O(1) — the
 object's ``version`` counter is unchanged) and therefore to
 ``ArtifactCache`` hits, so Arborescence/Binarize/TreeDP re-run only for
 dirty components and only the final Selection merge is global.
 
 **Identity guarantee.** After every applied delta, :meth:`detect`
-gives the same answer as a cold ``DetectionEngine`` run on
+gives the same answer as a cold run of the same ``RID`` on
 :meth:`materialise`'s snapshot — the same initiators and states, and an
 objective equal up to float rounding. The partition equals the cold
 Prune+ComponentSplit output (same member sets, same live edges, same
@@ -59,10 +59,9 @@ from typing import Dict, Iterable, List, Optional, Set, Union, overload
 
 from repro.detectors.base import DetectionResult, Detector
 from repro.detectors.registry import resolve_detector
-from repro.core.rid import RID, RIDConfig
+from repro.core.rid import RID
 from repro.graphs.signed_digraph import EdgeData, SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder, using_recorder
-from repro.pipeline.engine import DetectionEngine
 from repro.runtime.config import RuntimeConfig
 from repro.stream.delta import SnapshotDelta, apply_delta
 from repro.types import Node
@@ -153,20 +152,16 @@ class StreamingDetectionEngine:
         detector: what re-detects after each delta — a registry name or
             a pre-built :class:`~repro.detectors.Detector`; ``None``
             means ``RID()``. A :class:`~repro.core.rid.RID` instance
-            takes the incremental path with that instance's ``config``
-            and ``engine``, so pass ``RID(config, engine=shared)`` to
-            pool artifacts across streams. Any other detector
-            re-detects on the materialised snapshot each step (no
-            per-component artifact reuse — it has no content-addressed
-            stages) but shares the same delta plumbing and replay
-            reporting.
+            takes the incremental path: it detects through
+            :meth:`~repro.core.rid.RID.detect_components` with its own
+            config and artifact cache. Any other detector re-detects on
+            the materialised snapshot each step (no per-component
+            artifact reuse — it has no content-addressed stages) but
+            shares the same delta plumbing and replay reporting.
         runtime: default execution configuration for :meth:`detect`.
         copy: set False to adopt (and mutate) ``graph`` in place.
 
-    On the incremental path :attr:`detector` is ``None`` and
-    :attr:`config` / :attr:`engine` are the RID instance's; on the
-    re-detect path :attr:`detector` is the resolved detector and both
-    are ``None``.
+    :attr:`detector` is the resolved detector on both paths.
 
     Example:
         >>> eng = StreamingDetectionEngine(infected)        # doctest: +SKIP
@@ -182,25 +177,21 @@ class StreamingDetectionEngine:
         runtime: Optional[RuntimeConfig] = None,
         copy: bool = True,
     ) -> None:
-        detector = RID() if detector is None else resolve_detector(detector)
-        self.detector: Optional[Detector] = None
-        self.config: Optional[RIDConfig] = None
-        self.engine: Optional[DetectionEngine] = None
-        if isinstance(detector, RID):
-            # Only RID streams incrementally: its staged engine reuses
-            # per-component artifacts across deltas.
-            self.config = detector.config
-            self.engine = detector.engine
-        else:
-            self.detector = detector
+        self.detector: Detector = (
+            RID() if detector is None else resolve_detector(detector)
+        )
         self.runtime = runtime
         if graph is None:
             self.graph = SignedDiGraph(name="stream")
         else:
             self.graph = graph.copy() if copy else graph
-        # Named detectors consume the unpruned materialised snapshot, so
-        # the live-edge predicate must not drop sign-inconsistent links.
-        self._prune = self.config is not None and self.config.prune_inconsistent
+        # Only RID streams incrementally: its cached steps reuse
+        # per-component artifacts across deltas. Named detectors consume
+        # the unpruned materialised snapshot, so the live-edge predicate
+        # must not drop sign-inconsistent links for them.
+        self._prune = (
+            isinstance(self.detector, RID) and self.detector.config.prune_inconsistent
+        )
         self._comp_nodes: Dict[int, Set[Node]] = {}
         self._comp_sub: Dict[int, SignedDiGraph] = {}
         self._comp_key: Dict[int, str] = {}
@@ -404,16 +395,15 @@ class StreamingDetectionEngine:
         outputs come back verbatim.
         """
         rec = resolve_recorder(recorder)
-        if self.detector is not None:
+        if not isinstance(self.detector, RID):
             return self._detect_named(
                 budget=budget, recorder=rec, runtime=runtime
             )
-        cache = self.engine.cache
+        cache = self.detector.cache
         hits_before, misses_before = cache.hits, cache.misses
         with using_recorder(rec):
             with rec.span("stream.detect", components=len(self._comp_nodes)):
-                outcome = self.engine.detect_components(
-                    self.config,
+                result = self.detector.detect_components(
                     self.components(),
                     budget=budget,
                     label=label,
@@ -427,7 +417,7 @@ class StreamingDetectionEngine:
             rec.incr("stream.computed_artifacts", computed)
         self.last_reused_artifacts = reused
         self.last_computed_artifacts = computed
-        return outcome.result
+        return result
 
     def _detect_named(
         self,
@@ -445,7 +435,6 @@ class StreamingDetectionEngine:
         one goes through the detector's budget-0 contract.
         """
         detector = self.detector
-        assert detector is not None
         runtime = runtime if runtime is not None else self.runtime
         with using_recorder(recorder):
             with recorder.span(

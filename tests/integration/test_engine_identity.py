@@ -1,6 +1,7 @@
 """The pipeline-identity gate.
 
-The staged :class:`~repro.pipeline.engine.DetectionEngine` must be
+:class:`~repro.core.rid.RID`, running the cached steps of
+:mod:`repro.pipeline.stages`, must be
 **bit-identical** to the pre-refactor sequential implementation frozen
 in ``tests/oracles/rid_reference.py`` — initiators, inferred states,
 objective, cascade-tree contents and ordering, per-tree selections —
@@ -83,7 +84,7 @@ class TestDetectIdentity:
         expected, _ = reference_detect(config, golden_infected)
         detector = RID(config)
         detector.detect(golden_infected)  # warm every artifact
-        assert detector.engine.cache.stats()["entries"] > 0
+        assert detector.cache.stats()["entries"] > 0
         actual = detector.detect(golden_infected)
         assert_results_identical(actual, expected)
 
@@ -144,7 +145,7 @@ class TestBudgetIdentity:
         config = RIDConfig()
         base, _ = reference_detect(config, golden_infected)
         min_budget = len(base.trees)
-        detector = RID(config)  # one engine, cache shared across the sweep
+        detector = RID(config)  # one cache shared across the sweep
         for budget in range(min_budget, min_budget + 6):
             expected, _ = reference_detect_with_budget(
                 config, golden_infected, budget

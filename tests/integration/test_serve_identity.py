@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.graphs.generators.random_graphs import signed_erdos_renyi
 from repro.serve import ServeClient, ServeConfig, start_in_thread
-from repro.serve.pool import MAX_SERVED_ROUNDS
+from repro.serve.pool import MAX_SERVED_ROUNDS, MAX_SERVED_SCALE, MAX_SERVED_TRIALS
 from repro.stream import StreamingDetectionEngine, synthetic_stream
 from repro.types import NodeState
 
@@ -355,6 +355,110 @@ class TestErrorSurface:
         assert status == 400
         assert envelope["error"]["type"] == "InvalidModelParameterError"
         assert "must be an int" in envelope["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "route, body, message",
+        [
+            (
+                "/v1/simulate",
+                {"graph": "triangle", "seeds": [[["i", 0], 1]], "trials": MAX_SERVED_TRIALS + 1},
+                f"trials must be <= {MAX_SERVED_TRIALS}",
+            ),
+            (
+                "/v1/evaluate",
+                {
+                    "workload": {"scale": 0.001},
+                    "detector": "distance_center",
+                    "trials": MAX_SERVED_TRIALS + 1,
+                },
+                f"trials must be <= {MAX_SERVED_TRIALS}",
+            ),
+            (
+                "/v1/detect",
+                {
+                    "graph": "triangle",
+                    "detector": "k_effectors",
+                    "config": {"trials": MAX_SERVED_TRIALS + 1},
+                },
+                f"k_effectors config trials must be <= {MAX_SERVED_TRIALS}",
+            ),
+            (
+                "/v1/evaluate",
+                {
+                    "workload": {"scale": 0.001},
+                    "detector": "simulation_matching",
+                    "config": {"trials": MAX_SERVED_TRIALS + 1},
+                    "trials": 1,
+                },
+                f"simulation_matching config trials must be <= {MAX_SERVED_TRIALS}",
+            ),
+            (
+                "/v1/sessions",
+                {
+                    "session": "over-limit",
+                    "graph": "triangle",
+                    "detector": "map_suspect",
+                    "config": {"trials": MAX_SERVED_TRIALS + 1},
+                },
+                f"map_suspect config trials must be <= {MAX_SERVED_TRIALS}",
+            ),
+            (
+                "/v1/evaluate",
+                {"workload": {"scale": 0.051}, "trials": 1},
+                f"scale must be in (0, {MAX_SERVED_SCALE}]",
+            ),
+            (
+                "/v1/evaluate",
+                {"workload": {"scale": float("nan")}, "trials": 1},
+                f"scale must be in (0, {MAX_SERVED_SCALE}]",
+            ),
+        ],
+        ids=[
+            "simulate-trials",
+            "evaluate-trials",
+            "detect-config-trials",
+            "evaluate-config-trials",
+            "session-config-trials",
+            "evaluate-scale",
+            "evaluate-scale-nan",
+        ],
+    )
+    def test_work_past_the_served_limits_maps_to_400(
+        self, served, triangle, route, body, message
+    ):
+        # A 504 cannot stop a computation a worker has claimed, so one
+        # small body must not be able to ask for unbounded work.
+        from repro.codec import encode_graph
+
+        client, _ = served
+        if body.get("graph") == "triangle":
+            body = dict(body, graph=encode_graph(triangle))
+        status, envelope = post_raw(client, route, body)
+        assert status == 400
+        assert envelope["error"]["type"] == "ConfigError"
+        assert message in envelope["error"]["message"]
+
+    @pytest.mark.parametrize("route", ["/v1/simulate", "/v1/detect"])
+    def test_trials_at_the_limit_are_served(self, served, triangle, route):
+        from repro.codec import encode_graph
+
+        client, _ = served
+        if route == "/v1/simulate":
+            body = {"seeds": [[["i", 0], 1]], "trials": MAX_SERVED_TRIALS, "rng": 1}
+            direct = repro.simulate(
+                triangle, {0: NodeState.POSITIVE}, trials=MAX_SERVED_TRIALS, rng=1
+            )
+            key, want, graph = "results", [r.to_json() for r in direct], triangle
+        else:
+            graph = triangle.copy()
+            graph.set_states({0: NodeState.POSITIVE, 1: NodeState.POSITIVE, 2: NodeState.NEGATIVE})
+            config = {"trials": MAX_SERVED_TRIALS}
+            body = {"detector": "k_effectors", "config": config}
+            direct = repro.detect(graph, detector="k_effectors", config=config)
+            key, want = "result", direct.to_json()
+        status, envelope = post_raw(client, route, dict(body, graph=encode_graph(graph)))
+        assert status == 200
+        assert canonical(envelope[key]) == canonical(want)
 
     def test_simulate_rounds_at_the_limit_are_served(self, served, triangle):
         client, _ = served

@@ -10,7 +10,8 @@ that has a faster production twin in :mod:`repro`:
   solver and the exhaustive brute force (production:
   :class:`repro.kernel.tree_dp.TreeDPKernel`);
 * :mod:`tests.oracles.rid_reference` — the sequential pre-pipeline RID
-  (production: :class:`repro.pipeline.engine.DetectionEngine`).
+  (production: :class:`repro.core.rid.RID`, which runs the cached steps
+  of :mod:`repro.pipeline.stages`).
 
 One has no production twin, because what it computes is NP-hard:
 

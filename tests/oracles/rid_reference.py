@@ -2,21 +2,21 @@
 
 This module freezes the fused single-function implementation that
 ``RID.detect`` / ``RID.detect_with_budget`` used before detection moved
-to the staged :class:`~repro.pipeline.engine.DetectionEngine`. It exists
-for exactly one purpose: the **pipeline-identity gate**
+to the cached steps of :mod:`repro.pipeline.stages`, which
+:class:`~repro.core.rid.RID` runs. It exists for exactly one purpose:
+the **pipeline-identity gate**
 (``tests/integration/test_engine_identity.py`` and
-``benchmarks/bench_pipeline.py``) asserts that the engine's output —
+``benchmarks/bench_pipeline.py``) asserts that RID's output —
 initiators, inferred states, objective, tree structures and ordering,
 per-tree selections — is bit-identical to this reference on the golden
 regression snapshots and on randomised multi-component worlds.
 
-Do not "improve" this module; behavioural changes belong in the engine,
-and the gate exists to catch them. It deliberately bypasses the
+Do not "improve" this module; behavioural changes belong in RID, and
+the gate exists to catch them. It deliberately bypasses the
 ``rid_module`` monkeypatch seam and the artifact caches: plain imports,
 no reuse, one sequential pass. :func:`reference_forest` is the
-sequential cascade-forest extractor the engine's front half
-(``DetectionEngine.forest``, and through it the RID-Tree baselines) is
-checked against.
+sequential cascade-forest extractor RID's front half (``RID.forest``,
+and through it the RID-Tree baselines) is checked against.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """One answer from every RID entry point.
 
-``RID.detect`` / ``RID.detect_with_budget``, ``DetectionEngine.detect``,
-``DetectionEngine.detect_components`` on the cold Prune+ComponentSplit
-partition, and the sequential reference in ``tests/oracles/`` must agree
-exactly on random MFC worlds — initiators, states, the objective's
-``float.hex``, the trees in node and edge order, the per-tree selections
-— or all raise the same exception type. The front half is checked the
-same way: ``DetectionEngine.forest`` against the reference forest, and
-RID-Tree's initiators against those trees' roots.
+``RID.detect`` / ``RID.detect_with_budget``, ``RID.detect_components``
+on the cold Prune+ComponentSplit partition, and the sequential reference
+in ``tests/oracles/`` must agree exactly on random MFC worlds —
+initiators, states, the objective's ``float.hex``, the trees in node and
+edge order, the per-tree selections — or all raise the same exception
+type. The front half is checked the same way: ``RID.forest`` against
+the reference forest, and RID-Tree's initiators against those trees'
+roots.
 """
 
 from hypothesis import given, settings
@@ -18,7 +18,6 @@ from repro.core.rid import RID, RIDConfig
 from repro.detectors import RIDTreeConfig, RIDTreeDetector
 from repro.errors import ConfigError, EmptyInfectionError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.pipeline import DetectionEngine
 from repro.pipeline.stages import prune_graph, split_components
 from tests.oracles.rid_reference import (
     reference_detect,
@@ -78,20 +77,16 @@ def entry_points(config, infected, budget) -> dict:
             result = detector.detect_with_budget(infected, budget=budget)
         return result, detector.last_selections
 
-    def engine():
-        outcome = DetectionEngine().detect(config, infected, budget=budget)
-        return outcome.result, outcome.selections
-
     def components():
-        outcome = DetectionEngine().detect_components(
-            config, cold_partition(config, infected), budget=budget
+        detector = RID(config)
+        result = detector.detect_components(
+            cold_partition(config, infected), budget=budget
         )
-        return outcome.result, outcome.selections
+        return result, detector.last_selections
 
     return {
         "rid": attempt(rid),
-        "engine.detect": attempt(engine),
-        "engine.detect_components": attempt(components),
+        "rid.detect_components": attempt(components),
     }
 
 
@@ -122,21 +117,21 @@ class TestEntryPointsAgree:
                 assert got == expected, (name, budget)
 
     def test_empty_snapshot_follows_the_documented_contract(self):
-        # The reference raises on an empty snapshot in every mode; the
-        # engine's contract is narrower: beta mode raises (the stream's
-        # partition entry point answers with an empty result instead),
-        # budget 0 is an empty result and any other budget a ConfigError.
+        # The reference raises on an empty snapshot in every mode; RID's
+        # contract is narrower: beta mode raises (the stream's partition
+        # entry point answers with an empty result instead), budget 0 is
+        # an empty result and any other budget a ConfigError.
         config = RIDConfig()
         empty = SignedDiGraph()
         beta = entry_points(config, empty, None)
-        assert beta["rid"] == beta["engine.detect"] == ("raises", EmptyInfectionError)
+        assert beta["rid"] == ("raises", EmptyInfectionError)
         nothing = ("ok", ("rid(beta=0.1)", [], [], (0.0).hex(), [], []))
-        assert beta["engine.detect_components"] == nothing
+        assert beta["rid.detect_components"] == nothing
         zero = ("ok", ("rid(k=0)", [], [], (0.0).hex(), [], []))
-        assert list(entry_points(config, empty, 0).values()) == [zero] * 3
+        assert list(entry_points(config, empty, 0).values()) == [zero] * 2
         for budget in (-1, 1):
             outcomes = list(entry_points(config, empty, budget).values())
-            assert outcomes == [("raises", ConfigError)] * 3
+            assert outcomes == [("raises", ConfigError)] * 2
 
 
 class TestFrontHalfAgrees:
@@ -146,7 +141,7 @@ class TestFrontHalfAgrees:
         _, _, infected = world
         config = RIDConfig(prune_inconsistent=prune)
         expected = [tree_signature(t) for t in reference_forest(config, infected)]
-        forest = DetectionEngine().forest(config, infected)
+        forest = RID(config).forest(infected)
         assert [tree_signature(t) for t in forest] == expected
         result = RIDTreeDetector(RIDTreeConfig(prune_inconsistent=prune)).detect(infected)
         assert [tree_signature(t) for t in result.trees] == expected

@@ -4,18 +4,16 @@ import pytest
 
 from repro.core.arborescence import maximum_spanning_branching, split_branching_into_trees
 from repro.core.components import infected_components, weakly_connected_components
-from repro.core.rid import RIDConfig
+from repro.core.rid import RID, RIDConfig
 from repro.errors import EmptyInfectionError
 from repro.graphs.generators.trees import is_arborescence
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.pipeline import DetectionEngine
 from repro.types import NodeState
 
 
 def forest_of(infected, prune_inconsistent=True):
-    """The snapshot's cascade forest through the engine's front half."""
-    config = RIDConfig(prune_inconsistent=prune_inconsistent)
-    return DetectionEngine().forest(config, infected)
+    """The snapshot's cascade forest through RID's front half."""
+    return RID(RIDConfig(prune_inconsistent=prune_inconsistent)).forest(infected)
 
 
 def two_component_graph() -> SignedDiGraph:
@@ -76,7 +74,7 @@ class TestSplitBranching:
 
 
 class TestExtractCascadeForest:
-    """``DetectionEngine.forest``, the one cascade-forest extractor."""
+    """``RID.forest``, the one cascade-forest extractor."""
 
     def test_empty_infection_rejected(self):
         with pytest.raises(EmptyInfectionError):

@@ -1,7 +1,7 @@
-"""Unit tests for the staged detection engine (repro.pipeline).
+"""Unit tests for RID's cached-step pipeline (repro.pipeline).
 
 Covers multi-component snapshots (budget split, single-node components,
-lone-root arborescences), the two-layer artifact cache, and engine/RID
+lone-root arborescences), the two-layer artifact cache, and RID/oracle
 parity on the awkward component shapes.
 """
 
@@ -11,7 +11,7 @@ from repro.core.rid import RID, RIDConfig
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs import MetricsRecorder
-from repro.pipeline import ArtifactCache, DetectionEngine
+from repro.pipeline import ArtifactCache
 from repro.pipeline.cache import MISS
 from repro.runtime.config import RuntimeConfig
 from repro.types import NodeState
@@ -139,9 +139,9 @@ class TestArtifactCaching:
         snapshot = multi_component_snapshot()
         detector = RID()
         first = detector.detect(snapshot)
-        misses_after_first = detector.engine.cache.stats()["misses"]
+        misses_after_first = detector.cache.stats()["misses"]
         second = detector.detect(snapshot)
-        stats = detector.engine.cache.stats()
+        stats = detector.cache.stats()
         assert stats["hits"] > 0
         assert stats["misses"] == misses_after_first  # no new work
         assert second.initiators == first.initiators
@@ -153,10 +153,10 @@ class TestArtifactCaching:
         snapshot = multi_component_snapshot()
         detector = RID()
         detector.detect_with_budget(snapshot, budget=3)
-        misses_after_first = detector.engine.cache.stats()["misses"]
+        misses_after_first = detector.cache.stats()["misses"]
         for budget in (4, 5, 6):
             detector.detect_with_budget(snapshot, budget=budget)
-        assert detector.engine.cache.stats()["misses"] == misses_after_first
+        assert detector.cache.stats()["misses"] == misses_after_first
 
     def test_structural_counters_survive_cache_hits(self):
         """rid.components / rid.trees etc. are emitted outside cached
@@ -172,13 +172,13 @@ class TestArtifactCaching:
         # c1, c3 (the weak tail beats β), p1, s1
         assert counters["rid.detected_initiators"] == 4
 
-    def test_config_change_invalidates(self):
+    def test_config_change_invalidates(self, tmp_path):
         snapshot = multi_component_snapshot()
-        engine = DetectionEngine()
-        a = engine.detect(RIDConfig(beta=0.1), snapshot)
-        b = engine.detect(RIDConfig(beta=10.0), snapshot)
+        runtime = RuntimeConfig(cache_dir=str(tmp_path))
+        a = RID(RIDConfig(beta=0.1)).detect(snapshot, runtime=runtime)
+        b = RID(RIDConfig(beta=10.0)).detect(snapshot, runtime=runtime)
         # Different beta must not serve the other config's selections.
-        assert a.result.objective != b.result.objective
+        assert a.objective != b.objective
 
     def test_caches_are_per_engine(self):
         snapshot = multi_component_snapshot()
@@ -186,20 +186,13 @@ class TestArtifactCaching:
         first.detect(snapshot)
         second = RID()
         second.detect(snapshot)
-        assert second.engine.cache.stats()["hits"] == 0
-
-    def test_shared_engine_shares_artifacts(self):
-        snapshot = multi_component_snapshot()
-        engine = DetectionEngine()
-        RID(engine=engine).detect(snapshot)
-        RID(engine=engine).detect(snapshot)
-        assert engine.cache.stats()["hits"] > 0
+        assert second.cache.stats()["hits"] == 0
 
     def test_persistent_store_round_trip(self, tmp_path):
         snapshot = multi_component_snapshot()
         runtime = RuntimeConfig(cache_dir=str(tmp_path))
         cold = RID().detect(snapshot, runtime=runtime)
-        # A fresh engine (empty in-process cache) must reload persisted
+        # A fresh RID (empty in-process cache) must reload persisted
         # arborescence/DP artifacts from disk and agree exactly.
         warm_detector = RID()
         warm = warm_detector.detect(snapshot, runtime=runtime)

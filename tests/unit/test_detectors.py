@@ -508,3 +508,20 @@ class TestResultContract:
         decoded = DetectionResult.from_json(result.to_json())
         assert decoded.initiators == result.initiators
         assert decoded.method == result.method
+
+
+class TestRecorderContract:
+    """A recorder passed to ``detect`` receives everything the detector
+    records, also from the layers it calls without ``recorder=``."""
+
+    @pytest.mark.parametrize("name", ["k_effectors", "simulation_matching"])
+    def test_passed_recorder_reaches_the_monte_carlo_layers(self, name):
+        # test_detector_pins runs with the recorder also ambient; here it
+        # is only passed, and must still see the same counters and spans.
+        from tests.unit.test_detector_pins import OPEN, snapshot
+
+        rec = MetricsRecorder()
+        resolve_detector(name).detect(snapshot(), recorder=rec)
+        counters, timers = OPEN[name][3:]
+        assert dict(rec.metrics.counters) == counters
+        assert {timer: stat.count for timer, stat in rec.metrics.timers.items()} == timers

@@ -15,13 +15,13 @@ import hashlib
 
 import repro
 import repro.core.rid as rid_module
-from repro.core.rid import RIDConfig
-from repro.pipeline import ArtifactCache, DetectionEngine, stages
+from repro.core.rid import RID
+from repro.pipeline import ArtifactCache, stages
 from repro.runtime.config import RuntimeConfig
 from repro.stream import synthetic_snapshot
 
 #: Artifact keys of ``synthetic_snapshot(6, 12, seed=3)`` under
-#: ``RIDConfig()``, per step, in the order the engine asks for them.
+#: ``RIDConfig()``, per step, in the order RID asks for them.
 KEYS = {
     "prune": ["9d55e4c43b441e15fa00f56e235ba21d"],
     "components": ["3845ad5c70323db37f1847808f97457c"],
@@ -87,10 +87,11 @@ class KeyLog(ArtifactCache):
 
 def test_step_keys_and_store_bytes_are_pinned(tmp_path):
     graph, log = snapshot(), KeyLog()
-    engine = DetectionEngine(cache=log)
+    rid = RID()
+    rid.cache = log
     runtime = RuntimeConfig(cache_dir=str(tmp_path))
-    engine.detect(RIDConfig(), graph, runtime=runtime)
-    engine.detect(RIDConfig(), graph, budget=BUDGET, runtime=runtime)
+    rid.detect(graph, runtime=runtime)
+    rid.detect_with_budget(graph, BUDGET, runtime=runtime)
     assert len(log.keys) == 2 * 14  # prune, components, 6 arborescences, 6 tree DPs
     beta, budget = log.keys[:14], log.keys[14:]
     assert budget[:8] == beta[:8]  # the front half's keys ignore the budget

@@ -6,6 +6,7 @@ from repro.detectors import RIDPositiveDetector, RIDTreeConfig, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph
+from repro.pipeline.stages import greedy_tree_selection
 from repro.types import NodeState
 
 
@@ -191,8 +192,8 @@ class TestGreedyKSearchTies:
 
     def test_tie_at_k_plus_one_stops_greedy(self, monkeypatch):
         self._stub_dp(monkeypatch)
-        detector = RID(RIDConfig(beta=0.1, k_strategy="greedy"))
-        selection = detector.select_initiators_for_tree(SignedDiGraph())
+        config = RIDConfig(beta=0.1, k_strategy="greedy")
+        selection = greedy_tree_selection(config, SignedDiGraph())
         # k=2 ties k=1 (1.0 == 1.0): not an improvement, scan stops.
         assert selection.k == 1
         assert selection.scanned_k == 2
@@ -200,8 +201,8 @@ class TestGreedyKSearchTies:
 
     def test_exhaustive_scans_past_the_tie(self, monkeypatch):
         self._stub_dp(monkeypatch)
-        detector = RID(RIDConfig(beta=0.1, k_strategy="exhaustive"))
-        selection = detector.select_initiators_for_tree(SignedDiGraph())
+        config = RIDConfig(beta=0.1, k_strategy="exhaustive")
+        selection = greedy_tree_selection(config, SignedDiGraph())
         # Exhaustive reaches the hidden optimum at k=3.
         assert selection.k == 3
         assert selection.scanned_k == 3
@@ -209,12 +210,12 @@ class TestGreedyKSearchTies:
 
     def test_greedy_vs_exhaustive_disagreement_is_the_tie_cost(self, monkeypatch):
         self._stub_dp(monkeypatch)
-        greedy = RID(RIDConfig(beta=0.1, k_strategy="greedy")).select_initiators_for_tree(
-            SignedDiGraph()
+        greedy = greedy_tree_selection(
+            RIDConfig(beta=0.1, k_strategy="greedy"), SignedDiGraph()
         )
-        exhaustive = RID(
-            RIDConfig(beta=0.1, k_strategy="exhaustive")
-        ).select_initiators_for_tree(SignedDiGraph())
+        exhaustive = greedy_tree_selection(
+            RIDConfig(beta=0.1, k_strategy="exhaustive"), SignedDiGraph()
+        )
         assert exhaustive.penalized_objective > greedy.penalized_objective
         assert greedy.k < exhaustive.k
 
@@ -226,9 +227,8 @@ class TestTreeDiagnostics:
         from repro.obs import MetricsRecorder
 
         rec = MetricsRecorder()
-        detector = RID(RIDConfig(beta=0.1))
-        selection = detector.select_initiators_for_tree(
-            hand_built_infection(), recorder=rec
+        selection = greedy_tree_selection(
+            RIDConfig(beta=0.1), hand_built_infection(), rec
         )
         gauges = rec.metrics.gauges
         assert selection.k == 2
@@ -268,9 +268,7 @@ class TestTreeDiagnostics:
         )
         monkeypatch.setattr(rid_module, "TreeDPKernel", ScoringStub)
         rec = MetricsRecorder()
-        selection = RID(RIDConfig(beta=0.1)).select_initiators_for_tree(
-            SignedDiGraph(), recorder=rec
-        )
+        selection = greedy_tree_selection(RIDConfig(beta=0.1), SignedDiGraph(), rec)
         # The scan reaches the cap (k = 3): a chosen k but no margin, and
         # the placement is reconstructed once, for the winner only.
         assert (selection.k, selection.scanned_k, calls) == (3, 3, [3])

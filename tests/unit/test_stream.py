@@ -198,7 +198,7 @@ class TestStreamingEngine:
         if mat.number_of_nodes() == 0:
             assert got.initiators == set() and got.trees == []
             return
-        want = RID(engine.config).detect(mat)
+        want = RID(engine.detector.config).detect(mat)
         assert results_equal(got, want)
 
     def test_initial_partition_matches_cold_components(self):
@@ -298,7 +298,7 @@ class TestStreamingEngine:
         engine = StreamingDetectionEngine(two_component_snapshot())
         engine.apply(SnapshotDelta(states={11: NodeState.NEGATIVE}))
         mat = engine.materialise()
-        cold = RID(engine.config)
+        cold = RID(engine.detector.config)
         trees = len(cold.detect(mat).trees)
         got = engine.detect(budget=trees + 1)
         want = cold.detect_with_budget(mat, trees + 1)
