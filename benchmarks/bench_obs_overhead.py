@@ -15,11 +15,18 @@ cascade workload (same compiled graph, same per-cascade seeds):
   :class:`~repro.obs.metrics.MetricsRecorder` (the opt-in cost, for
   context — not gated).
 
-Each configuration is timed ``--repeats`` times and the *minimum* batch
-time is kept (the standard way to strip scheduler noise from a
-determinism-friendly workload). The gate: null-recorder overhead over
-baseline must stay below ``--max-overhead-pct`` (default 2; CI's
-``--tiny`` mode gates at 5 because small boxes are noisy).
+The three are timed in ``--repeats`` paired rounds: each round times
+one block of ``--cascades`` cascades per configuration, back to back,
+rotating which configuration goes first. A configuration's overhead is the *median*
+over rounds of its block time divided by the same round's baseline
+block. Pairing within a round cancels the host's slow drifts, which
+hit both blocks alike, and the median discards the rounds a burst of
+other work lands in one block only. (Timing each configuration on its
+own and comparing the minima measured the host: on a shared 2-CPU VM
+the no-op recorder read anywhere from −23% to +10%.) The gate:
+null-recorder overhead over baseline must stay below
+``--max-overhead-pct`` (default 2; CI's ``--tiny`` mode gates at 5
+because small boxes are noisy).
 
 Run with:
 
@@ -31,15 +38,35 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 
-from _harness import Gate, best_of, random_signed_digraph, seed_set
+from _harness import Gate, random_signed_digraph, seed_set, timed
 from repro.kernel.cascade import _mfc_cascade, run_mfc_compiled
 from repro.kernel.compile import compile_graph
 from repro.obs import MetricsRecorder
 from repro.utils.rng import spawn_rng
 
 
-def bench(n: int, m: int, cascades: int, repeats: int, seed: int, alpha: float) -> dict:
+def paired_rounds(blocks, rounds: int) -> list:
+    """Per block, its time in every round.
+
+    Each round times every block once, back to back, starting from
+    block ``round % len(blocks)``, so no block always runs first.
+    """
+    times = [[] for _ in blocks]
+    for start in range(rounds):
+        for offset in range(len(blocks)):
+            index = (start + offset) % len(blocks)
+            times[index].append(timed(blocks[index])[0])
+    return times
+
+
+def median_ratio(times, base) -> float:
+    """The median over rounds of ``times / base``, paired by round."""
+    return statistics.median(t / b for t, b in zip(times, base))
+
+
+def bench(n: int, m: int, cascades: int, rounds: int, seed: int, alpha: float) -> dict:
     graph = random_signed_digraph(
         n, m, seed, "bench-obs-graph", weight_low=0.02, weight_span=0.28
     )
@@ -85,28 +112,30 @@ def bench(n: int, m: int, cascades: int, repeats: int, seed: int, alpha: float) 
 
         return block
 
-    base = best_of(batch(baseline), repeats)
-    null = best_of(batch(null_recorder), repeats)
-    instrumented = best_of(batch(metrics_recorder), repeats)
+    base, null, instrumented = paired_rounds(
+        [batch(baseline), batch(null_recorder), batch(metrics_recorder)], rounds
+    )
 
     return {
         "nodes": n,
         "edges": m,
         "cascades": cascades,
-        "repeats": repeats,
+        "rounds": rounds,
         "alpha": alpha,
-        "baseline_seconds": base,
-        "null_seconds": null,
-        "metrics_seconds": instrumented,
-        "null_overhead_pct": 100.0 * (null - base) / base,
-        "metrics_overhead_pct": 100.0 * (instrumented - base) / base,
+        "baseline_seconds": statistics.median(base),
+        "null_seconds": statistics.median(null),
+        "metrics_seconds": statistics.median(instrumented),
+        "null_overhead_pct": 100.0 * (median_ratio(null, base) - 1.0),
+        "metrics_overhead_pct": 100.0 * (median_ratio(instrumented, base) - 1.0),
     }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cascades", type=int, default=200, help="cascades per batch")
-    parser.add_argument("--repeats", type=int, default=5, help="batches; best kept")
+    parser.add_argument("--cascades", type=int, default=10, help="cascades per block")
+    parser.add_argument(
+        "--repeats", type=int, default=101, help="paired rounds; the median ratio is kept"
+    )
     parser.add_argument("--alpha", type=float, default=3.0)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default="BENCH_obs.json")
@@ -119,16 +148,16 @@ def main() -> int:
     parser.add_argument(
         "--tiny",
         action="store_true",
-        help="CI smoke mode: one small graph, fewer cascades",
+        help="CI smoke mode: one small graph, 81 rounds of 5-cascade blocks",
     )
     args = parser.parse_args()
 
     if args.tiny:
         sizes = [(300, 2_400)]
-        cascades = min(args.cascades, 60)
+        cascades, rounds = 5, 81
     else:
         sizes = [(500, 5_000), (2_000, 20_000)]
-        cascades = args.cascades
+        cascades, rounds = args.cascades, args.repeats
 
     report = {
         "host_cpus": os.cpu_count(),
@@ -138,12 +167,12 @@ def main() -> int:
     }
     worst = float("-inf")
     for n, m in sizes:
-        entry = bench(n, m, cascades, args.repeats, args.seed, args.alpha)
+        entry = bench(n, m, cascades, rounds, args.seed, args.alpha)
         report["sizes"].append(entry)
         worst = max(worst, entry["null_overhead_pct"])
         print(
             "%5d nodes %6d edges: baseline %7.1f casc/s | null %7.1f casc/s "
-            "(%+.2f%%) | metrics %7.1f casc/s (%+.2f%%)"
+            "(%+.2f%% paired median) | metrics %7.1f casc/s (%+.2f%%)"
             % (
                 n,
                 m,

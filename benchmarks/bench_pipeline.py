@@ -8,7 +8,10 @@ then:
 1. **identity** — asserts the engine (serial, ``workers=4`` parallel,
    and cache-warm) is bit-identical to the frozen pre-refactor
    implementation in ``tests/oracles/rid_reference.py``, in both β mode
-   and budget mode, exiting non-zero on any mismatch;
+   and budget mode — results, and the serial runs' per-tree ``k``,
+   ``score``, ``penalized_objective`` and initiators (``scanned_k`` in
+   budget mode only: β mode scans no budget) — exiting non-zero on any
+   mismatch;
 2. **timing** — measures a single β-mode detection and a budget sweep.
    The sweep is the headline: the reference recomputes every tree's
    ``OPT`` curve for every budget, while the engine's content-addressed
@@ -78,13 +81,25 @@ def build_snapshot(components: int, size: int, seed: int) -> SignedDiGraph:
     return g
 
 
+def selections_equal(actual, expected, budgeted: bool) -> bool:
+    """Per-tree selections bit for bit; ``scanned_k`` in budget mode only."""
+    return len(actual) == len(expected) and all(
+        (a.tree_size, a.k, a.score, a.penalized_objective, a.initiators)
+        == (e.tree_size, e.k, e.score, e.penalized_objective, e.initiators)
+        and (not budgeted or a.scanned_k == e.scanned_k)
+        for a, e in zip(actual, expected)
+    )
+
+
 def check_identity(config: RIDConfig, snapshot: SignedDiGraph, budgets) -> list:
     """Engine vs reference across execution modes; returns failure strings."""
     failures = []
-    expected, _ = reference_detect(config, snapshot)
+    expected, expected_selections = reference_detect(config, snapshot)
     serial = RID(config)
     if not results_equal(serial.detect(snapshot), expected):
         failures.append("beta mode: engine(serial) != reference")
+    if not selections_equal(serial.last_selections, expected_selections, budgeted=False):
+        failures.append("beta mode: engine(serial) per-tree selections != reference")
     if not results_equal(serial.detect(snapshot), expected):
         failures.append("beta mode: engine(cache-warm) != reference")
     parallel = RID(config)
@@ -94,10 +109,12 @@ def check_identity(config: RIDConfig, snapshot: SignedDiGraph, budgets) -> list:
 
     sweep_detector = RID(config)
     for budget in budgets:
-        want, _ = reference_detect_with_budget(config, snapshot, budget)
+        want, want_selections = reference_detect_with_budget(config, snapshot, budget)
         got = sweep_detector.detect_with_budget(snapshot, budget=budget)
         if not results_equal(got, want):
             failures.append(f"budget={budget}: engine(shared cache) != reference")
+        if not selections_equal(sweep_detector.last_selections, want_selections, budgeted=True):
+            failures.append(f"budget={budget}: engine per-tree selections != reference")
         got = RID(config).detect_with_budget(
             snapshot, budget=budget, runtime=RuntimeConfig(workers=4)
         )

@@ -21,7 +21,14 @@ two ways:
    dict-memo solver, both from one sweep (``solve_curve``) and from
    incremental ``solve(1)``, ``solve(2)``, … calls that resume the
    tables as the cap grows, exiting non-zero on any mismatch;
-2. **timing** — compares the recursive solver's incremental sweep
+2. **β mode** — on every tree of at most ``PENALIZED_MAX_NODES`` real
+   nodes, at each β in ``PENALIZED_BETAS``: the kernel's one-pass
+   ``solve_penalized`` must score at least the paper's greedy stop
+   (``greedy_stop`` in ``tests/oracles/tree_dp.py``) minus 1e-9, match
+   the best penalised objective over every k to 1e-9, and pick the
+   stop's k and initiators wherever the curve is concave and free of
+   near-ties, exiting non-zero otherwise;
+3. **timing** — compares the recursive solver's incremental sweep
    (shared memo across budgets) against the kernel's single-sweep
    ``solve_curve``. The n=2000 ``random`` configuration is the gated
    headline: the kernel must be ≥ 3x faster end-to-end.
@@ -46,9 +53,18 @@ from repro.graphs.signed_digraph import SignedDiGraph
 from repro.kernel.tree_dp import TreeDPKernel, compile_binary_tree
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
-from tests.oracles.tree_dp import RecursiveTreeDP
+from tests.oracles.tree_dp import (
+    RecursiveTreeDP,
+    best_over_k,
+    greedy_stop,
+    paper_stop_is_exact,
+)
 
 ALPHA = 3.0
+#: β values of the β-mode check.
+PENALIZED_BETAS = (0.1, 0.5, 1.0)
+#: Largest tree the β-mode check reads the whole budget curve of.
+PENALIZED_MAX_NODES = 500
 #: Share of exactly-saturated links in the ``saturated`` family.
 SATURATED_SHARE = 0.6
 #: Tree sizes of the ``saturated`` family in the full run.
@@ -134,6 +150,26 @@ def check_identity(binary, cap, label: str) -> list:
     return failures
 
 
+def check_penalized(binary, label: str) -> list:
+    """The one-pass β selection against the paper's stop; failure strings."""
+    failures = []
+    for beta in PENALIZED_BETAS:
+        found = TreeDPKernel(binary).solve_penalized(beta)
+        paper = greedy_stop(binary, beta)
+        best = best_over_k(binary, beta)
+        mine = found.score - (found.k - 1) * beta
+        if mine < paper.score - (paper.k - 1) * beta - 1e-9:
+            failures.append(f"{label} beta={beta}: pass scores below the paper's stop")
+        if abs(mine - (best.score - (best.k - 1) * beta)) > 1e-9:
+            failures.append(f"{label} beta={beta}: pass misses the best objective over k")
+        if paper_stop_is_exact(binary, beta) and (found.k, found.initiators) != (
+            paper.k,
+            paper.initiators,
+        ):
+            failures.append(f"{label} beta={beta}: pass and paper's stop pick other initiators")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="CI smoke: identity only")
@@ -188,6 +224,13 @@ def main(argv=None) -> int:
             gate.failures += failures
             continue
         print(f"{label}: identity OK (curve k=1..{cap} bit-identical, one sweep and resumed)")
+        if binary.num_real <= PENALIZED_MAX_NODES:
+            failures = check_penalized(binary, label)
+            if failures:
+                gate.failures += failures
+                continue
+            betas = ", ".join(map(str, PENALIZED_BETAS))
+            print(f"{label}: beta mode OK (one pass vs the paper's stop at beta {betas})")
 
         if not args.tiny:
             reference_s = best_of(lambda: reference_curve(binary, cap), args.repeats)

@@ -7,11 +7,13 @@ trees (Chu-Liu/Edmonds) → binarisation with dummy nodes → per-tree
     k*, I*, S* = argmin_{k, I, S}  −OPT(u, I, S, k) + (k − 1)·β
 
 which trades the explanation score of extra initiators against the
-per-initiator penalty β. Following the paper, k is grown from 1 and the
-search stops at the first k whose penalised objective fails to improve
-(``k_strategy='greedy'``); ``k_strategy='exhaustive'`` scans every k up
-to the tree size (the ablation in ``benchmarks/test_ablation_k_search``
-quantifies the gap).
+per-initiator penalty β. The paper grows k from 1 and stops at the
+first k whose penalised objective fails to improve. RID charges β to
+each initiator inside the tree DP instead, so one pass per tree
+returns the exact optimum over every k >= 1 (at least one initiator
+per tree). That is the paper's choice wherever ``OPT(k)`` is concave
+in k and no other k ties it; ablation X2
+(``benchmarks/test_ablation_k_search``) compares the two.
 
 :class:`RID` runs that pipeline as the cached steps of
 :mod:`repro.pipeline.stages` (one :class:`~repro.pipeline.stages.Stage`
@@ -56,6 +58,7 @@ loop likewise looks every compute function up on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -85,10 +88,6 @@ class RIDConfig:
         beta: per-extra-initiator penalty (paper sweeps 0..1; headline
             settings 0.09 and 0.1).
         score: arborescence score transform, ``'log'`` or ``'raw'``.
-        k_strategy: ``'greedy'`` (paper's early-stopping scan) or
-            ``'exhaustive'``.
-        max_k_per_tree: optional hard cap on initiators per cascade tree
-            (None = tree size).
         inconsistent_value: ``g`` value for sign-inconsistent links
             (paper equation: 0).
         prune_inconsistent: drop sign-inconsistent links before component
@@ -99,32 +98,38 @@ class RIDConfig:
     alpha: float = 3.0
     beta: float = 0.1
     score: str = "log"
-    k_strategy: str = "greedy"
-    max_k_per_tree: Optional[int] = None
     inconsistent_value: float = 0.0
     prune_inconsistent: bool = True
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on out-of-range settings."""
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.alpha < 1.0:
             raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta < 0.0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if self.score not in ("log", "raw"):
             raise ConfigError(f"score must be 'log' or 'raw', got {self.score!r}")
-        if self.k_strategy not in ("greedy", "exhaustive"):
-            raise ConfigError(
-                f"k_strategy must be 'greedy' or 'exhaustive', got {self.k_strategy!r}"
-            )
-        if self.max_k_per_tree is not None and self.max_k_per_tree < 1:
-            raise ConfigError(
-                f"max_k_per_tree must be >= 1 or None, got {self.max_k_per_tree}"
-            )
 
 
 @dataclass
 class TreeSelection:
-    """Per-tree outcome of the β-penalised k search."""
+    """Per-tree outcome of RID's selection, in either mode.
+
+    Attributes:
+        tree_size: the tree's real-node count.
+        k: initiators chosen in this tree.
+        score: ``OPT(k)``, the chosen placement's explanation score.
+        penalized_objective: ``score − (k − 1)·β`` in β mode; ``score``
+            in budget mode.
+        initiators: the chosen initiators and their inferred states.
+        scanned_k: budgets the tree's DP solved: the curve length in
+            budget mode, and 0 in β mode, whose one penalised pass
+            scans no budget.
+    """
 
     tree_size: int
     k: int
@@ -281,7 +286,7 @@ class RID(Detector):
         """The back half every detection shares: trees, per-tree DP,
         cross-tree selection, result assembly.
 
-        ``budget=None`` runs the β-penalised k search per tree and merges
+        ``budget=None`` runs the β-penalised selection per tree and merges
         the selections; an integer budget solves each tree's OPT curve
         and splits the budget with the exact knapsack. A budget must lie
         in ``[trees, infected nodes]`` — ``[0, 0]`` for an empty
@@ -310,11 +315,6 @@ class RID(Detector):
             per_tree_budgets, objective = stages.SelectionStage().knapsack(
                 curves, budget, rec
             )
-            if per_tree_budgets is None:
-                raise ConfigError(
-                    f"budget {budget} is infeasible for the extracted trees "
-                    f"(per-tree caps too small)"
-                )
             initiators = {}
             selections = []
             for curve, k in zip(curves, per_tree_budgets):

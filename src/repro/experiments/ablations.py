@@ -2,8 +2,6 @@
 
 * **X1 — α sensitivity**: how the asymmetric boosting coefficient shapes
   cascade size, flip counts and the positive-state mix.
-* **X2 — k-search strategy**: the paper's greedy early-stopping scan vs
-  the exhaustive scan over k, on the same cascade trees.
 * **X3 — DP scaling**: k-ISOMIT-BT solve time and explored budget as
   tree size grows (incl. the binarisation overhead).
 """
@@ -86,93 +84,6 @@ def render_alpha_sweep(points: List[AlphaPoint]) -> str:
         headers=["alpha", "mean infected", "positive frac", "mean flips", "mean rounds"],
         rows=rows,
         title="Ablation X1 — asymmetric boosting coefficient",
-    )
-
-
-# --------------------------------------------------------------------------
-# X2: greedy vs exhaustive k search
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class KSearchComparison:
-    """Greedy vs exhaustive k-search on the same workload."""
-
-    beta: float
-    greedy_detected: int
-    exhaustive_detected: int
-    greedy_objective: float
-    exhaustive_objective: float
-    greedy_seconds: float
-    exhaustive_seconds: float
-
-    @property
-    def objective_gap(self) -> float:
-        """Exhaustive minus greedy total penalised objective (>= 0)."""
-        return self.exhaustive_objective - self.greedy_objective
-
-
-def run_k_search_ablation(
-    scale: float = 0.005,
-    betas: Sequence[float] = (0.1, 0.5, 1.0),
-    seed: int = 7,
-    dataset: str = "epinions",
-) -> List[KSearchComparison]:
-    """Compare the two k-search strategies on shared workloads."""
-    config = WorkloadConfig(dataset=dataset, scale=scale, seed=seed)
-    workload = build_workload(config)
-    comparisons: List[KSearchComparison] = []
-    for beta in betas:
-        start = time.perf_counter()
-        greedy = RID(RIDConfig(beta=beta, k_strategy="greedy")).detect(workload.infected)
-        greedy_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        exhaustive = RID(RIDConfig(beta=beta, k_strategy="exhaustive")).detect(
-            workload.infected
-        )
-        exhaustive_seconds = time.perf_counter() - start
-        comparisons.append(
-            KSearchComparison(
-                beta=beta,
-                greedy_detected=len(greedy.initiators),
-                exhaustive_detected=len(exhaustive.initiators),
-                greedy_objective=greedy.objective or 0.0,
-                exhaustive_objective=exhaustive.objective or 0.0,
-                greedy_seconds=greedy_seconds,
-                exhaustive_seconds=exhaustive_seconds,
-            )
-        )
-    return comparisons
-
-
-def render_k_search(comparisons: List[KSearchComparison]) -> str:
-    """ASCII table of the k-search ablation."""
-    rows = [
-        (
-            c.beta,
-            c.greedy_detected,
-            c.exhaustive_detected,
-            c.greedy_objective,
-            c.exhaustive_objective,
-            c.objective_gap,
-            c.greedy_seconds,
-            c.exhaustive_seconds,
-        )
-        for c in comparisons
-    ]
-    return format_table(
-        headers=[
-            "beta",
-            "greedy #det",
-            "exhaustive #det",
-            "greedy obj",
-            "exhaustive obj",
-            "gap",
-            "greedy s",
-            "exhaustive s",
-        ],
-        rows=rows,
-        title="Ablation X2 — greedy vs exhaustive k search",
     )
 
 
@@ -309,8 +220,6 @@ def render_score_transform(comparisons: List[ScoreTransformComparison]) -> str:
 def main(seed: int = 7) -> None:
     """Run and print all ablations in this module."""
     print(render_alpha_sweep(run_alpha_sweep(seed=seed)))
-    print()
-    print(render_k_search(run_k_search_ablation(seed=seed)))
     print()
     print(render_dp_scaling(run_dp_scaling(seed=seed)))
     print()

@@ -60,9 +60,19 @@ recursion, no dict memo, no per-lookup tuple hashing:
   tree) for the cost of one traversal. :meth:`TreeDPKernel.solve` grows
   the cap geometrically, and growing it resumes the tables — entries at or
   below the old cap never change, so only the new budgets are filled.
-* **score-only scans.** :meth:`TreeDPKernel.solve_score` reads
-  ``OPT(k)`` off the root table without reconstructing the placement;
-  RID's β-penalised k scan compares scores and reconstructs once.
+* **score-only reads.** :meth:`TreeDPKernel.solve_score` reads
+  ``OPT(k)`` off the root table without reconstructing the placement.
+* **β mode without a budget axis.** RID's per-tree model selection
+  maximises ``OPT(k) − (k − 1)·β`` over k, the Lagrangian form of the
+  budget constraint. :meth:`TreeDPKernel.solve_penalized` charges β to
+  each initiator inside the recurrence instead, so one post-order pass
+  over the class columns, one value per ``(slot, class)``, returns the
+  exact optimum over every k ≥ 1. The chosen placement is then
+  rescored in the budgeted sweep's summation order, so its ``score``
+  is bit-equal to ``OPT(k)`` whenever the budgeted sweep reconstructs
+  the same placement. :meth:`TreeDPKernel.beta_interval` finds the β
+  interval on which that placement stays optimal, by Newton steps of
+  the same pass.
 
 Bit-identity contract: the kernel's :class:`TreeDPResult` equals the
 recursive dict-memo program's (``tests/oracles/tree_dp.py``; score *and*
@@ -82,14 +92,18 @@ per memo entry. Values and decisions are unchanged; work is not.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DynamicProgramError
 from repro.types import Node, NodeState
 
 _NEG_INF = float("-inf")
+#: A Newton step of :meth:`TreeDPKernel.beta_interval` stops when no
+#: placement beats the chosen one by more than this, relative.
+_NEWTON_RTOL = 1e-9
 
 
 @dataclass
@@ -318,9 +332,13 @@ class TreeDPKernel:
     (every budget its subtree can hold). Decision columns are kept
     compactly (``array('h')``/``array('l')``) for reconstruction.
 
+    :meth:`solve_penalized` answers β mode without any budget table: one
+    pass, one value per ``(slot, class)``.
+
     Attributes:
-        memo_states: table entries (budget rows × ancestor classes) filled
-            so far, exported as the ``rid.tree_dp.memo_states`` gauge.
+        memo_states: table entries filled so far (budget rows × ancestor
+            classes for sweeps, class columns for penalised passes),
+            exported as the ``rid.tree_dp.memo_states`` gauge.
     """
 
     def __init__(self, tree) -> None:
@@ -517,8 +535,8 @@ class TreeDPKernel:
     def solve_score(self, k: int) -> float:
         """``OPT`` for exactly ``k`` initiators, without reconstruction.
 
-        Equals ``solve(k).score`` bit for bit; score-only scans (RID's
-        β-penalised k search) call this per k and reconstruct once.
+        Equals ``solve(k).score`` bit for bit, for callers that compare
+        scores across budgets and reconstruct once.
 
         Raises:
             DynamicProgramError: when ``k`` is out of ``[0, num_real]``.
@@ -539,6 +557,158 @@ class TreeDPKernel:
         if k_max >= 1:
             self._ensure(k_max)
         return [self.solve(k) for k in range(1, k_max + 1)]
+
+    def solve_penalized(self, beta: float) -> TreeDPResult:
+        """The placement maximising ``score − β·|I|``, at least one initiator.
+
+        Equivalently the placement maximising the paper's
+        ``OPT(k) − (k − 1)·β`` over every ``k >= 1``, from one post-order
+        pass with no budget axis. Per slot ``u`` and class ``c`` the pass
+        keeps one value, the best penalised score of ``u``'s subtree when
+        its nearest initiator ancestor lies in class ``c``: ``u`` is an
+        initiator (``1 − β`` plus its children at ``cinit[u]``, the same
+        for every ``c``) or it is not (``cprod[u][c]`` plus its children
+        at ``c``). On an exact float tie ``u`` stays out, the analogue of
+        the paper's strict-improvement stop.
+
+        The empty placement scores 0, so it wins when ``OPT(1) <= β``.
+        A placement's score is at most the sum of its initiators'
+        single-initiator scores, so ``OPT(k) <= k·OPT(1)``, and then
+        ``k = 1`` is the best with at least one initiator: the pass
+        returns ``solve(1)``, as a scan starting at ``k = 1`` does.
+
+        The chosen placement is rescored bottom-up in the sweep's
+        summation order, ``(own + left) + right``, so ``score`` equals
+        ``solve(k).score`` bit for bit whenever the sweep reconstructs
+        the same placement for ``k``.
+
+        Raises:
+            DynamicProgramError: for a non-finite ``beta`` or a tree
+                without real nodes.
+        """
+        if not math.isfinite(beta):
+            raise DynamicProgramError(f"beta must be finite, got {beta}")
+        ct = self.tree
+        if ct.num_real == 0:
+            raise DynamicProgramError("a tree without real nodes has no initiator to place")
+        n, root = ct.size, ct.root_pos
+        left, right, ncls, cinit = ct.left, ct.right, ct.ncls, ct.cinit
+        is_dummy, cprod = ct.is_dummy, ct.cprod
+        gain = 1.0 - beta
+        # Every value is >= 0 (staying out always is), so a dummy's
+        # 0.0 + x is x, and a dummy's children own exactly its columns.
+        vals: List[Optional[List[float]]] = [None] * n
+        dec: List[Optional[bytes]] = [None] * n  # per real slot: 1 = initiator, per class
+        for u in range(n):
+            l, r = left[u], right[u]
+            Lv = vals[l] if l >= 0 else None
+            Rv = vals[r] if r >= 0 else None
+            if is_dummy[u]:
+                if Lv is not None and Rv is not None:
+                    out = [x + y for x, y in zip(Lv, Rv)]
+                else:
+                    out = Lv if Lv is not None else Rv
+            else:
+                own, ca = cprod[u], cinit[u]
+                if Lv is not None and Rv is not None:
+                    stay = [o + x + y for o, x, y in zip(own, Lv, Rv)]
+                    b = gain + Lv[ca] + Rv[ca]
+                elif Lv is not None:
+                    stay = [o + x for o, x in zip(own, Lv)]
+                    b = gain + Lv[ca]
+                elif Rv is not None:
+                    stay = [o + y for o, y in zip(own, Rv)]
+                    b = gain + Rv[ca]
+                else:
+                    stay = own.tolist()
+                    b = gain
+                dec[u] = bytes([b > v for v in stay])
+                out = [b if b > v else v for v in stay]
+            vals[u] = out
+            if l >= 0:
+                vals[l] = None
+            if r >= 0:
+                vals[r] = None
+        self.memo_states += sum(ncls)
+        # The root's class-0 value is > 0 exactly when its placement is
+        # non-empty.
+        if not vals[root][0] > 0.0:
+            return self.solve(1)
+
+        # Reconstruct in the sweep's traversal order, recording each
+        # slot's nearest-initiator class for the rescoring.
+        originals, states = ct.originals, ct.states
+        chosen: Dict[Node, NodeState] = {}
+        cls = [0] * n
+        picked = bytearray(n)
+        stack = [(root, 0)]
+        while stack:
+            u, c = stack.pop()
+            if u < 0:
+                continue
+            cls[u] = c
+            flags = dec[u]
+            if flags is not None and flags[c]:
+                picked[u] = 1
+                chosen[originals[u]] = states[u]
+                c = cinit[u]
+            stack.append((left[u], c))
+            stack.append((right[u], c))
+
+        total = [0.0] * n
+        for u in range(n):
+            if picked[u]:
+                o = 1.0
+            elif is_dummy[u]:
+                o = 0.0
+            else:
+                o = cprod[u][cls[u]]
+            l, r = left[u], right[u]
+            s = o + (total[l] if l >= 0 else 0.0)
+            total[u] = s + (total[r] if r >= 0 else 0.0)
+        return TreeDPResult(k=len(chosen), score=total[root], initiators=chosen)
+
+    def beta_interval(self, chosen: TreeDPResult) -> Tuple[float, Optional[float]]:
+        """The β interval on which ``chosen`` stays the penalised optimum.
+
+        Over β each placement is a line ``score − β·(k − 1)``, and the
+        penalised optimum is their upper envelope: convex and piecewise
+        linear. ``chosen``, a :meth:`solve_penalized` result, is optimal
+        on one interval of it. Each end is found by Newton steps of the
+        same pass: intersect the chosen line with the last line found,
+        solve at that β, and stop when the pass finds no placement above
+        the chosen line by more than ``1e-9`` relative. The upper end
+        starts from β = ``num_real + 1``, where one initiator is
+        optimal; the lower end from β = 0.
+
+        Returns:
+            ``(beta_low, beta_high)``; ``beta_high`` is ``None`` when
+            ``chosen.k == 1``, whose interval is unbounded above.
+        """
+        k_star, s_star = chosen.k, chosen.score
+
+        def above(beta: float) -> Optional[TreeDPResult]:
+            found = self.solve_penalized(beta)
+            mine = s_star - beta * (k_star - 1)
+            theirs = found.score - beta * (found.k - 1)
+            if found.k != k_star and theirs > mine + _NEWTON_RTOL * max(1.0, abs(mine)):
+                return found
+            return None
+
+        def newton(beta: float, line: Optional[TreeDPResult]) -> float:
+            # One step per breakpoint crossed; k takes num_real values.
+            for _ in range(self.tree.num_real):
+                if line is None:
+                    break
+                beta = (line.score - s_star) / (line.k - k_star)
+                line = above(beta)
+            return beta
+
+        low = newton(0.0, above(0.0))
+        if k_star == 1:
+            return low, None
+        top = float(self.tree.num_real + 1)
+        return low, newton(top, above(top))
 
     def _reconstruct(self, k: int) -> Dict[Node, NodeState]:
         """Walk the decision tables to recover the chosen initiators.

@@ -5,7 +5,7 @@ one :class:`Stage` row in :mod:`repro.pipeline.stages`:
 
     prune -> components
         -> [per component]  arborescence
-        -> [per tree]       tree_dp[greedy] (β scan) or tree_dp[curve]
+        -> [per tree]       tree_dp[greedy] (β pass) or tree_dp[curve]
                             (budget curve): binarize + k-ISOMIT-BT DP
         -> SelectionStage   (β merge, or budget knapsack; never cached)
 

@@ -15,7 +15,7 @@ on an unmutated graph instance the key costs one counter comparison, and
 across instances (or processes) identical content maps to identical
 keys. The config digest folds in exactly the
 :class:`~repro.core.rid.RIDConfig` fields the step's row lists, so e.g. a
-``beta`` change invalidates greedy k-search artifacts but *not* the
+``beta`` change invalidates β-mode selection artifacts but *not* the
 extracted trees or the budget-mode OPT curves.
 
 Two layers:

@@ -10,8 +10,8 @@ codec) plus a module-level compute function with the one signature
 * ``COMPONENTS``, :func:`split_components`: graph -> infected components;
 * ``ARBORESCENCE``, :func:`extract_component_trees`: component -> its
   cascade trees;
-* ``TREE_DP_GREEDY``, :func:`greedy_tree_selection`: tree -> the β
-  scan's ``TreeSelection``;
+* ``TREE_DP_GREEDY``, :func:`greedy_tree_selection`: tree -> its β-mode
+  ``TreeSelection``, from one penalised pass;
 * ``TREE_DP_CURVE``, :func:`tree_curve`: tree -> its budget-mode
   :class:`CurveArtifact`.
 
@@ -90,19 +90,19 @@ class Stage:
         return codecs.artifact_key(self.name, self.version, config_digest, graph_digest(item))
 
 
-_DP_FIELDS = ("alpha", "inconsistent_value", "max_k_per_tree")
+_DP_FIELDS = ("alpha", "inconsistent_value")
 
 PRUNE = Stage("prune", 1)
 COMPONENTS = Stage("components", 1)
 ARBORESCENCE = Stage(
     "arborescence", 1, ("score",), (codecs.encode_graph_list, codecs.decode_graph_list)
 )
-# The curve key leaves out beta, k_strategy and the budget, so a budget
-# sweep computes each tree's curve once.
+# The curve key leaves out beta and the budget, so a budget sweep
+# computes each tree's curve once.
 TREE_DP_GREEDY = Stage(
     "tree_dp[greedy]",
-    4,
-    _DP_FIELDS + ("beta", "k_strategy"),
+    5,
+    _DP_FIELDS + ("beta",),
     (codecs.encode_selection, codecs.decode_selection),
 )
 TREE_DP_CURVE = Stage(
@@ -156,66 +156,51 @@ def binarize_tree(config: "Any", tree: SignedDiGraph, recorder: Optional[Recorde
         )
 
 
-def _tree_cap(config: "Any", binary: "Any") -> int:
-    cap = binary.num_real
-    if config.max_k_per_tree is not None:
-        cap = min(cap, config.max_k_per_tree)
-    return cap
-
-
 def greedy_tree_selection(
     config: "Any", tree: SignedDiGraph, recorder: Optional[Recorder] = None
 ) -> "Any":
-    """The β-penalised k search on one cascade tree (RID's default mode).
+    """β mode on one cascade tree (RID's default mode): one penalised pass.
 
-    Bit-identical to the pre-refactor per-tree search
-    (``reference_select_for_tree`` in ``tests/oracles/rid_reference.py``):
-    same scan order, same early-stop-on-non-improvement rule, same spans
-    and counters. The scan compares root scores only and reconstructs
-    the placement once, for the winning k.
+    The paper picks ``k* = argmin_k −OPT(k) + (k − 1)·β`` by growing k
+    from 1 until the penalised objective stops improving.
+    ``TreeDPKernel.solve_penalized`` charges β to each initiator inside
+    the DP instead and returns the exact optimum over every ``k >= 1``
+    in one pass, with no budget axis. That equals the paper's stop
+    wherever ``OPT(k)`` is concave in k and no other k ties the chosen
+    objective; the paper's scan is the oracle
+    ``greedy_stop`` in ``tests/oracles/tree_dp.py``. No budget is
+    scanned, so ``scanned_k`` is 0.
+
+    With an enabled recorder the stage also records ``k*`` and the ends
+    of the β interval on which ``k*`` stays optimal
+    (``rid.tree_dp.beta_low``, and ``rid.tree_dp.beta_high`` unless
+    ``k* = 1``), from a few more passes inside the same ``rid.tree_dp``
+    span.
     """
     import repro.core.rid as rid_module
 
     rec = resolve_recorder(recorder)
     binary = binarize_tree(config, tree, rec)
-    max_k = _tree_cap(config, binary)
-
-    curve = [0.0]  # curve[k] = OPT(k) for every scanned k
-    best_k = 0
-    best_objective = float("-inf")
     with rec.span("rid.tree_dp", tree_nodes=binary.num_real):
         solver = rid_module.TreeDPKernel(binary)
-        for k in range(1, max_k + 1):
-            score = solver.solve_score(k)
-            curve.append(score)
-            objective = score - (k - 1) * config.beta
-            if objective > best_objective:
-                best_k, best_objective = k, objective
-            elif config.k_strategy == "greedy":
-                # Paper heuristic: stop at the first k that fails to
-                # improve the penalised objective.
-                break
-        assert best_k >= 1  # max_k >= 1 guarantees one iteration
-        best = solver.solve(best_k)
-    scanned = len(curve) - 1
+        best = solver.solve_penalized(config.beta)
+        if rec.enabled:
+            columns = solver.memo_states  # before the interval's passes add theirs
+            beta_low, beta_high = solver.beta_interval(best)
     if rec.enabled:
         rec.gauge("rid.tree_nodes", binary.num_real)
-        rec.incr("rid.k_iterations", scanned)
-        rec.gauge("rid.tree_dp.memo_states", solver.memo_states)
-        rec.gauge("rid.tree_dp.k_chosen", best_k)
-        if best_k < scanned:
-            # How close the scan came to adding another initiator.
-            rec.gauge(
-                "rid.tree_dp.stop_margin",
-                curve[best_k + 1] - curve[best_k] - config.beta,
-            )
+        rec.gauge("rid.tree_dp.memo_states", columns)
+        rec.gauge("rid.tree_dp.k_chosen", best.k)
+        rec.gauge("rid.tree_dp.beta_low", beta_low)
+        if beta_high is not None:
+            rec.gauge("rid.tree_dp.beta_high", beta_high)
     return rid_module.TreeSelection(
         tree_size=binary.num_real,
         k=best.k,
         score=best.score,
-        penalized_objective=best_objective,
+        penalized_objective=best.score - (best.k - 1) * config.beta,
         initiators=best.initiators,
-        scanned_k=scanned,
+        scanned_k=0,
     )
 
 
@@ -227,14 +212,13 @@ def tree_curve(
 
     rec = resolve_recorder(recorder)
     binary = binarize_tree(config, tree, rec)
-    cap = _tree_cap(config, binary)
     with rec.span("rid.tree_dp", tree_nodes=binary.num_real):
         solver = rid_module.TreeDPKernel(binary)
         # One post-order sweep produces the whole incremental curve.
-        per_k = solver.solve_curve(cap)
+        per_k = solver.solve_curve(binary.num_real)
     if rec.enabled:
         rec.gauge("rid.tree_nodes", binary.num_real)
-        rec.incr("rid.k_iterations", cap)
+        rec.incr("rid.k_iterations", binary.num_real)
         rec.gauge("rid.tree_dp.memo_states", solver.memo_states)
     return CurveArtifact(tree_size=binary.num_real, results=per_k)
 
@@ -264,8 +248,10 @@ class SelectionStage:
 
         Returns ``(per_tree_budgets, best_total)``;
         ``per_tree_budgets[t]`` is the k assigned to tree ``t`` (each
-        tree consumes at least 1). ``best_total`` is ``-inf`` when the
-        budget is infeasible under the per-tree caps.
+        tree consumes at least 1). Each curve covers every k from 1 to
+        its tree's size, and the trees partition the infected nodes, so
+        every budget in ``[trees, infected nodes]`` (the range RID
+        admits) is feasible.
         """
         rec = resolve_recorder(recorder)
         with rec.span("rid.knapsack", budget=budget, trees=len(curves)):
@@ -286,8 +272,6 @@ class SelectionStage:
                             tree_choice[j + k] = k
                 best = new_best
                 choice.append(tree_choice)
-        if best[budget] == neg_inf:
-            return None, neg_inf
         remaining = budget
         per_tree_budgets: List[int] = [0] * len(curves)
         for t in range(len(curves) - 1, -1, -1):

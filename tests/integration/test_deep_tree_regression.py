@@ -33,7 +33,7 @@ class TestDeepPathTree:
         limit_before = sys.getrecursionlimit()
         assert limit_before <= 10_000  # the old code would have bumped past this
 
-        detector = RID(RIDConfig(max_k_per_tree=1))
+        detector = RID(RIDConfig())
         result = detector.detect(deep_path)
 
         assert sys.getrecursionlimit() == limit_before

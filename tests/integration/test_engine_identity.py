@@ -48,7 +48,9 @@ def assert_results_identical(actual, expected):
         )
 
 
-def assert_selections_identical(actual, expected):
+def assert_selections_identical(actual, expected, budgeted):
+    """Per-tree selections; ``scanned_k`` in budget mode only (RID's β
+    mode scans no budget and reports 0)."""
     assert len(actual) == len(expected)
     for a, e in zip(actual, expected):
         assert a.tree_size == e.tree_size
@@ -56,7 +58,7 @@ def assert_selections_identical(actual, expected):
         assert a.score == e.score
         assert a.penalized_objective == e.penalized_objective
         assert a.initiators == e.initiators
-        assert a.scanned_k == e.scanned_k
+        assert a.scanned_k == (e.scanned_k if budgeted else 0)
 
 
 class TestDetectIdentity:
@@ -67,7 +69,9 @@ class TestDetectIdentity:
         detector = RID(config)
         actual = detector.detect(golden_infected)
         assert_results_identical(actual, expected)
-        assert_selections_identical(detector.last_selections, expected_selections)
+        assert_selections_identical(
+            detector.last_selections, expected_selections, budgeted=False
+        )
 
     def test_parallel_matches_reference(self, golden_infected):
         config = RIDConfig(beta=0.8)
@@ -77,7 +81,9 @@ class TestDetectIdentity:
             golden_infected, runtime=RuntimeConfig(workers=2)
         )
         assert_results_identical(actual, expected)
-        assert_selections_identical(detector.last_selections, expected_selections)
+        assert_selections_identical(
+            detector.last_selections, expected_selections, budgeted=False
+        )
 
     def test_cache_warm_matches_reference(self, golden_infected):
         config = RIDConfig(beta=0.8)
@@ -137,7 +143,7 @@ class TestBudgetIdentity:
             actual = detector.detect_with_budget(golden_infected, budget=budget)
             assert_results_identical(actual, expected)
             assert_selections_identical(
-                detector.last_selections, expected_selections
+                detector.last_selections, expected_selections, budgeted=True
             )
 
     def test_budget_sweep_on_shared_engine_matches_reference(self, golden_infected):

@@ -134,14 +134,6 @@ class TestExperimentModules:
         assert points[0].spread.mean_infected <= points[1].spread.mean_infected
         assert ablations.render_alpha_sweep(points)
 
-    def test_k_search_ablation(self):
-        comparisons = ablations.run_k_search_ablation(
-            scale=0.002, betas=(0.5,), seed=3
-        )
-        (c,) = comparisons
-        assert c.objective_gap >= -1e-9
-        assert ablations.render_k_search(comparisons)
-
     def test_dp_scaling_ablation(self):
         points = ablations.run_dp_scaling(sizes=(5, 20), k=2, seed=3)
         assert points[0].binary_size >= points[0].tree_size

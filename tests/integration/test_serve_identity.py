@@ -474,7 +474,7 @@ class TestErrorSurface:
         [
             ("rid", {"beta": "x"}),
             ("rid", {"alpha": None}),
-            ("rid", {"max_k_per_tree": 2.5}),
+            ("rid", {"score": 3}),
             ("map_suspect", {"trials": "x"}),
             ("k_effectors", {"trials": 1.5}),
         ],
@@ -490,6 +490,20 @@ class TestErrorSurface:
         assert status == 400
         assert envelope["error"]["type"] == "ConfigError"
         assert "must be" in envelope["error"]["message"]
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_rid_config_maps_to_400(self, served, infected, field, token):
+        from repro.codec import encode_graph
+
+        client, _ = served
+        config = {field: float(token)}
+        assert json.dumps(config) == f'{{"{field}": {token}}}'  # the bare JSON token
+        body = {"graph": encode_graph(infected), "detector": "rid", "config": config}
+        status, envelope = post_raw(client, "/v1/detect", body)
+        assert status == 400
+        assert envelope["error"]["type"] == "ConfigError"
+        assert f"{field} must be finite" in envelope["error"]["message"]
 
     def test_wrong_typed_workload_maps_to_400(self, served):
         client, _ = served

@@ -7,8 +7,9 @@ that has a faster production twin in :mod:`repro`:
 * :mod:`tests.oracles.cascades` — the dict-of-dict MFC and IC cascade
   loops (production: the CSR kernel in :mod:`repro.kernel.cascade`);
 * :mod:`tests.oracles.tree_dp` — the recursive dict-memo k-ISOMIT-BT
-  solver and the exhaustive brute force (production:
-  :class:`repro.kernel.tree_dp.TreeDPKernel`);
+  solver, the exhaustive brute force, and the paper's greedy β stop
+  (production: :class:`repro.kernel.tree_dp.TreeDPKernel`, whose
+  penalised pass answers β mode);
 * :mod:`tests.oracles.rid_reference` — the sequential pre-pipeline RID
   (production: :class:`repro.core.rid.RID`, which runs the cached steps
   of :mod:`repro.pipeline.stages`).

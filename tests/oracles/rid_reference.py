@@ -11,6 +11,15 @@ initiators, inferred states, objective, tree structures and ordering,
 per-tree selections — is bit-identical to this reference on the golden
 regression snapshots and on randomised multi-component worlds.
 
+β mode here is the paper's rule: per tree, grow k from 1 and stop at
+the first k that does not improve ``OPT(k) − (k − 1)·β``. RID solves
+the same selection exactly, in one penalised pass per tree. The two
+agree wherever ``OPT(k)`` is concave in k and no other k ties the
+chosen objective, which holds on every gated snapshot. The gates
+compare per-tree ``k``, ``score``, ``penalized_objective`` and
+initiators in both modes, and ``scanned_k`` in budget mode only: RID's
+β mode scans no budget and reports 0.
+
 Do not "improve" this module; behavioural changes belong in RID, and
 the gate exists to catch them. It deliberately bypasses the
 ``rid_module`` monkeypatch seam and the artifact caches: plain imports,
@@ -71,7 +80,14 @@ def reference_forest(
 
 
 def reference_select_for_tree(config, tree: SignedDiGraph):
-    """The β-penalised k search on one cascade tree (sequential spec)."""
+    """The paper's β-penalised k search on one cascade tree: grow k from 1
+    and stop at the first k whose penalised objective does not improve.
+
+    RID's one penalised pass per tree returns the exact optimum over
+    every k, which equals this stop wherever ``OPT(k)`` is concave in k
+    and no other k ties it. ``scanned_k`` counts the budgets scanned
+    here; RID's β mode reports 0.
+    """
     from repro.core.rid import TreeSelection
 
     binary = binarize_cascade_tree(
@@ -81,8 +97,6 @@ def reference_select_for_tree(config, tree: SignedDiGraph):
     # crosses the compiled-kernel/reference boundary, not kernel-vs-kernel.
     solver = RecursiveTreeDP(binary)
     max_k = binary.num_real
-    if config.max_k_per_tree is not None:
-        max_k = min(max_k, config.max_k_per_tree)
 
     best: Optional[TreeDPResult] = None
     best_objective = float("-inf")
@@ -93,7 +107,7 @@ def reference_select_for_tree(config, tree: SignedDiGraph):
         objective = result.score - (k - 1) * config.beta
         if objective > best_objective:
             best, best_objective = result, objective
-        elif config.k_strategy == "greedy":
+        else:
             break
     assert best is not None
     return TreeSelection(
@@ -158,8 +172,6 @@ def reference_detect_with_budget(
         # Recursive oracle here too — see reference_select_for_tree.
         solver = RecursiveTreeDP(binary)
         cap = binary.num_real
-        if config.max_k_per_tree is not None:
-            cap = min(cap, config.max_k_per_tree)
         per_k = [solver.solve(k) for k in range(1, cap + 1)]
         results_by_tree.append(per_k)
         curves.append([result.score for result in per_k])

@@ -12,6 +12,14 @@ tests draw.
 :func:`brute_force_k_isomit` searches every initiator subset, with both
 the nearest-ancestor scoring (must match the DP's optimum) and the full
 noisy-or scoring (for measuring the collapse's approximation error).
+
+:func:`greedy_stop` is the paper's β selection (Sec. III-E3): grow k
+from 1 and stop at the first k whose penalised objective does not
+improve. :func:`best_over_k` scans every k instead. Both read ``OPT(k)``
+off the production kernel's budget curve; production answers β mode
+with :meth:`~repro.kernel.tree_dp.TreeDPKernel.solve_penalized`, which
+must match :func:`best_over_k`'s objective and, wherever the curve is
+concave and free of ties, :func:`greedy_stop`'s placement.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.binarize import BinaryCascadeTree
 from repro.errors import DynamicProgramError
-from repro.kernel.tree_dp import TreeDPResult
+from repro.kernel.tree_dp import TreeDPKernel, TreeDPResult
 from repro.types import Node, NodeState
 
 _NEG_INF = float("-inf")
@@ -305,3 +313,68 @@ def brute_force_k_isomit(
         tree.node(uid).original: tree.node(uid).state for uid in best_set
     }
     return TreeDPResult(k=k, score=best_score, initiators=initiators)
+
+
+# --------------------------------------------------------------------------
+# β selection: the paper's greedy stop, and the scan over every k
+# --------------------------------------------------------------------------
+
+
+def _penalized_scan(binary, beta: float, stop: bool) -> TreeDPResult:
+    """The best ``OPT(k) − (k − 1)·β`` over ``k = 1, 2, …``.
+
+    ``OPT(k)`` comes from ``TreeDPKernel(binary).solve_score`` (looked up
+    on this module, so tests can stub the curve). Only a strictly higher
+    objective replaces the best so far. ``stop`` ends the scan at the
+    first k that does not improve; otherwise every k is scanned. The
+    winner is reconstructed once, by ``solve(k)``.
+    """
+    solver = TreeDPKernel(binary)
+    best_k, best_objective = 0, _NEG_INF
+    for k in range(1, binary.num_real + 1):
+        objective = solver.solve_score(k) - (k - 1) * beta
+        if objective > best_objective:
+            best_k, best_objective = k, objective
+        elif stop:
+            break
+    if best_k == 0:
+        raise DynamicProgramError("a tree without real nodes has no initiator to place")
+    return solver.solve(best_k)
+
+
+def greedy_stop(binary, beta: float) -> TreeDPResult:
+    """The paper's β selection on one binarised tree (Sec. III-E3).
+
+    Grows k from 1 and stops at the first k whose penalised objective
+    ``OPT(k) − (k − 1)·β`` fails to improve strictly (an equal objective
+    stops the scan), and returns ``solve(k)`` for the last improving k.
+    """
+    return _penalized_scan(binary, beta, stop=True)
+
+
+def best_over_k(binary, beta: float) -> TreeDPResult:
+    """The exact β selection: the best ``OPT(k) − (k − 1)·β`` over every
+    ``k >= 1``, the smallest such k on an exact tie."""
+    return _penalized_scan(binary, beta, stop=False)
+
+
+def paper_stop_is_exact(binary, beta: float) -> bool:
+    """Whether :func:`greedy_stop` must pick the exact selection's k.
+
+    True when ``OPT(k)`` is concave in k (no second difference above
+    1e-9) and no other k comes within 1e-9 of the stop's penalised
+    objective. Elsewhere the two may differ: on a non-concave curve the
+    stop can miss a later optimum, and on a near-tie float rounding in
+    either summation order can decide.
+    """
+    solver = TreeDPKernel(binary)
+    opt = [solver.solve_score(k) for k in range(binary.num_real + 1)]
+    if any(opt[k + 1] - 2.0 * opt[k] + opt[k - 1] > 1e-9 for k in range(1, binary.num_real)):
+        return False
+    chosen = greedy_stop(binary, beta)
+    mine = chosen.score - (chosen.k - 1) * beta
+    return all(
+        opt[k] - (k - 1) * beta < mine - 1e-9
+        for k in range(1, binary.num_real + 1)
+        if k != chosen.k
+    )

@@ -53,7 +53,7 @@ def infected_dags(draw, max_size: int = 10):
 
 def assert_exact_bounds_rid(snapshot: SignedDiGraph, alpha: float, beta: float) -> None:
     exact = exact_isomit_additive(snapshot, alpha=alpha, beta=beta)
-    config = RIDConfig(alpha=alpha, beta=beta, k_strategy="exhaustive")
+    config = RIDConfig(alpha=alpha, beta=beta)
     rid = RID(config).detect(snapshot)
     assert exact.objective >= rid.objective - (len(rid.trees) - 1) * beta - 1e-9
 

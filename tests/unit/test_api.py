@@ -375,11 +375,11 @@ class TestRIDConfigValidation:
             ({"alpha": 0.5}, "alpha must be >= 1, got 0.5"),
             ({"beta": -1.0}, "beta must be >= 0, got -1.0"),
             ({"score": "weird"}, "score must be 'log' or 'raw', got 'weird'"),
-            (
-                {"k_strategy": "random"},
-                "k_strategy must be 'greedy' or 'exhaustive', got 'random'",
-            ),
-            ({"max_k_per_tree": 0}, "max_k_per_tree must be >= 1 or None, got 0"),
+            ({"alpha": float("nan")}, "alpha must be finite, got nan"),
+            ({"alpha": float("inf")}, "alpha must be finite, got inf"),
+            ({"beta": float("nan")}, "beta must be finite, got nan"),
+            ({"beta": float("inf")}, "beta must be finite, got inf"),
+            ({"beta": float("-inf")}, "beta must be finite, got -inf"),
         ],
     )
     def test_error_messages_name_field_and_value(self, kwargs, message):

@@ -163,7 +163,7 @@ class TestConfigCoercion:
         [
             ("rid", {"beta": "x"}, "RIDConfig.beta"),
             ("rid", {"alpha": None}, "RIDConfig.alpha"),
-            ("rid", {"max_k_per_tree": 2.5}, "RIDConfig.max_k_per_tree"),
+            ("rid", {"inconsistent_value": "x"}, "RIDConfig.inconsistent_value"),
             ("rid", {"prune_inconsistent": 1}, "RIDConfig.prune_inconsistent"),
             ("map_suspect", {"trials": "x"}, "MapSuspectConfig.trials"),
             ("map_suspect", {"trials": True}, "MapSuspectConfig.trials"),
@@ -178,10 +178,11 @@ class TestConfigCoercion:
     def test_json_number_forms_are_accepted(self):
         # A JSON int is a valid float; None is a valid Optional[int].
         config = coerce_detector_config(
-            "rid", {"alpha": 4, "beta": 0, "max_k_per_tree": None}
+            "rid", {"alpha": 4, "beta": 0, "inconsistent_value": 0}
         )
-        assert (config.alpha, config.beta, config.max_k_per_tree) == (4, 0, None)
+        assert (config.alpha, config.beta, config.inconsistent_value) == (4, 0, 0)
         assert coerce_detector_config("certainty_cover", {"budget": 3}).budget == 3
+        assert coerce_detector_config("certainty_cover", {"budget": None}).budget is None
 
     def test_config_to_json_round_trip(self):
         payload = detector_config_to_json(MapSuspectConfig(trials=3))

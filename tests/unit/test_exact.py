@@ -101,7 +101,7 @@ class TestAdditiveSolver:
         g = chain([0.2, 0.05, 0.3])
         beta = 0.4
         exact = exact_isomit_additive(g, alpha=3.0, beta=beta)
-        detector = RID(RIDConfig(alpha=3.0, beta=beta, k_strategy="exhaustive"))
+        detector = RID(RIDConfig(alpha=3.0, beta=beta))
         rid_result = detector.detect(g)
         assert exact.objective >= (rid_result.objective or 0.0) - 1e-9
 
@@ -113,7 +113,7 @@ class TestAdditiveSolver:
         g = chain([0.2, 0.05, 0.3])
         beta = 0.4
         exact = exact_isomit_additive(g, alpha=3.0, beta=beta)
-        detector = RID(RIDConfig(alpha=3.0, beta=beta, k_strategy="exhaustive"))
+        detector = RID(RIDConfig(alpha=3.0, beta=beta))
         rid_result = detector.detect(g)
         gap = exact.objective - (rid_result.objective or 0.0)
         assert 0.0 <= gap < 0.1

@@ -34,24 +34,24 @@ KEYS = {
         "e7bf10ad9f4f94c8a7f62a82f5d9299b",
     ],
     "tree_dp[greedy]": [
-        "0a44cc9492927d775846fbb1959c8344",
-        "59c307d8503d5b9b154013876b9c0c59",
-        "3dcbaa99061e7e0df8a6740ba5fed1c0",
-        "90e70fd6b987d5acae08a09aec429355",
-        "ef54ab83a00b5fb9db29dea8baf71ee3",
-        "15bd65b89466696c3c68d88cc94fb1c5",
+        "2076d9b3b0c471bca8d12a122d192c39",
+        "9d945b619d06662e457ddad43ba4c4b7",
+        "81e96cdfe4b734bac3397784977344d1",
+        "31463736e64df2aef59bc6a3206c876d",
+        "5ca9fb188d58ba81ad5e42a008213da6",
+        "aa227e197cfbc707821cdb757a4d6e25",
     ],
     "tree_dp[curve]": [
-        "cea438413fe247c495c7fa2327c0b683",
-        "611ce59c3adb8f84d2aaeec436ed117a",
-        "56b7d7d47b5360a736252eb03063c1c2",
-        "ae3b54247a79936592838c3aef129925",
-        "b88a91756545eaf03f50f29f4a3a5307",
-        "875f36362643ba12c63661a9ed6895c7",
+        "178c830fd25ddd9ef54f50f026a78afa",
+        "cdba677e7da079f5964ad1d351ce3c94",
+        "d948c1a05342118f7506f4515daa2770",
+        "7e2e0c38b8f2bce3aa0364807623357f",
+        "5b9b073b8f901ff12b9b197fe8ea0cc5",
+        "1eb7cd44e3362a69829af6346a04e491",
     ],
 }
 #: blake2b-128 of the store's files, concatenated in file-name order.
-STORE_DIGEST = "11b08aaffcded00162a9981e94d05e22"
+STORE_DIGEST = "4a38968005b5330686e13dd917f5d661"
 
 #: The attributes the pipeline looks up at call time: ``(owner, name)``.
 SEAMS = (

@@ -2,6 +2,8 @@
 
 import pytest
 
+import tests.oracles.tree_dp as oracle
+from repro.core.binarize import binarize_cascade_tree
 from repro.detectors import RIDPositiveDetector, RIDTreeConfig, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.errors import ConfigError
@@ -45,8 +47,11 @@ class TestRIDConfig:
             {"alpha": 0.5},
             {"beta": -0.1},
             {"score": "nope"},
-            {"k_strategy": "nope"},
-            {"max_k_per_tree": 0},
+            {"alpha": float("nan")},
+            {"beta": float("nan")},
+            {"alpha": float("inf")},
+            {"beta": float("inf")},
+            {"beta": float("-inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -80,15 +85,16 @@ class TestRIDDetection:
         assert len(low.initiators) >= len(high.initiators)
 
     def test_exhaustive_at_least_as_good_as_greedy(self):
-        infected = hand_built_infection()
-        greedy = RID(RIDConfig(beta=0.3, k_strategy="greedy")).detect(infected)
-        exhaustive = RID(RIDConfig(beta=0.3, k_strategy="exhaustive")).detect(infected)
-        assert exhaustive.objective >= greedy.objective - 1e-12
-
-    def test_max_k_per_tree_caps_detections(self):
-        infected = hand_built_infection()
-        result = RID(RIDConfig(beta=0.0, max_k_per_tree=1)).detect(infected)
-        assert len(result.initiators) <= 1 * len(result.trees)
+        # RID's exact selection against the paper's greedy stop, summed
+        # over the same trees.
+        config = RIDConfig(beta=0.3)
+        exact = RID(config).detect(hand_built_infection())
+        greedy = 0.0
+        for tree in exact.trees:
+            binary = binarize_cascade_tree(tree, alpha=config.alpha)
+            best = oracle.greedy_stop(binary, config.beta)
+            greedy += best.score - (best.k - 1) * config.beta
+        assert exact.objective >= greedy - 1e-12
 
     def test_selections_diagnostics_populated(self):
         detector = RID(RIDConfig(beta=0.1))
@@ -147,35 +153,36 @@ class TestRIDPositiveDetector:
 
 
 class TestGreedyKSearchTies:
-    """Pin the greedy scan's behaviour when the penalised objective ties.
+    """Pin the paper rule's behaviour when the penalised objective ties.
 
-    The paper heuristic stops at the first k that *fails to improve* the
-    penalised objective. An equal objective at k+1 is not an improvement,
-    so greedy must stop there — even when a strictly better k hides
-    beyond the tie. These tests drive a stubbed DP with a controlled
-    score curve to make the tie exact.
+    The paper's scan (the oracle ``greedy_stop``) stops at the first k
+    that *fails to improve* the penalised objective. An equal objective
+    at k+1 is not an improvement, so it stops there, even when a
+    strictly better k hides beyond the tie. ``best_over_k``, the exact
+    selection RID's penalised pass computes, finds that k. These tests
+    drive the oracle over a stubbed DP with a controlled score curve to
+    make the tie exact.
     """
 
     #: score curve: objective(k) = score - (k-1)*beta with beta = 0.1
     #: k=1 -> 1.0, k=2 -> 1.0 (exact tie), k=3 -> 1.8 (hidden optimum).
     SCORES = {1: 1.0, 2: 1.1, 3: 2.0}
 
+    class StubBinary:
+        num_real = 3
+
     def _stub_dp(self, monkeypatch):
-        import repro.core.rid as rid_module
         from repro.kernel.tree_dp import TreeDPResult
 
         scores = self.SCORES
-
-        class StubBinary:
-            num_real = 3
+        asked = []
 
         class StubSolver:
-            memo_states = 0
-
             def __init__(self, binary):
                 self.binary = binary
 
             def solve_score(self, k):
+                asked.append(k)
                 return scores[k]
 
             def solve(self, k):
@@ -185,43 +192,46 @@ class TestGreedyKSearchTies:
                     initiators={f"n{i}": NodeState.POSITIVE for i in range(k)},
                 )
 
-        monkeypatch.setattr(
-            rid_module, "binarize_cascade_tree", lambda tree, alpha, inconsistent_value=0.0: StubBinary()
-        )
-        monkeypatch.setattr(rid_module, "TreeDPKernel", StubSolver)
+        monkeypatch.setattr(oracle, "TreeDPKernel", StubSolver)
+        return asked
 
     def test_tie_at_k_plus_one_stops_greedy(self, monkeypatch):
-        self._stub_dp(monkeypatch)
-        config = RIDConfig(beta=0.1, k_strategy="greedy")
-        selection = greedy_tree_selection(config, SignedDiGraph())
-        # k=2 ties k=1 (1.0 == 1.0): not an improvement, scan stops.
-        assert selection.k == 1
-        assert selection.scanned_k == 2
-        assert selection.penalized_objective == pytest.approx(1.0)
+        asked = self._stub_dp(monkeypatch)
+        best = oracle.greedy_stop(self.StubBinary(), 0.1)
+        # k=2 ties k=1 (1.0 == 1.0): not an improvement, the scan stops.
+        assert best.k == 1
+        assert asked == [1, 2]
+        assert best.score - (best.k - 1) * 0.1 == pytest.approx(1.0)
 
     def test_exhaustive_scans_past_the_tie(self, monkeypatch):
-        self._stub_dp(monkeypatch)
-        config = RIDConfig(beta=0.1, k_strategy="exhaustive")
-        selection = greedy_tree_selection(config, SignedDiGraph())
-        # Exhaustive reaches the hidden optimum at k=3.
-        assert selection.k == 3
-        assert selection.scanned_k == 3
-        assert selection.penalized_objective == pytest.approx(1.8)
+        asked = self._stub_dp(monkeypatch)
+        best = oracle.best_over_k(self.StubBinary(), 0.1)
+        # The scan over every k reaches the hidden optimum at k=3.
+        assert best.k == 3
+        assert asked == [1, 2, 3]
+        assert best.score - (best.k - 1) * 0.1 == pytest.approx(1.8)
 
     def test_greedy_vs_exhaustive_disagreement_is_the_tie_cost(self, monkeypatch):
         self._stub_dp(monkeypatch)
-        greedy = greedy_tree_selection(
-            RIDConfig(beta=0.1, k_strategy="greedy"), SignedDiGraph()
-        )
-        exhaustive = greedy_tree_selection(
-            RIDConfig(beta=0.1, k_strategy="exhaustive"), SignedDiGraph()
-        )
-        assert exhaustive.penalized_objective > greedy.penalized_objective
+        greedy = oracle.greedy_stop(self.StubBinary(), 0.1)
+        exhaustive = oracle.best_over_k(self.StubBinary(), 0.1)
+        assert exhaustive.score - 0.2 > greedy.score
         assert greedy.k < exhaustive.k
 
+
+def weak_path() -> SignedDiGraph:
+    """r -> a -> b over weak consistent links (g = 3 * 0.02 = 0.06)."""
+    g = SignedDiGraph()
+    g.add_edge("r", "a", 1, 0.02)
+    g.add_edge("a", "b", 1, 0.02)
+    g.set_states({node: NodeState.POSITIVE for node in "rab"})
+    return g
+
+
 class TestTreeDiagnostics:
-    """β-mode per-tree diagnostics: ``rid.tree_dp.k_chosen`` and
-    ``rid.tree_dp.stop_margin`` come from the scan's root scores."""
+    """β-mode per-tree diagnostics: ``rid.tree_dp.k_chosen`` and the β
+    interval on which it stays optimal, ``rid.tree_dp.beta_low`` and
+    ``rid.tree_dp.beta_high``."""
 
     def test_gauges_on_a_real_tree(self):
         from repro.obs import MetricsRecorder
@@ -231,46 +241,49 @@ class TestTreeDiagnostics:
             RIDConfig(beta=0.1), hand_built_infection(), rec
         )
         gauges = rec.metrics.gauges
-        assert selection.k == 2
+        assert (selection.k, selection.scanned_k) == (2, 0)
         assert gauges["rid.tree_dp.k_chosen"].total == 2
-        # OPT(3) == OPT(2) == 4 (every node explained), so the third
-        # initiator would have lost exactly beta.
-        assert gauges["rid.tree_dp.stop_margin"].total == pytest.approx(-0.1)
+        # OPT(1) = 3.02 (r1 explains a, b and 0.02 of r2), OPT(2) = 4 =
+        # OPT(3): k = 2 stays optimal for beta in [0, OPT(2) - OPT(1)].
+        assert gauges["rid.tree_dp.beta_low"].total == 0.0
+        assert gauges["rid.tree_dp.beta_high"].total == pytest.approx(0.98)
+        assert "rid.k_iterations" not in rec.metrics.counters
 
     def test_cap_stop_has_no_margin_and_reconstructs_once(self, monkeypatch):
+        """At β = 0 every node of the weak path is an initiator: k* is the
+        tree's cap, nothing has more initiators, so the interval starts
+        at 0. Without a recorder the stage runs one pass; the interval's
+        extra passes run only for an enabled recorder."""
         import repro.core.rid as rid_module
-        from repro.kernel.tree_dp import TreeDPResult
+        from repro.kernel.tree_dp import TreeDPKernel
         from repro.obs import MetricsRecorder
 
-        scores = {1: 1.0, 2: 1.5, 3: 2.0}
-        calls = []
+        passes = []
 
-        class StubBinary:
-            num_real = 3
+        class Counting(TreeDPKernel):
+            def solve_penalized(self, beta):
+                passes.append(beta)
+                return super().solve_penalized(beta)
 
-        class ScoringStub:
-            memo_states = 0
+        monkeypatch.setattr(rid_module, "TreeDPKernel", Counting)
+        selection = greedy_tree_selection(RIDConfig(beta=0.0), weak_path())
+        assert (selection.k, passes) == (3, [0.0])
 
-            def __init__(self, binary):
-                pass
-
-            def solve_score(self, k):
-                return scores[k]
-
-            def solve(self, k):
-                calls.append(k)
-                return TreeDPResult(k=k, score=scores[k], initiators={})
-
-        monkeypatch.setattr(
-            rid_module,
-            "binarize_cascade_tree",
-            lambda tree, alpha, inconsistent_value=0.0: StubBinary(),
-        )
-        monkeypatch.setattr(rid_module, "TreeDPKernel", ScoringStub)
         rec = MetricsRecorder()
-        selection = greedy_tree_selection(RIDConfig(beta=0.1), SignedDiGraph(), rec)
-        # The scan reaches the cap (k = 3): a chosen k but no margin, and
-        # the placement is reconstructed once, for the winner only.
-        assert (selection.k, selection.scanned_k, calls) == (3, 3, [3])
-        assert rec.metrics.gauges["rid.tree_dp.k_chosen"].total == 3
-        assert "rid.tree_dp.stop_margin" not in rec.metrics.gauges
+        greedy_tree_selection(RIDConfig(beta=0.0), weak_path(), rec)
+        gauges = rec.metrics.gauges
+        assert gauges["rid.tree_dp.k_chosen"].total == 3
+        assert gauges["rid.tree_dp.beta_low"].total == 0.0
+        # OPT(3) - OPT(2) = 1 - 0.06: the third initiator's gain.
+        assert gauges["rid.tree_dp.beta_high"].total == pytest.approx(0.94)
+        assert len(passes) > 2
+
+    def test_single_initiator_interval_is_unbounded_above(self):
+        from repro.obs import MetricsRecorder
+
+        rec = MetricsRecorder()
+        selection = greedy_tree_selection(RIDConfig(beta=1.0), hand_built_infection(), rec)
+        gauges = rec.metrics.gauges
+        assert selection.k == 1
+        assert gauges["rid.tree_dp.beta_low"].total == pytest.approx(0.98)
+        assert "rid.tree_dp.beta_high" not in gauges

@@ -82,13 +82,6 @@ class TestBudgetedDetection:
         result = RID().detect_with_budget(two_tree_snapshot(), budget=3)
         assert set(result.states) == result.initiators
 
-    def test_max_k_per_tree_respected(self):
-        detector = RID(RIDConfig(max_k_per_tree=1))
-        result = detector.detect_with_budget(two_tree_snapshot(), budget=2)
-        assert len(result.initiators) == 2
-        with pytest.raises(ConfigError):
-            detector.detect_with_budget(two_tree_snapshot(), budget=3)
-
 
 class TestEmptySnapshot:
     """A snapshot with zero infected nodes is well-formed for budget=0.

@@ -132,7 +132,7 @@ class TestConfigCodec:
         assert wire.detector_config_from_json("rid", None) == RIDConfig()
 
     def test_round_trip(self):
-        config = RIDConfig(alpha=4.0, beta=0.09, k_strategy="exhaustive")
+        config = RIDConfig(alpha=4.0, beta=0.09, score="raw")
         payload = detector_config_to_json(config)
         assert wire.detector_config_from_json("rid", payload) == config
 
